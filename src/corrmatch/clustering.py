@@ -3,7 +3,10 @@ Index scoring, plus the joint-versus-single clustering experiments.
 
 The mixture is fit by plain EM with full covariances, k-means++
 seeding, and ridge regularization eps*I on every covariance update
-(eps = 1e-6 times the mean coordinatewise data variance). The
+(eps = 1e-6 times the mean coordinatewise data variance). Each EM
+iteration works on (k, n, d) and (k, d, d) stacks, with no Python loop
+over components; its log-sum-exp follows scipy.special.logsumexp's
+formula, so fits equal those of a per-component loop bit for bit. The
 per-iteration log-likelihood trace is kept on the model so monotonicity
 is checkable.
 """
@@ -13,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from ._parallel import parallel_map
+from ._parallel import check_mc_reps, parallel_map
 from .embedding import ase, omnibus
 from .graphs import apply_permutation
 from .samplers import (
@@ -54,14 +56,22 @@ def _kmeanspp_centers(points: np.ndarray, k: int, gen: np.random.Generator) -> n
     return centers
 
 
-def _log_gaussian(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = points.shape[1]
-    chol = np.linalg.cholesky(cov)
-    diff = points - mean
-    sol = np.linalg.solve(chol, diff.T)
-    maha = (sol ** 2).sum(axis=0)
-    logdet = 2.0 * np.log(np.diag(chol)).sum()
-    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each column of a finite (k, n) array.
+
+    Equals ``scipy.special.logsumexp(a.T, axis=1)`` (scipy 1.17) bit for
+    bit: the entries equal to the column maximum are taken out of the
+    shifted sum and counted, and the rest is summed along the rows of
+    the C-ordered (n, k) transpose, in scipy's order. The max and the
+    count are exact in any order, so they reduce over the long axis.
+    """
+    amax = a.max(axis=0)
+    at_max = a == amax
+    count = at_max.sum(axis=0)
+    shifted = np.exp(a - amax)
+    shifted[at_max] = 0.0
+    rest = np.ascontiguousarray(shifted.T).sum(axis=1)
+    return np.log1p(rest / count) + np.log(count) + amax
 
 
 def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
@@ -75,9 +85,15 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("points must be an n x d matrix")
+    if not np.isfinite(x).all():
+        raise ValueError("points must be finite (no NaN or inf)")
     n, d = x.shape
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    if restarts < 1:
+        raise ValueError(f"need restarts >= 1, got {restarts}")
+    if max_iters < 1:
+        raise ValueError(f"need max_iters >= 1, got {max_iters}")
     gen = _as_generator(rng)
     eps = 1e-6 * float(np.var(x, axis=0).mean())
     if eps <= 0.0:
@@ -104,15 +120,20 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
         weights /= weights.sum()
 
         trace: list[float] = []
-        log_resp = None
+        d_log_2pi = d * np.log(2.0 * np.pi)
+        diff = x[None, :, :] - means[:, None, :]
         for it in range(max_iters):
-            log_prob = np.stack(
-                [np.log(weights[j]) + _log_gaussian(x, means[j], covs[j]) for j in range(k)],
-                axis=1,
-            )
-            norm = logsumexp(log_prob, axis=1)
+            chol = np.linalg.cholesky(covs)
+            sol = np.linalg.solve(chol, diff.transpose(0, 2, 1))
+            maha = (sol ** 2).sum(axis=1)
+            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+            log_gauss = -0.5 * ((d_log_2pi + logdet)[:, None] + maha)
+            log_prob = np.log(weights)[:, None] + log_gauss
+            norm = _logsumexp_cols(log_prob)
             ll = float(norm.sum())
-            log_resp = log_prob - norm[:, None]
+            # C-ordered (n, k): the sum over n for nk depends on this
+            # layout in the last bits
+            log_resp = np.ascontiguousarray((log_prob - norm).T)
             trace.append(ll)
             if it > 0 and abs(trace[-1] - trace[-2]) < tol:
                 break
@@ -121,9 +142,9 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
             nk = np.maximum(nk, 1e-300)
             weights = nk / n
             means = (resp.T @ x) / nk[:, None]
-            for j in range(k):
-                diff = x - means[j]
-                covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j] + reg
+            diff = x[None, :, :] - means[:, None, :]
+            weighted = resp.T[:, :, None] * diff
+            covs = np.matmul(weighted.transpose(0, 2, 1), diff) / nk[:, None, None] + reg
 
         labels = np.argmax(log_resp, axis=1).astype(np.int64)
         model = GmmModel(k=k, weights=weights.copy(), means=means.copy(),
@@ -201,6 +222,7 @@ def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
     """Joint (omnibus) versus single-graph clustering ARI over a
     correlation grid; both variants are scored on graph 1's vertices
     against the true block labels."""
+    check_mc_reps(mc_reps)
     truth = params.partition.membership
     rows = []
     for r_idx, rho in enumerate(rho_grid):
@@ -263,6 +285,7 @@ def shuffle_cluster_experiment(params: SbmParams, rho: float, s_grid,
     the shuffled pair, ii) G1 alone, iii) joint clustering after seeded
     matching realigns G2.
     """
+    check_mc_reps(mc_reps)
     truth = params.partition.membership
     rows = []
     for s_idx, s in enumerate(s_grid):
@@ -294,6 +317,7 @@ def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
     restarts. Scores the clustering of graph a's vertices against the
     given labels; swap the inputs to score the other graph.
     """
+    check_mc_reps(mc_reps)
     if a.shape != b.shape:
         raise ValueError("graph size mismatch")
     labels = np.asarray(labels, dtype=np.int64)

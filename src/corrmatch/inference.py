@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import norm
 
-from ._parallel import parallel_map
+from ._parallel import check_mc_reps, parallel_map
 from .embedding import t2_omni
 from .graphs import (
     apply_permutation,
@@ -178,6 +178,7 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
     """Matchability phase transition: edge disagreements at the latent
     alignment versus after matching from it, and the edge correlation
     induced by matching versus shuffling."""
+    check_mc_reps(mc_reps)
     if params is None:
         params = three_block_params()
     n = params.n
@@ -229,6 +230,7 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     the leading s vertices, without loss of generality under the
     exchangeable null and alternative.
     """
+    check_mc_reps(mc_reps)
     if max_feasible_correlation(p, q) < rho:
         raise ValueError(f"rho={rho} infeasible for marginals ({p}, {q})")
     p0 = (p + q) / 2.0 if null_edge_p is None else float(null_edge_p)
@@ -321,6 +323,7 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     independent-pair null; their power is computed once per replicate
     and is constant across the x grid by construction.
     """
+    check_mc_reps(mc_reps)
     lat_gen = RngStream(master_seed, _LATENT_STREAM_ID).generator()
     x_latent = sample_dirichlet_positions(n, lat_gen)
     y_latent = anomaly_perturb(x_latent, num_anomalous, mix_w, lat_gen)

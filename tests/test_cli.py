@@ -196,6 +196,21 @@ class TestExpCommand:
         assert rows and rows[0]["experiment"] == "phase-transition"
 
 
+    @pytest.mark.parametrize("experiment, extra", [
+        ("phase-transition", ()),
+        ("power-er", ()),
+        ("power-omni", ()),
+        ("cluster", ()),
+        ("cluster", ("--seeds-grid", "0,20")),
+    ])
+    def test_zero_mc_exit_2(self, tmp_path, capsys, experiment, extra):
+        code, out, err = run_cli(capsys, "exp", experiment, "--mc", "0", *extra,
+                                 "-o", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "mc_reps" in err
+
+
 class TestClusterRealCommand:
     @pytest.fixture
     def synthetic_inputs(self, tmp_path):
@@ -256,3 +271,11 @@ class TestClusterRealCommand:
                                "-o", str(tmp_path / "x.csv"))
         assert code == 2
         assert "label" in err
+
+    def test_zero_mc_exit_2(self, tmp_path, capsys, synthetic_inputs):
+        pa, pb, pl = synthetic_inputs
+        code, _, err = run_cli(capsys, "cluster-real", "--a", pa, "--b", pb,
+                               "--labels", pl, "--d", "2", "--k", "2",
+                               "--mc", "0", "-o", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err.count("\n") == 1 and "mc_reps" in err

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from corrmatch import (
     BlockPartition,
@@ -8,16 +9,87 @@ from corrmatch import (
     ari,
     ase,
     cluster_gain_experiment,
+    cluster_real_experiment,
     fit_gmm,
     joint_cluster,
+    omnibus,
     sample_rho_sbm,
     shuffle_cluster_experiment,
     single_cluster,
 )
+from corrmatch.clustering import _kmeanspp_centers, _logsumexp_cols
+from corrmatch.inference import (
+    phase_transition_experiment,
+    power_er_experiment,
+    power_omni_experiment,
+)
+from corrmatch.samplers import _as_generator
 
 
 TWO_BLOCK_STRONG = SbmParams(BlockPartition((50, 50)),
                              np.array([[0.9, 0.05], [0.05, 0.9]]))
+
+
+def _log_gaussian(points, mean, cov):
+    d = points.shape[1]
+    chol = np.linalg.cholesky(cov)
+    diff = points - mean
+    sol = np.linalg.solve(chol, diff.T)
+    maha = (sol ** 2).sum(axis=0)
+    logdet = 2.0 * np.log(np.diag(chol)).sum()
+    return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
+
+
+def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6):
+    """Per-component EM with scipy's logsumexp: the oracle for fit_gmm,
+    which must reproduce it bit for bit."""
+    x = np.asarray(points, dtype=np.float64)
+    n, d = x.shape
+    gen = _as_generator(rng)
+    eps = 1e-6 * float(np.var(x, axis=0).mean())
+    if eps <= 0.0:
+        eps = 1e-6
+    reg = eps * np.eye(d)
+    best = None
+    for _ in range(restarts):
+        centers = _kmeanspp_centers(x, k, gen)
+        hard = np.argmin(((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+        weights = np.empty(k)
+        means = np.empty((k, d))
+        covs = np.empty((k, d, d))
+        global_cov = np.cov(x.T).reshape(d, d) + reg
+        for j in range(k):
+            members = x[hard == j]
+            weights[j] = max(members.shape[0], 1)
+            if members.shape[0] >= 2:
+                means[j] = members.mean(axis=0)
+                covs[j] = np.cov(members.T).reshape(d, d) + reg
+            else:
+                means[j] = centers[j]
+                covs[j] = global_cov
+        weights /= weights.sum()
+        trace = []
+        for it in range(max_iters):
+            log_prob = np.stack(
+                [np.log(weights[j]) + _log_gaussian(x, means[j], covs[j]) for j in range(k)],
+                axis=1,
+            )
+            norm = logsumexp(log_prob, axis=1)
+            log_resp = log_prob - norm[:, None]
+            trace.append(float(norm.sum()))
+            if it > 0 and abs(trace[-1] - trace[-2]) < tol:
+                break
+            resp = np.exp(log_resp)
+            nk = np.maximum(resp.sum(axis=0), 1e-300)
+            weights = nk / n
+            means = (resp.T @ x) / nk[:, None]
+            for j in range(k):
+                diff = x - means[j]
+                covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j] + reg
+        labels = np.argmax(log_resp, axis=1).astype(np.int64)
+        if best is None or trace[-1] > best[4][-1]:
+            best = (labels, weights.copy(), means.copy(), covs.copy(), tuple(trace))
+    return best
 
 
 class TestFitGmm:
@@ -66,6 +138,64 @@ class TestFitGmm:
     def test_k_bounds(self):
         with pytest.raises(ValueError):
             fit_gmm(np.zeros((3, 2)), 4, RngStream(10))
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1},
+                                        {"max_iters": 0}, {"max_iters": -3}])
+    def test_rejects_nonpositive_counts(self, kwargs):
+        x = np.random.default_rng(17).normal(size=(20, 2))
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            fit_gmm(x, 2, RngStream(18), **kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_points(self, bad):
+        x = np.random.default_rng(19).normal(size=(20, 2))
+        x[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_gmm(x, 2, RngStream(20))
+
+
+class TestFitGmmOracle:
+    """The vectorised EM equals the per-component loop exactly."""
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3),
+                                      (2, 4), (4, 2), (5, 3), (3, 5), (6, 2)])
+    def test_bit_identical_to_per_component_em(self, d, k):
+        rng = np.random.default_rng(100 * d + k)
+        for rep in range(3):
+            n = int(rng.integers(max(k, 20), 90))
+            x = rng.normal(size=(n, d)) + rng.choice([0.0, 2.5, 6.0], size=(n, 1))
+            model, labels = fit_gmm(x, k, RngStream(rep), restarts=3)
+            ref_labels, weights, means, covs, trace = reference_fit_gmm(
+                x, k, RngStream(rep), restarts=3)
+            assert np.array_equal(labels, ref_labels)
+            assert model.loglik_trace == trace
+            assert np.array_equal(model.means, means)
+            assert np.array_equal(model.covariances, covs)
+            assert np.array_equal(model.weights, weights)
+
+    def test_bit_identical_on_omnibus_embedding(self):
+        params = SbmParams(BlockPartition((50, 50)),
+                           np.array([[0.1, 0.05], [0.05, 0.2]]))
+        for rep in range(3):
+            g1, g2 = sample_rho_sbm(params, 0.5, RngStream(rep).generator())
+            z = ase(omnibus(g1, g2), 2)
+            model, labels = fit_gmm(z, 2, RngStream(rep), restarts=3)
+            ref_labels, _, means, covs, trace = reference_fit_gmm(z, 2, RngStream(rep), restarts=3)
+            assert np.array_equal(labels, ref_labels)
+            assert model.loglik_trace == trace
+            assert np.array_equal(model.means, means)
+            assert np.array_equal(model.covariances, covs)
+
+    def test_logsumexp_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(21)
+        a = rng.normal(scale=30.0, size=(500, 9))
+        a[:50, 1] = a[:50, 0]  # two entries tie for the row maximum
+        a[:50, 2:] = a[:50, [0]] - rng.uniform(0.0, 5.0, size=(50, 7))
+        a[50:60] = 7.25  # every entry ties
+        for k in (1, 2, 3, 4, 9):
+            part = a[:, :k]
+            assert np.array_equal(_logsumexp_cols(np.ascontiguousarray(part.T)),
+                                  logsumexp(part, axis=1))
 
 
 class TestAri:
@@ -147,3 +277,20 @@ class TestClusterExperiments:
                                           mc_reps=3, master_seed=6, restarts=2)
         by_variant = {r["variant"]: r for r in rows}
         assert by_variant["omni_shuffled"]["mean_ari"] == by_variant["omni_matched"]["mean_ari"]
+
+    def test_every_experiment_rejects_zero_mc_reps(self):
+        params = SbmParams(BlockPartition((6, 6)), np.array([[0.6, 0.1], [0.1, 0.6]]))
+        g = np.zeros((12, 12), dtype=np.int8)
+        calls = [
+            lambda mc: phase_transition_experiment(mc_reps=mc, params=params),
+            lambda mc: power_er_experiment(n=12, mc_reps=mc, n_null=19),
+            lambda mc: power_omni_experiment(n=12, mc_reps=mc, n_null=19),
+            lambda mc: cluster_gain_experiment(params, (0.5,), 2, 2, mc, 0),
+            lambda mc: shuffle_cluster_experiment(params, 0.5, (0,), 2, 2, mc, 0),
+            lambda mc: cluster_real_experiment(g, g, params.partition.membership,
+                                               (0,), 2, 2, mc, 0),
+        ]
+        for call in calls:
+            for mc in (0, -2):
+                with pytest.raises(ValueError, match="mc_reps"):
+                    call(mc)
