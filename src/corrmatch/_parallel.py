@@ -1,18 +1,35 @@
-"""Bounded worker parallelism for Monte Carlo loops.
+"""The Monte Carlo driver behind the six experiments.
 
-Replicates carry their own random streams, so results are identical
-for any thread count; collection order follows submission order.
+A run is a grid of cells with ``mc_reps`` replicates each, plus, in the
+power experiments, cells of ``n_null`` null-calibration draws. Each draw
+has its own stream ``RngStream(master_seed, first + major * width +
+minor)``, built only by :meth:`MonteCarlo.generator`, in the id block of
+its role (``_BLOCKS``): replicates (cell, replicate; width mc_reps) from
+0, null draws (null cell, draw; width n_null) from 10**7, shuffles (laid
+out by the experiment) from 2 * 10**7, latent positions (0 for the
+shared draw, 1 + replicate for redraws) from 9 * 10**7. A run whose ids
+would leave their block, or with any other bad argument, is rejected
+before the first draw, so no two draws share a stream. Results are
+identical for any thread count; collection order follows submission
+order.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 
-def check_mc_reps(mc_reps: int) -> None:
-    """Reject a Monte Carlo replicate count below one."""
-    if mc_reps < 1:
-        raise ValueError(f"need mc_reps >= 1, got {mc_reps}")
+from .samplers import RngStream
+
+# role -> (first stream id, capacity); the latent block is last and open above
+_BLOCKS = {
+    "replicate": (0, 10_000_000),
+    "null": (10_000_000, 10_000_000),
+    "shuffle": (20_000_000, 70_000_000),
+    "latent": (90_000_000, None),
+}
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
@@ -21,3 +38,87 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
+
+
+def critical_rank(alpha: float, n_null: int) -> int:
+    """1-based rank ceil((1-alpha)(n_null+1)) of the conservative critical
+    value among n_null null draws; needs 0 < alpha < 1 and n_null >= 1/alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"need 0 < alpha < 1, got {alpha}")
+    if n_null < 1.0 / alpha:
+        raise ValueError(f"need n_null >= 1/alpha = {1.0 / alpha:.1f}, got {n_null}")
+    return math.ceil((1.0 - alpha) * (n_null + 1))
+
+
+def critical_value(draws: np.ndarray, alpha: float):
+    """Conservative Monte Carlo critical value: the critical_rank-th order
+    statistic of the null draws, per column when draws is n_null x m."""
+    return np.sort(draws, axis=0)[critical_rank(alpha, draws.shape[0]) - 1]
+
+
+class MonteCarlo:
+    """The checked sizes, stream ids and loops of one Monte Carlo run.
+
+    ``grids`` maps argument names to grids that must not be empty.
+    ``cells`` replicate cells and ``null_cells`` null cells use the
+    replicate and null blocks; ``shuffles`` is (majors, width) in the
+    shuffle block. ``alpha`` is the level of the null calibration.
+    """
+
+    def __init__(self, master_seed: int, mc_reps: int, threads: int, grids: dict,
+                 cells: int, *, alpha: float | None = None, n_null: int = 0,
+                 null_cells: int = 0, shuffles: tuple[int, int] = (0, 0)):
+        if mc_reps < 1:
+            raise ValueError(f"need mc_reps >= 1, got {mc_reps}")
+        if threads < 1:
+            raise ValueError(f"need threads >= 1, got {threads}")
+        for name, grid in grids.items():
+            if len(grid) == 0:
+                raise ValueError(f"{name} must not be empty")
+        if alpha is not None:
+            critical_rank(alpha, n_null)
+        for role, used in (("replicate", cells * mc_reps), ("null", null_cells * n_null),
+                           ("shuffle", shuffles[0] * shuffles[1])):
+            capacity = _BLOCKS[role][1]
+            if used > capacity:
+                raise ValueError(f"run needs {used} {role} streams, but the {role} "
+                                 f"block holds {capacity}; reduce mc_reps, n_null or the grids")
+        self.master_seed = master_seed
+        self.mc_reps = mc_reps
+        self.threads = threads
+        self.alpha = alpha
+        self.n_null = n_null
+        self._width = {"replicate": mc_reps, "null": n_null, "shuffle": shuffles[1], "latent": 1}
+
+    def generator(self, role: str, major: int = 0, minor: int = 0) -> np.random.Generator:
+        """The stream ``minor`` of row ``major`` in the block of ``role``."""
+        stream_id = _BLOCKS[role][0] + major * self._width[role] + minor
+        return RngStream(self.master_seed, stream_id).generator()
+
+    def replicates(self, cell: int, one_rep) -> list:
+        """``one_rep(rep, gen)`` for every replicate of ``cell``, in order."""
+        return parallel_map(lambda rep: one_rep(rep, self.generator("replicate", cell, rep)),
+                            range(self.mc_reps), self.threads)
+
+    def null_critical(self, cell: int, draw):
+        """Critical value(s) from n_null draws ``draw(gen)`` of null ``cell``;
+        one per statistic when ``draw`` returns a tuple."""
+        draws = parallel_map(lambda j: draw(self.generator("null", cell, j)),
+                             range(self.n_null), self.threads)
+        return critical_value(np.array(draws), self.alpha)
+
+    def mean_table(self, experiment: str, key: str, grid, variants, one_rep,
+                   mean_key: str = "mean") -> list[dict]:
+        """One row of mean and standard error per grid value and variant;
+        ``one_rep(value, gen)`` returns one number per variant."""
+        rows = []
+        for cell, value in enumerate(grid):
+            vals = np.array(self.replicates(cell, lambda rep, gen: one_rep(value, gen)))
+            for col, variant in enumerate(variants):
+                mean = float(vals[:, col].mean())
+                se = (float(vals[:, col].std(ddof=1) / math.sqrt(self.mc_reps))
+                      if self.mc_reps > 1 else 0.0)
+                rows.append({"experiment": experiment, key: value, "variant": variant,
+                             mean_key: mean, "se": se, "mc_reps": self.mc_reps,
+                             "master_seed": self.master_seed})
+        return rows

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import check_mc_reps, parallel_map
+from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
 from .graphs import apply_permutation
 from .samplers import (
-    RngStream,
     SbmParams,
     _as_generator,
     sample_rho_sbm,
@@ -209,70 +208,61 @@ def single_cluster(a: np.ndarray, d: int, k: int, rng, restarts: int = 5) -> np.
     return labels
 
 
-def _mean_se(vals: np.ndarray) -> tuple[float, float]:
-    vals = np.asarray(vals, dtype=np.float64)
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(vals.shape[0])) if vals.shape[0] > 1 else 0.0
-    return mean, se
-
-
 def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
                             mc_reps: int, master_seed: int,
                             restarts: int = 3, threads: int = 1) -> list[dict]:
     """Joint (omnibus) versus single-graph clustering ARI over a
     correlation grid; both variants are scored on graph 1's vertices
     against the true block labels."""
-    check_mc_reps(mc_reps)
+    rho_grid = [float(rho) for rho in rho_grid]
+    mc = MonteCarlo(master_seed, mc_reps, threads, {"rho_grid": rho_grid}, len(rho_grid))
     truth = params.partition.membership
-    rows = []
-    for r_idx, rho in enumerate(rho_grid):
-        def one_rep(rep: int) -> tuple[float, float]:
-            gen = RngStream(master_seed, r_idx * mc_reps + rep).generator()
-            g1, g2 = sample_rho_sbm(params, float(rho), gen)
-            joint_a, _ = joint_cluster(g1, g2, d, k, gen, restarts=restarts)
-            single_a = single_cluster(g1, d, k, gen, restarts=restarts)
-            return ari(joint_a, truth), ari(single_a, truth)
 
-        vals = np.array(parallel_map(one_rep, range(mc_reps), threads))
-        for col, variant in enumerate(("omni", "single")):
-            mean, se = _mean_se(vals[:, col])
-            rows.append({
-                "experiment": "cluster-gain", "rho": float(rho), "variant": variant,
-                "mean_ari": mean, "se": se, "mc_reps": mc_reps, "master_seed": master_seed,
-            })
-    return rows
+    def one_rep(rho: float, gen: np.random.Generator) -> tuple[float, float]:
+        g1, g2 = sample_rho_sbm(params, rho, gen)
+        joint_a, _ = joint_cluster(g1, g2, d, k, gen, restarts=restarts)
+        single_a = single_cluster(g1, d, k, gen, restarts=restarts)
+        return ari(joint_a, truth), ari(single_a, truth)
+
+    return mc.mean_table("cluster-gain", "rho", rho_grid, ("omni", "single"), one_rep,
+                         mean_key="mean_ari")
 
 
-def _shuffle_match_rep(a: np.ndarray, b: np.ndarray, truth: np.ndarray, s: int,
-                       d: int, k: int, gen: np.random.Generator,
-                       restarts: int) -> tuple[float, float, float]:
-    """One replicate of the shuffle / single / match comparison, scoring
-    the clustering of a's vertices against ``truth``.
+def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int, k: int,
+                   mc_reps: int, master_seed: int, restarts: int, threads: int) -> list[dict]:
+    """Shuffle / single / match clustering ARI per seed count, on pairs
+    ``draw_pair(gen)``, scoring the clustering of the first graph's
+    vertices against ``truth``.
 
-    All three clustering calls reuse the same restart seed, so variants
-    with identical inputs (e.g. everything seeded, nothing shuffled)
-    produce identical scores.
+    All three clustering calls of a replicate reuse the same restart
+    seed, so variants with identical inputs (e.g. everything seeded,
+    nothing shuffled) produce identical scores.
     """
-    n = a.shape[0]
-    seed_vertices = np.sort(gen.choice(n, size=s, replace=False)) if s else np.zeros(0, dtype=np.int64)
-    sigma = sample_subset_shuffle(n, seed_vertices, n - s, gen)
-    b_sh = apply_permutation(b, sigma)
-    cluster_seed = int(gen.integers(2 ** 62))
+    s_grid = [int(s) for s in s_grid]
+    mc = MonteCarlo(master_seed, mc_reps, threads, {"s_grid": s_grid}, len(s_grid))
 
-    def cluster_gen() -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(cluster_seed))
+    def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:
+        a, b = draw_pair(gen)
+        n = a.shape[0]
+        seed_vertices = np.sort(gen.choice(n, size=s, replace=False)) if s else np.zeros(0, dtype=np.int64)
+        sigma = sample_subset_shuffle(n, seed_vertices, n - s, gen)
+        b_sh = apply_permutation(b, sigma)
+        cluster_seed = int(gen.integers(2 ** 62))
 
-    joint_a, _ = joint_cluster(a, b_sh, d, k, cluster_gen(), restarts=restarts)
-    score_shuffled = ari(joint_a, truth)
-    score_single = ari(single_cluster(a, d, k, cluster_gen(), restarts=restarts), truth)
+        def cluster_gen() -> np.random.Generator:
+            return np.random.Generator(np.random.PCG64(cluster_seed))
 
-    res = sgm_match(a, b_sh, seeds=identity_seeds(seed_vertices))
-    b_aligned = apply_permutation(b_sh, res.permutation)
-    joint_m, _ = joint_cluster(a, b_aligned, d, k, cluster_gen(), restarts=restarts)
-    return score_shuffled, score_single, ari(joint_m, truth)
+        joint_a, _ = joint_cluster(a, b_sh, d, k, cluster_gen(), restarts=restarts)
+        score_shuffled = ari(joint_a, truth)
+        score_single = ari(single_cluster(a, d, k, cluster_gen(), restarts=restarts), truth)
 
+        res = sgm_match(a, b_sh, seeds=identity_seeds(seed_vertices))
+        b_aligned = apply_permutation(b_sh, res.permutation)
+        joint_m, _ = joint_cluster(a, b_aligned, d, k, cluster_gen(), restarts=restarts)
+        return score_shuffled, score_single, ari(joint_m, truth)
 
-_SHUFFLE_VARIANTS = ("omni_shuffled", "single", "omni_matched")
+    return mc.mean_table(experiment, "s", s_grid, ("omni_shuffled", "single", "omni_matched"),
+                         one_rep, mean_key="mean_ari")
 
 
 def shuffle_cluster_experiment(params: SbmParams, rho: float, s_grid,
@@ -285,25 +275,9 @@ def shuffle_cluster_experiment(params: SbmParams, rho: float, s_grid,
     the shuffled pair, ii) G1 alone, iii) joint clustering after seeded
     matching realigns G2.
     """
-    check_mc_reps(mc_reps)
-    truth = params.partition.membership
-    rows = []
-    for s_idx, s in enumerate(s_grid):
-        s = int(s)
-
-        def one_rep(rep: int) -> tuple[float, float, float]:
-            gen = RngStream(master_seed, s_idx * mc_reps + rep).generator()
-            g1, g2 = sample_rho_sbm(params, rho, gen)
-            return _shuffle_match_rep(g1, g2, truth, s, d, k, gen, restarts)
-
-        vals = np.array(parallel_map(one_rep, range(mc_reps), threads))
-        for col, variant in enumerate(_SHUFFLE_VARIANTS):
-            mean, se = _mean_se(vals[:, col])
-            rows.append({
-                "experiment": "cluster-shuffle", "s": s, "variant": variant,
-                "mean_ari": mean, "se": se, "mc_reps": mc_reps, "master_seed": master_seed,
-            })
-    return rows
+    return _shuffle_table("cluster-shuffle", lambda gen: sample_rho_sbm(params, rho, gen),
+                          params.partition.membership, s_grid, d, k, mc_reps, master_seed,
+                          restarts, threads)
 
 
 def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
@@ -317,26 +291,11 @@ def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
     restarts. Scores the clustering of graph a's vertices against the
     given labels; swap the inputs to score the other graph.
     """
-    check_mc_reps(mc_reps)
     if a.shape != b.shape:
         raise ValueError("graph size mismatch")
     labels = np.asarray(labels, dtype=np.int64)
     n = a.shape[0]
     if labels.shape[0] != n:
         raise ValueError(f"label file has {labels.shape[0]} entries for n={n} vertices")
-    rows = []
-    for s_idx, s in enumerate(s_grid):
-        s = int(s)
-
-        def one_rep(rep: int) -> tuple[float, float, float]:
-            gen = RngStream(master_seed, s_idx * mc_reps + rep).generator()
-            return _shuffle_match_rep(a, b, labels, s, d, k, gen, restarts)
-
-        vals = np.array(parallel_map(one_rep, range(mc_reps), threads))
-        for col, variant in enumerate(_SHUFFLE_VARIANTS):
-            mean, se = _mean_se(vals[:, col])
-            rows.append({
-                "experiment": "cluster-real", "s": s, "variant": variant,
-                "mean_ari": mean, "se": se, "mc_reps": mc_reps, "master_seed": master_seed,
-            })
-    return rows
+    return _shuffle_table("cluster-real", lambda gen: (a, b), labels, s_grid, d, k,
+                          mc_reps, master_seed, restarts, threads)

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.stats import norm
 
-from ._parallel import check_mc_reps, parallel_map
+from ._parallel import MonteCarlo, critical_rank, critical_value
 from .embedding import t2_omni
 from .graphs import (
     apply_permutation,
@@ -36,7 +37,6 @@ from .matching import faq_match, identity_seeds, sgm_match
 from .samplers import (
     BlockPartition,
     HeterogeneousPair,
-    RngStream,
     SbmParams,
     _as_generator,
     anomaly_perturb,
@@ -47,13 +47,8 @@ from .samplers import (
     sample_rho_sbm,
     sample_subset_shuffle,
     sample_uniform_permutation,
+    _sample_symmetric_bernoulli,
 )
-
-# Disjoint stream-id blocks so replicate, calibration, and latent draws
-# never collide within one experiment run.
-_NULL_STREAM_BASE = 10_000_000
-_SHUFFLE_STREAM_BASE = 20_000_000
-_LATENT_STREAM_ID = 90_000_000
 
 THREE_BLOCK_SIZES = (50, 50, 50)
 THREE_BLOCK_LAMBDA = np.array([
@@ -150,24 +145,10 @@ def invariant_stat(a: np.ndarray, b: np.ndarray, kind: str) -> float:
 def empirical_critical_value(null_sampler, alpha: float, n_null: int, rng) -> float:
     """Conservative Monte Carlo critical value from n_null draws of the
     null statistic: the ceil((1-alpha)(n_null+1))-th order statistic."""
-    if n_null < 1.0 / alpha:
-        raise ValueError(f"need n_null >= 1/alpha = {1.0 / alpha:.1f}, got {n_null}")
-    k = math.ceil((1.0 - alpha) * (n_null + 1))
-    if k > n_null:
-        raise ValueError("n_null too small for the requested alpha")
+    critical_rank(alpha, n_null)  # reject bad input before drawing
     gen = _as_generator(rng)
     draws = np.array([float(null_sampler(gen)) for _ in range(n_null)])
-    return float(np.sort(draws)[k - 1])
-
-
-def _critical_from_draws(draws: np.ndarray, alpha: float) -> float:
-    n_null = draws.shape[0]
-    if n_null < 1.0 / alpha:
-        raise ValueError(f"need n_null >= 1/alpha, got {n_null}")
-    k = math.ceil((1.0 - alpha) * (n_null + 1))
-    if k > n_null:
-        raise ValueError("n_null too small for the requested alpha")
-    return float(np.sort(draws)[k - 1])
+    return float(critical_value(draws, alpha))
 
 
 # -- experiments -------------------------------------------------------------
@@ -178,36 +159,31 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
     """Matchability phase transition: edge disagreements at the latent
     alignment versus after matching from it, and the edge correlation
     induced by matching versus shuffling."""
-    check_mc_reps(mc_reps)
+    rho_grid = [float(rho) for rho in rho_grid]
+    mc = MonteCarlo(master_seed, mc_reps, threads, {"rho_grid": rho_grid}, len(rho_grid))
     if params is None:
         params = three_block_params()
-    n = params.n
-    rows = []
-    for r_idx, rho in enumerate(rho_grid):
-        rho = float(rho)
 
-        def one_rep(rep: int) -> tuple[float, float, float, float]:
-            gen = RngStream(master_seed, r_idx * mc_reps + rep).generator()
-            a, b = sample_rho_sbm(params, rho, gen)
-            dis_id = edge_disagreements(a, b)
-            res = faq_match(a, b, init="identity", max_iters=max_iters)
-            matched = apply_permutation(b, res.permutation)
-            corr_matched = sample_edge_correlation(a, matched)
-            sigma = sample_uniform_permutation(n, gen)
-            corr_shuffled = sample_edge_correlation(a, apply_permutation(b, sigma))
-            return dis_id, res.objective / 2.0, corr_matched, corr_shuffled
+    def one_rep(rho: float, gen: np.random.Generator) -> tuple[float, float, float, float]:
+        a, b = sample_rho_sbm(params, rho, gen)
+        dis_id = edge_disagreements(a, b)
+        res = faq_match(a, b, init="identity", max_iters=max_iters)
+        matched = apply_permutation(b, res.permutation)
+        corr_matched = sample_edge_correlation(a, matched)
+        sigma = sample_uniform_permutation(params.n, gen)
+        corr_shuffled = sample_edge_correlation(a, apply_permutation(b, sigma))
+        return dis_id, res.objective / 2.0, corr_matched, corr_shuffled
 
-        vals = np.array(parallel_map(one_rep, range(mc_reps), threads))
-        variants = ("disagreements_identity", "disagreements_matched",
-                    "correlation_matched", "correlation_shuffled")
-        for col, variant in enumerate(variants):
-            mean = float(vals[:, col].mean())
-            se = float(vals[:, col].std(ddof=1) / math.sqrt(mc_reps)) if mc_reps > 1 else 0.0
-            rows.append({
-                "experiment": "phase-transition", "rho": rho, "variant": variant,
-                "mean": mean, "se": se, "mc_reps": mc_reps, "master_seed": master_seed,
-            })
-    return rows
+    return mc.mean_table("phase-transition", "rho", rho_grid,
+                         ("disagreements_identity", "disagreements_matched",
+                          "correlation_matched", "correlation_shuffled"), one_rep)
+
+
+def _power_row(mc: MonteCarlo, fields: dict, stats: np.ndarray, crit) -> dict:
+    """``fields`` plus the rejection rate of ``stats > crit`` and its standard error."""
+    est = PowerEstimate.from_rejections(int((stats > crit).sum()), mc.mc_reps)
+    return {**fields, "power": est.power, "std_err": est.std_err,
+            "mc_reps": mc.mc_reps, "master_seed": mc.master_seed}
 
 
 def _constant_pq_pair(n: int, p: float, q: float, rho: float) -> HeterogeneousPair:
@@ -230,36 +206,31 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     the leading s vertices, without loss of generality under the
     exchangeable null and alternative.
     """
-    check_mc_reps(mc_reps)
+    s_grid = [int(s) for s in s_grid]
+    x_grid = [int(x) for x in x_grid]
+    mc = MonteCarlo(master_seed, mc_reps, threads, {"s_grid": s_grid, "x_grid": x_grid},
+                    len(s_grid), alpha=alpha, n_null=n_null, null_cells=len(s_grid) + 1,
+                    shuffles=(len(s_grid) * len(x_grid), mc_reps))
     if max_feasible_correlation(p, q) < rho:
         raise ValueError(f"rho={rho} infeasible for marginals ({p}, {q})")
     p0 = (p + q) / 2.0 if null_edge_p is None else float(null_edge_p)
     null_params = er_params(n, p0)
     alt_spec = _constant_pq_pair(n, p, q, rho)
-    s_grid = [int(s) for s in s_grid]
-    x_grid = [int(x) for x in x_grid]
 
-    def paired_null(j: int) -> float:
-        gen = RngStream(master_seed, _NULL_STREAM_BASE + j).generator()
+    def paired_null(gen: np.random.Generator) -> float:
         a, b = sample_rho_sbm(null_params, rho, gen)
         return paired_z(a, b)
 
-    crit_paired = _critical_from_draws(
-        np.array(parallel_map(paired_null, range(n_null), threads)), alpha)
+    def matched_null(seeds: np.ndarray, gen: np.random.Generator) -> float:
+        a, b = sample_rho_sbm(null_params, rho, gen)
+        res = sgm_match(a, b, seeds=seeds)
+        return paired_z(a, apply_permutation(b, res.permutation))
+
+    crit_paired = mc.null_critical(0, paired_null)
     crit_pooled = float(norm.ppf(1.0 - alpha / 2.0))
-
-    crit_matched = {}
-    for s_idx, s in enumerate(s_grid):
-        seeds = identity_seeds(np.arange(s))
-
-        def matched_null(j: int, seeds=seeds) -> float:
-            gen = RngStream(master_seed, _NULL_STREAM_BASE + (s_idx + 1) * n_null + j).generator()
-            a, b = sample_rho_sbm(null_params, rho, gen)
-            res = sgm_match(a, b, seeds=seeds)
-            return paired_z(a, apply_permutation(b, res.permutation))
-
-        crit_matched[s] = _critical_from_draws(
-            np.array(parallel_map(matched_null, range(n_null), threads)), alpha)
+    crit_matched = {s: mc.null_critical(s_idx + 1,
+                                        partial(matched_null, identity_seeds(np.arange(s))))
+                    for s_idx, s in enumerate(s_grid)}
 
     rows = []
     for s_idx, s in enumerate(s_grid):
@@ -269,13 +240,11 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
         # one pair draw per replicate, shared across the x grid, so cells
         # that cannot shuffle anything agree exactly and the x-axis
         # comparison is paired
-        def one_rep(rep: int) -> np.ndarray:
-            gen = RngStream(master_seed, s_idx * mc_reps + rep).generator()
+        def one_rep(rep: int, gen: np.random.Generator) -> np.ndarray:
             a, b = sample_correlated_heterogeneous(alt_spec, gen)
             out = np.empty((len(x_grid), 3))
             for x_idx, x in enumerate(x_grid):
-                sgen = RngStream(master_seed, _SHUFFLE_STREAM_BASE
-                                 + (s_idx * len(x_grid) + x_idx) * mc_reps + rep).generator()
+                sgen = mc.generator("shuffle", s_idx * len(x_grid) + x_idx, rep)
                 sigma = sample_subset_shuffle(n, seeds_arr, min(n - s, x), sgen)
                 b_sh = apply_permutation(b, sigma)
                 res = sgm_match(a, b_sh, seeds=seeds)
@@ -283,27 +252,14 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
                               paired_z(a, apply_permutation(b_sh, res.permutation)))
             return out
 
-        stats = np.array(parallel_map(one_rep, range(mc_reps), threads))
+        stats = np.array(mc.replicates(s_idx, one_rep))
         for x_idx, x in enumerate(x_grid):
             for col, (variant, crit) in enumerate((("paired", crit_paired),
                                                    ("pooled", crit_pooled),
                                                    ("matched", crit_matched[s]))):
-                cell = stats[:, x_idx, col]
-                est = PowerEstimate.from_rejections(int((cell > crit).sum()), mc_reps)
-                rows.append({
-                    "experiment": "power-er", "s": s, "x": x, "variant": variant,
-                    "power": est.power, "std_err": est.std_err,
-                    "mc_reps": mc_reps, "master_seed": master_seed,
-                })
+                rows.append(_power_row(mc, {"experiment": "power-er", "s": s, "x": x,
+                                            "variant": variant}, stats[:, x_idx, col], crit))
     return rows
-
-
-def _sample_bernoulli_graph(prob: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    n = prob.shape[0]
-    u = gen.random((n, n))
-    a = (u < prob).astype(np.int8)
-    a = np.triu(a, k=1)
-    return a + a.T
 
 
 def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
@@ -323,8 +279,10 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     independent-pair null; their power is computed once per replicate
     and is constant across the x grid by construction.
     """
-    check_mc_reps(mc_reps)
-    lat_gen = RngStream(master_seed, _LATENT_STREAM_ID).generator()
+    x_grid = [int(x) for x in x_grid]
+    mc = MonteCarlo(master_seed, mc_reps, threads, {"x_grid": x_grid}, 1, alpha=alpha,
+                    n_null=n_null, null_cells=len(x_grid) + 1, shuffles=(mc_reps, len(x_grid)))
+    lat_gen = mc.generator("latent")
     x_latent = sample_dirichlet_positions(n, lat_gen)
     y_latent = anomaly_perturb(x_latent, num_anomalous, mix_w, lat_gen)
 
@@ -337,48 +295,37 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
 
     p_mat, q_mat, rho_mat = probs_from(x_latent, y_latent)
     alt_spec = HeterogeneousPair(p_mat, q_mat, rho_mat)
-    x_grid = [int(x) for x in x_grid]
 
-    def shuffle_all_of(subset_size: int, gen: np.random.Generator):
-        unseeded = np.sort(gen.choice(n, size=subset_size, replace=False)) if subset_size else np.zeros(0, dtype=np.int64)
+    def omni_stats(a: np.ndarray, b: np.ndarray, x: int, gen: np.random.Generator):
+        """T2 of a against b with x random unseeded vertices of b shuffled,
+        before and after seeded matching."""
+        unseeded = np.sort(gen.choice(n, size=x, replace=False)) if x else np.zeros(0, dtype=np.int64)
         seeds = np.setdiff1d(np.arange(n), unseeded, assume_unique=True)
-        sigma = sample_subset_shuffle(n, seeds, subset_size, gen)
-        return seeds, sigma
+        b_sh = apply_permutation(b, sample_subset_shuffle(n, seeds, x, gen))
+        t_shuffled = t2_omni(a, b_sh, d)
+        res = sgm_match(a, b_sh, seeds=identity_seeds(seeds))
+        return t_shuffled, t2_omni(a, apply_permutation(b_sh, res.permutation), d)
 
     # omnibus nulls: anomaly-free pair is an exact copy, then shuffled
-    crit_omni = {}
-    crit_matched = {}
-    for x_idx, x in enumerate(x_grid):
-        def null_stats(j: int, x=x) -> tuple[float, float]:
-            gen = RngStream(master_seed, _NULL_STREAM_BASE + x_idx * n_null + j).generator()
-            a = _sample_bernoulli_graph(p_mat, gen)
-            seeds, sigma = shuffle_all_of(x, gen)
-            b_sh = apply_permutation(a, sigma)
-            t_omni = t2_omni(a, b_sh, d)
-            res = sgm_match(a, b_sh, seeds=identity_seeds(seeds))
-            t_match = t2_omni(a, apply_permutation(b_sh, res.permutation), d)
-            return t_omni, t_match
-
-        draws = np.array(parallel_map(null_stats, range(n_null), threads))
-        crit_omni[x] = _critical_from_draws(draws[:, 0], alpha)
-        crit_matched[x] = _critical_from_draws(draws[:, 1], alpha)
+    def null_stats(x: int, gen: np.random.Generator) -> tuple[float, float]:
+        a = _sample_symmetric_bernoulli(p_mat, gen)
+        return omni_stats(a, a, x, gen)
 
     inv_kinds = ("max_degree", "triangles", "spectral")
 
-    def invariant_null(j: int) -> tuple[float, float, float]:
-        gen = RngStream(master_seed, _NULL_STREAM_BASE + len(x_grid) * n_null + j).generator()
-        a = _sample_bernoulli_graph(p_mat, gen)
-        b = _sample_bernoulli_graph(p_mat, gen)
+    def invariant_null(gen: np.random.Generator) -> tuple[float, float, float]:
+        a = _sample_symmetric_bernoulli(p_mat, gen)
+        b = _sample_symmetric_bernoulli(p_mat, gen)
         return tuple(invariant_stat(a, b, kind) for kind in inv_kinds)
 
-    inv_draws = np.array(parallel_map(invariant_null, range(n_null), threads))
-    crit_inv = {kind: _critical_from_draws(inv_draws[:, i], alpha)
-                for i, kind in enumerate(inv_kinds)}
+    crit_inv = tuple(mc.null_critical(len(x_grid), invariant_null))
+    crit = {x: tuple(mc.null_critical(x_idx, partial(null_stats, x))) + crit_inv
+            for x_idx, x in enumerate(x_grid)}
 
-    def one_rep(rep: int):
-        gen = RngStream(master_seed, rep).generator()
+    def one_rep(rep: int, gen: np.random.Generator) -> dict:
         if redraw_latents:
-            lg = RngStream(master_seed, _LATENT_STREAM_ID + 1 + rep).generator()
+            # latent stream 0 is the shared draw above
+            lg = mc.generator("latent", 1 + rep)
             lx = sample_dirichlet_positions(n, lg)
             ly = anomaly_perturb(lx, num_anomalous, mix_w, lg)
             pm, qm, rm = probs_from(lx, ly)
@@ -387,37 +334,11 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
             spec = alt_spec
         a, b = sample_correlated_heterogeneous(spec, gen)
         inv_stats = tuple(invariant_stat(a, b, kind) for kind in inv_kinds)
-        omni_stats = {}
-        matched_stats = {}
-        for x_idx, x in enumerate(x_grid):
-            sgen = RngStream(master_seed, _SHUFFLE_STREAM_BASE + rep * len(x_grid) + x_idx).generator()
-            seeds, sigma = shuffle_all_of(x, sgen)
-            b_sh = apply_permutation(b, sigma)
-            omni_stats[x] = t2_omni(a, b_sh, d)
-            res = sgm_match(a, b_sh, seeds=identity_seeds(seeds))
-            matched_stats[x] = t2_omni(a, apply_permutation(b_sh, res.permutation), d)
-        return inv_stats, omni_stats, matched_stats
+        return {x: omni_stats(a, b, x, mc.generator("shuffle", rep, x_idx)) + inv_stats
+                for x_idx, x in enumerate(x_grid)}
 
-    results = parallel_map(one_rep, range(mc_reps), threads)
-
-    rows = []
-    for x in x_grid:
-        for variant, crit, stats in (
-            ("omni_shuffled", crit_omni[x], [r[1][x] for r in results]),
-            ("omni_matched", crit_matched[x], [r[2][x] for r in results]),
-        ):
-            est = PowerEstimate.from_rejections(int(np.sum(np.array(stats) > crit)), mc_reps)
-            rows.append({
-                "experiment": "power-omni", "x": x, "variant": variant,
-                "power": est.power, "std_err": est.std_err,
-                "mc_reps": mc_reps, "master_seed": master_seed,
-            })
-        for i, kind in enumerate(inv_kinds):
-            stats = np.array([r[0][i] for r in results])
-            est = PowerEstimate.from_rejections(int((stats > crit_inv[kind]).sum()), mc_reps)
-            rows.append({
-                "experiment": "power-omni", "x": x, "variant": kind,
-                "power": est.power, "std_err": est.std_err,
-                "mc_reps": mc_reps, "master_seed": master_seed,
-            })
-    return rows
+    results = mc.replicates(0, one_rep)
+    variants = ("omni_shuffled", "omni_matched") + inv_kinds
+    return [_power_row(mc, {"experiment": "power-omni", "x": x, "variant": variant},
+                       np.array([r[x][i] for r in results]), crit[x][i])
+            for x in x_grid for i, variant in enumerate(variants)]

@@ -40,10 +40,6 @@ class RngStream:
         ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
         return np.random.Generator(np.random.PCG64(ss))
 
-    def stream(self, stream_id: int) -> "RngStream":
-        """Sibling stream with the same master seed."""
-        return RngStream(self.master_seed, stream_id)
-
 
 def _as_generator(rng) -> np.random.Generator:
     if isinstance(rng, RngStream):

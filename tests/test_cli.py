@@ -196,19 +196,31 @@ class TestExpCommand:
         assert rows and rows[0]["experiment"] == "phase-transition"
 
 
-    @pytest.mark.parametrize("experiment, extra", [
-        ("phase-transition", ()),
-        ("power-er", ()),
-        ("power-omni", ()),
-        ("cluster", ()),
-        ("cluster", ("--seeds-grid", "0,20")),
+    @pytest.mark.parametrize("experiment, extra, word", [
+        ("phase-transition", ("--mc", "0"), "mc_reps"),
+        ("power-er", ("--mc", "0"), "mc_reps"),
+        ("power-omni", ("--mc", "0"), "mc_reps"),
+        ("cluster", ("--mc", "0"), "mc_reps"),
+        ("cluster", ("--mc", "0", "--seeds-grid", "0,20"), "mc_reps"),
+        ("power-er", ("--alpha", "0"), "alpha"),
+        ("power-er", ("--alpha", "1"), "alpha"),
+        ("power-omni", ("--alpha", "1.5"), "alpha"),
+        ("power-er", ("--alpha", "0.01", "--n-null", "50"), "n_null"),
+        ("phase-transition", ("--rho-grid", ","), "rho_grid"),
+        ("power-er", ("--s-grid", ","), "s_grid"),
+        ("power-omni", ("--x-grid", ","), "x_grid"),
+        ("cluster", ("--seeds-grid", ","), "s_grid"),
+        ("phase-transition", ("--threads", "0"), "threads"),
+        ("cluster", ("--threads", "-3"), "threads"),
+        ("power-er", ("--mc", "2000000"), "replicate block"),
     ])
-    def test_zero_mc_exit_2(self, tmp_path, capsys, experiment, extra):
-        code, out, err = run_cli(capsys, "exp", experiment, "--mc", "0", *extra,
-                                 "-o", str(tmp_path / "x.csv"))
+    def test_zero_mc_exit_2(self, tmp_path, capsys, experiment, extra, word):
+        out_path = tmp_path / "x.csv"
+        code, out, err = run_cli(capsys, "exp", experiment, *extra, "-o", str(out_path))
         assert code == 2
         assert out == ""
-        assert err.count("\n") == 1 and "mc_reps" in err
+        assert err.count("\n") == 1 and word in err
+        assert not out_path.exists()
 
 
 class TestClusterRealCommand:
@@ -272,10 +284,15 @@ class TestClusterRealCommand:
         assert code == 2
         assert "label" in err
 
-    def test_zero_mc_exit_2(self, tmp_path, capsys, synthetic_inputs):
+    @pytest.mark.parametrize("extra, word", [
+        (("--mc", "0"), "mc_reps"),
+        (("--threads", "0"), "threads"),
+        (("--seeds-grid", ","), "s_grid"),
+    ])
+    def test_zero_mc_exit_2(self, tmp_path, capsys, synthetic_inputs, extra, word):
         pa, pb, pl = synthetic_inputs
         code, _, err = run_cli(capsys, "cluster-real", "--a", pa, "--b", pb,
-                               "--labels", pl, "--d", "2", "--k", "2",
-                               "--mc", "0", "-o", str(tmp_path / "x.csv"))
+                               "--labels", pl, "--d", "2", "--k", "2", *extra,
+                               "-o", str(tmp_path / "x.csv"))
         assert code == 2
-        assert err.count("\n") == 1 and "mc_reps" in err
+        assert err.count("\n") == 1 and word in err

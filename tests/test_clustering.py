@@ -255,6 +255,28 @@ class TestJointCluster:
         assert x.shape == (100, 2)
 
 
+_SMALL_SBM = SbmParams(BlockPartition((6, 6)), np.array([[0.6, 0.1], [0.1, 0.6]]))
+_EMPTY_12 = np.zeros((12, 12), dtype=np.int8)
+# experiment -> (entry point, tiny arguments that pass every check, its grid argument)
+_SMALL_RUNS = {
+    "phase-transition": (phase_transition_experiment,
+                         dict(mc_reps=2, params=_SMALL_SBM), "rho_grid"),
+    "power-er": (power_er_experiment,
+                 dict(n=12, s_grid=(0, 6), x_grid=(0, 6), mc_reps=2, n_null=20), "s_grid"),
+    "power-omni": (power_omni_experiment,
+                   dict(n=12, x_grid=(0, 6), mc_reps=2, n_null=20), "x_grid"),
+    "cluster-gain": (cluster_gain_experiment,
+                     dict(params=_SMALL_SBM, rho_grid=(0.5,), d=2, k=2, mc_reps=2,
+                          master_seed=0), "rho_grid"),
+    "cluster-shuffle": (shuffle_cluster_experiment,
+                        dict(params=_SMALL_SBM, rho=0.5, s_grid=(0,), d=2, k=2, mc_reps=2,
+                             master_seed=0), "s_grid"),
+    "cluster-real": (cluster_real_experiment,
+                     dict(a=_EMPTY_12, b=_EMPTY_12, labels=_SMALL_SBM.partition.membership,
+                          s_grid=(0,), d=2, k=2, mc_reps=2, master_seed=0), "s_grid"),
+}
+
+
 class TestClusterExperiments:
     def test_gain_table_schema_and_determinism(self):
         params = SbmParams(BlockPartition((20, 20)),
@@ -278,19 +300,37 @@ class TestClusterExperiments:
         by_variant = {r["variant"]: r for r in rows}
         assert by_variant["omni_shuffled"]["mean_ari"] == by_variant["omni_matched"]["mean_ari"]
 
-    def test_every_experiment_rejects_zero_mc_reps(self):
-        params = SbmParams(BlockPartition((6, 6)), np.array([[0.6, 0.1], [0.1, 0.6]]))
-        g = np.zeros((12, 12), dtype=np.int8)
-        calls = [
-            lambda mc: phase_transition_experiment(mc_reps=mc, params=params),
-            lambda mc: power_er_experiment(n=12, mc_reps=mc, n_null=19),
-            lambda mc: power_omni_experiment(n=12, mc_reps=mc, n_null=19),
-            lambda mc: cluster_gain_experiment(params, (0.5,), 2, 2, mc, 0),
-            lambda mc: shuffle_cluster_experiment(params, 0.5, (0,), 2, 2, mc, 0),
-            lambda mc: cluster_real_experiment(g, g, params.partition.membership,
-                                               (0,), 2, 2, mc, 0),
-        ]
-        for call in calls:
-            for mc in (0, -2):
-                with pytest.raises(ValueError, match="mc_reps"):
-                    call(mc)
+    @pytest.mark.parametrize("name, bad, match", [
+        pytest.param(name, bad, match, id=f"{name}-{bad}")
+        for name in _SMALL_RUNS
+        for bad, match in (({"mc_reps": 0}, "mc_reps"), ({"mc_reps": -2}, "mc_reps"),
+                           ({"threads": 0}, "threads"), ({"threads": -3}, "threads"),
+                           ({_SMALL_RUNS[name][2]: ()}, "must not be empty"))
+    ] + [
+        pytest.param(name, bad, match, id=f"{name}-{bad}")
+        for name in ("power-er", "power-omni")
+        for bad, match in (({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
+                           ({"alpha": 1.5}, "alpha"), ({"alpha": 0.01, "n_null": 50}, "n_null"))
+    ] + [
+        pytest.param(name, bad, match, id=f"{name}-{bad}")
+        for name, bad, match in (
+            ("power-er", {"x_grid": ()}, "x_grid"),
+            # stream ids past their block: six s values x 2e6 replicates
+            # would reach the null block
+            ("power-er", {"mc_reps": 2_000_000, "s_grid": range(0, 12, 2)}, "replicate block"),
+            ("power-er", {"n_null": 5_000_000}, "null block"),
+            ("power-er", {"mc_reps": 10 ** 6, "s_grid": (0,), "x_grid": range(71)},
+             "shuffle block"),
+            ("power-omni", {"mc_reps": 10 ** 6, "x_grid": range(71)}, "shuffle block"),
+            ("cluster-gain", {"mc_reps": 10 ** 7 + 1}, "replicate block"),
+        )
+    ])
+    def test_every_experiment_rejects_zero_mc_reps(self, monkeypatch, name, bad, match):
+        # every argument is checked before the first random draw
+        def no_draws(self):
+            raise AssertionError("drew from a random stream before rejecting the input")
+
+        monkeypatch.setattr(RngStream, "generator", no_draws)
+        fn, kwargs, _ = _SMALL_RUNS[name]
+        with pytest.raises(ValueError, match=match):
+            fn(**{**kwargs, **bad})

@@ -158,14 +158,6 @@ class TestPhaseTransitionExperiment:
         assert by["disagreements_identity"] == 0.0
         assert by["disagreements_matched"] == 0.0
 
-    def test_threads_do_not_change_results(self):
-        params = SbmParams(BlockPartition((8, 8)), np.array([[0.5, 0.1], [0.1, 0.5]]))
-        rows1 = phase_transition_experiment(mc_reps=4, master_seed=3,
-                                            rho_grid=(0.25,), params=params, threads=1)
-        rows2 = phase_transition_experiment(mc_reps=4, master_seed=3,
-                                            rho_grid=(0.25,), params=params, threads=4)
-        assert rows1 == rows2
-
 
 class TestPowerErExperiment:
     def test_tiny_run_schema(self):
