@@ -9,15 +9,13 @@ its role (``_BLOCKS``): replicates (cell, replicate; width mc_reps) from
 out by the experiment) from 2 * 10**7, latent positions (0 for the
 shared draw, 1 + replicate for redraws) from 9 * 10**7. A run whose ids
 would leave their block, or with any other bad argument, is rejected
-before the first draw, so no two draws share a stream. Results are
-identical for any thread count; collection order follows submission
-order.
+before the first draw, so no two draws share a stream. Replicates and
+null draws run serially, in order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,12 +30,11 @@ _BLOCKS = {
 }
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+def check_range(name: str, values, low: int, high: float = math.inf) -> None:
+    """Reject the first of ``values`` outside [low, high]."""
+    for v in values:
+        if not low <= v <= high:
+            raise ValueError(f"{name} value {v} is outside [{low}, {high}]")
 
 
 def critical_rank(alpha: float, n_null: int) -> int:
@@ -59,22 +56,23 @@ def critical_value(draws: np.ndarray, alpha: float):
 class MonteCarlo:
     """The checked sizes, stream ids and loops of one Monte Carlo run.
 
-    ``grids`` maps argument names to grids that must not be empty.
+    ``grids`` maps argument names to grids that must be non-empty and
+    must not repeat a value.
     ``cells`` replicate cells and ``null_cells`` null cells use the
     replicate and null blocks; ``shuffles`` is (majors, width) in the
     shuffle block. ``alpha`` is the level of the null calibration.
     """
 
-    def __init__(self, master_seed: int, mc_reps: int, threads: int, grids: dict,
+    def __init__(self, master_seed: int, mc_reps: int, grids: dict,
                  cells: int, *, alpha: float | None = None, n_null: int = 0,
                  null_cells: int = 0, shuffles: tuple[int, int] = (0, 0)):
         if mc_reps < 1:
             raise ValueError(f"need mc_reps >= 1, got {mc_reps}")
-        if threads < 1:
-            raise ValueError(f"need threads >= 1, got {threads}")
         for name, grid in grids.items():
             if len(grid) == 0:
                 raise ValueError(f"{name} must not be empty")
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} must not repeat a value, got {list(grid)}")
         if alpha is not None:
             critical_rank(alpha, n_null)
         for role, used in (("replicate", cells * mc_reps), ("null", null_cells * n_null),
@@ -85,7 +83,6 @@ class MonteCarlo:
                                  f"block holds {capacity}; reduce mc_reps, n_null or the grids")
         self.master_seed = master_seed
         self.mc_reps = mc_reps
-        self.threads = threads
         self.alpha = alpha
         self.n_null = n_null
         self._width = {"replicate": mc_reps, "null": n_null, "shuffle": shuffles[1], "latent": 1}
@@ -97,14 +94,13 @@ class MonteCarlo:
 
     def replicates(self, cell: int, one_rep) -> list:
         """``one_rep(rep, gen)`` for every replicate of ``cell``, in order."""
-        return parallel_map(lambda rep: one_rep(rep, self.generator("replicate", cell, rep)),
-                            range(self.mc_reps), self.threads)
+        return [one_rep(rep, self.generator("replicate", cell, rep))
+                for rep in range(self.mc_reps)]
 
     def null_critical(self, cell: int, draw):
         """Critical value(s) from n_null draws ``draw(gen)`` of null ``cell``;
         one per statistic when ``draw`` returns a tuple."""
-        draws = parallel_map(lambda j: draw(self.generator("null", cell, j)),
-                             range(self.n_null), self.threads)
+        draws = [draw(self.generator("null", cell, j)) for j in range(self.n_null)]
         return critical_value(np.array(draws), self.alpha)
 
     def mean_table(self, experiment: str, key: str, grid, variants, one_rep,

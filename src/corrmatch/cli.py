@@ -218,8 +218,7 @@ def _cmd_exp(args) -> int:
         params = _sbm_from_config(cfg) if cfg else None
         rho_grid = _parse_grid(args.rho_grid) if args.rho_grid else PHASE_RHO_GRID
         rows = phase_transition_experiment(mc_reps=args.mc, master_seed=args.seed,
-                                           rho_grid=rho_grid, params=params,
-                                           threads=args.threads)
+                                           rho_grid=rho_grid, params=params)
         schema = _SCHEMAS["phase-transition"]
         config_echo = {"rho_grid": list(rho_grid), "mc_reps": args.mc,
                        "sizes": list(params.partition.sizes) if params else list(THREE_BLOCK_SIZES),
@@ -229,8 +228,7 @@ def _cmd_exp(args) -> int:
                                    s_grid=_parse_grid(args.s_grid, int),
                                    x_grid=_parse_grid(args.x_grid, int),
                                    alpha=args.alpha, mc_reps=args.mc, n_null=args.n_null,
-                                   master_seed=args.seed, null_edge_p=args.null_p,
-                                   threads=args.threads)
+                                   master_seed=args.seed, null_edge_p=args.null_p)
         schema = _SCHEMAS["power-er"]
         config_echo = {"p": args.p, "q": args.q, "n": args.n, "rho": args.rho,
                        "s_grid": list(_parse_grid(args.s_grid, int)),
@@ -241,8 +239,7 @@ def _cmd_exp(args) -> int:
         rows = power_omni_experiment(n=args.n, d=args.d, num_anomalous=args.anomalous,
                                      mix_w=args.w, x_grid=_parse_grid(args.x_grid, int),
                                      alpha=args.alpha, mc_reps=args.mc, n_null=args.n_null,
-                                     master_seed=args.seed, redraw_latents=args.redraw_latents,
-                                     threads=args.threads)
+                                     master_seed=args.seed, redraw_latents=args.redraw_latents)
         schema = _SCHEMAS["power-omni"]
         config_echo = {"n": args.n, "d": args.d, "num_anomalous": args.anomalous,
                        "mix_w": args.w, "x_grid": list(_parse_grid(args.x_grid, int)),
@@ -255,7 +252,7 @@ def _cmd_exp(args) -> int:
             s_grid = _parse_grid(args.seeds_grid, int)
             rows = shuffle_cluster_experiment(params, rho=args.rho, s_grid=s_grid,
                                               d=args.d, k=args.k, mc_reps=args.mc,
-                                              master_seed=args.seed, threads=args.threads)
+                                              master_seed=args.seed)
             schema = _SCHEMAS["cluster-shuffle"]
             config_echo = {"rho": args.rho, "s_grid": list(s_grid), "d": args.d,
                            "k": args.k, "mc_reps": args.mc,
@@ -263,8 +260,7 @@ def _cmd_exp(args) -> int:
         else:
             rho_grid = _parse_grid(args.rho_grid) if args.rho_grid else (0.1, 0.3, 0.5, 0.7, 0.9)
             rows = cluster_gain_experiment(params, rho_grid, d=args.d, k=args.k,
-                                           mc_reps=args.mc, master_seed=args.seed,
-                                           threads=args.threads)
+                                           mc_reps=args.mc, master_seed=args.seed)
             schema = _SCHEMAS["cluster-gain"]
             config_echo = {"rho_grid": list(rho_grid), "d": args.d, "k": args.k,
                            "mc_reps": args.mc, "sizes": list(params.partition.sizes),
@@ -295,8 +291,7 @@ def _cmd_cluster_real(args) -> int:
         raise CliError("cluster-real needs --d or --scree")
     s_grid = _parse_grid(args.seeds_grid, int)
     rows = cluster_real_experiment(a, b, labels, s_grid, d=d, k=args.k,
-                                   mc_reps=args.mc, master_seed=args.seed,
-                                   threads=args.threads)
+                                   mc_reps=args.mc, master_seed=args.seed)
     _write_rows(args.output, rows, _SCHEMAS["cluster-real"], args.format)
     _write_sidecar(args.output, "cluster-real", {
         "a": args.a, "b": args.b, "labels": args.labels, "d": int(d),
@@ -310,11 +305,6 @@ def _cmd_cluster_real(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master random seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte Carlo replicates")
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--bits", action="store_true",
-                        help="report information quantities in bits instead of nats")
 
     parser = argparse.ArgumentParser(prog="corrmatch",
                                      description="Correlated graph pairs: sampling, "
@@ -350,6 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--n", type=int, default=None)
     pi.add_argument("--p", type=float, default=None)
     pi.add_argument("--rho", type=float, default=None)
+    pi.add_argument("--bits", action="store_true",
+                    help="report information quantities in bits instead of nats")
     pi.set_defaults(func=_cmd_mi)
 
     pe = sub.add_parser("exp", parents=[common], help="run an experiment and write its table")
@@ -372,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--n-null", type=int, default=999)
     pe.add_argument("--null-p", type=float, default=None)
     pe.add_argument("--redraw-latents", action="store_true")
+    pe.add_argument("--format", choices=("csv", "json"), default="csv")
     pe.add_argument("-o", "--output", required=True)
     pe.set_defaults(func=_cmd_exp)
 
@@ -385,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--k", type=int, required=True)
     pr.add_argument("--seeds-grid", default="0,20,40,60,80")
     pr.add_argument("--mc", type=int, default=50)
+    pr.add_argument("--format", choices=("csv", "json"), default="csv")
     pr.add_argument("-o", "--output", required=True)
     pr.set_defaults(func=_cmd_cluster_real)
     return parser

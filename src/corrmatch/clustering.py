@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import MonteCarlo
+from ._parallel import MonteCarlo, check_range
 from .embedding import ase, omnibus
 from .graphs import apply_permutation
 from .samplers import (
@@ -210,12 +210,12 @@ def single_cluster(a: np.ndarray, d: int, k: int, rng, restarts: int = 5) -> np.
 
 def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
                             mc_reps: int, master_seed: int,
-                            restarts: int = 3, threads: int = 1) -> list[dict]:
+                            restarts: int = 3) -> list[dict]:
     """Joint (omnibus) versus single-graph clustering ARI over a
     correlation grid; both variants are scored on graph 1's vertices
     against the true block labels."""
     rho_grid = [float(rho) for rho in rho_grid]
-    mc = MonteCarlo(master_seed, mc_reps, threads, {"rho_grid": rho_grid}, len(rho_grid))
+    mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
     truth = params.partition.membership
 
     def one_rep(rho: float, gen: np.random.Generator) -> tuple[float, float]:
@@ -229,7 +229,7 @@ def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
 
 
 def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int, k: int,
-                   mc_reps: int, master_seed: int, restarts: int, threads: int) -> list[dict]:
+                   mc_reps: int, master_seed: int, restarts: int) -> list[dict]:
     """Shuffle / single / match clustering ARI per seed count, on pairs
     ``draw_pair(gen)``, scoring the clustering of the first graph's
     vertices against ``truth``.
@@ -239,7 +239,8 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     nothing shuffled) produce identical scores.
     """
     s_grid = [int(s) for s in s_grid]
-    mc = MonteCarlo(master_seed, mc_reps, threads, {"s_grid": s_grid}, len(s_grid))
+    mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid}, len(s_grid))
+    check_range("s_grid", s_grid, 0, truth.shape[0])
 
     def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:
         a, b = draw_pair(gen)
@@ -267,7 +268,7 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
 
 def shuffle_cluster_experiment(params: SbmParams, rho: float, s_grid,
                                d: int, k: int, mc_reps: int, master_seed: int,
-                               restarts: int = 3, threads: int = 1) -> list[dict]:
+                               restarts: int = 3) -> list[dict]:
     """Clustering ARI under shuffling, with and without matching.
 
     For each seed count s: shuffle all n-s non-seed labels of G2 (seeds
@@ -277,13 +278,12 @@ def shuffle_cluster_experiment(params: SbmParams, rho: float, s_grid,
     """
     return _shuffle_table("cluster-shuffle", lambda gen: sample_rho_sbm(params, rho, gen),
                           params.partition.membership, s_grid, d, k, mc_reps, master_seed,
-                          restarts, threads)
+                          restarts)
 
 
 def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
                             s_grid, d: int, k: int, mc_reps: int,
-                            master_seed: int, restarts: int = 3,
-                            threads: int = 1) -> list[dict]:
+                            master_seed: int, restarts: int = 3) -> list[dict]:
     """Shuffle/match clustering pipeline on a user-supplied graph pair.
 
     The input graphs are treated as a fixed observation; randomness
@@ -298,4 +298,4 @@ def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
     if labels.shape[0] != n:
         raise ValueError(f"label file has {labels.shape[0]} entries for n={n} vertices")
     return _shuffle_table("cluster-real", lambda gen: (a, b), labels, s_grid, d, k,
-                          mc_reps, master_seed, restarts, threads)
+                          mc_reps, master_seed, restarts)

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 from scipy.stats import norm
 
-from ._parallel import MonteCarlo, critical_rank, critical_value
+from ._parallel import MonteCarlo, check_range, critical_rank, critical_value
 from .embedding import t2_omni
 from .graphs import (
     apply_permutation,
@@ -155,12 +155,12 @@ def empirical_critical_value(null_sampler, alpha: float, n_null: int, rng) -> fl
 
 def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
                                 rho_grid=PHASE_RHO_GRID, params: SbmParams | None = None,
-                                max_iters: int = 100, threads: int = 1) -> list[dict]:
+                                max_iters: int = 100) -> list[dict]:
     """Matchability phase transition: edge disagreements at the latent
     alignment versus after matching from it, and the edge correlation
     induced by matching versus shuffling."""
     rho_grid = [float(rho) for rho in rho_grid]
-    mc = MonteCarlo(master_seed, mc_reps, threads, {"rho_grid": rho_grid}, len(rho_grid))
+    mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
     if params is None:
         params = three_block_params()
 
@@ -194,8 +194,7 @@ def _constant_pq_pair(n: int, p: float, q: float, rho: float) -> HeterogeneousPa
 def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: float = 0.7,
                         s_grid=(0, 10, 20, 30, 40, 50), x_grid=(0, 10, 20, 30, 40, 50),
                         alpha: float = 0.05, mc_reps: int = 500, n_null: int = 999,
-                        master_seed: int = 0, null_edge_p: float | None = None,
-                        threads: int = 1) -> list[dict]:
+                        master_seed: int = 0, null_edge_p: float | None = None) -> list[dict]:
     """Power of the paired, pooled, and matched edge-density tests when
     at most min(n-s, x) of the n-s unseeded vertices are shuffled.
 
@@ -208,9 +207,11 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     """
     s_grid = [int(s) for s in s_grid]
     x_grid = [int(x) for x in x_grid]
-    mc = MonteCarlo(master_seed, mc_reps, threads, {"s_grid": s_grid, "x_grid": x_grid},
+    mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid, "x_grid": x_grid},
                     len(s_grid), alpha=alpha, n_null=n_null, null_cells=len(s_grid) + 1,
                     shuffles=(len(s_grid) * len(x_grid), mc_reps))
+    check_range("s_grid", s_grid, 0, n)
+    check_range("x_grid", x_grid, 0)  # x > n - s shuffles all n - s unseeded vertices
     if max_feasible_correlation(p, q) < rho:
         raise ValueError(f"rho={rho} infeasible for marginals ({p}, {q})")
     p0 = (p + q) / 2.0 if null_edge_p is None else float(null_edge_p)
@@ -265,8 +266,7 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
 def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
                           mix_w: float = 0.2, x_grid=(0, 25, 50, 75),
                           alpha: float = 0.05, mc_reps: int = 100, n_null: int = 999,
-                          master_seed: int = 0, redraw_latents: bool = False,
-                          threads: int = 1) -> list[dict]:
+                          master_seed: int = 0, redraw_latents: bool = False) -> list[dict]:
     """Anomaly detection power of the omnibus statistic, with and
     without seeded matching, against label-free invariant tests.
 
@@ -280,8 +280,10 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     and is constant across the x grid by construction.
     """
     x_grid = [int(x) for x in x_grid]
-    mc = MonteCarlo(master_seed, mc_reps, threads, {"x_grid": x_grid}, 1, alpha=alpha,
+    mc = MonteCarlo(master_seed, mc_reps, {"x_grid": x_grid}, 1, alpha=alpha,
                     n_null=n_null, null_cells=len(x_grid) + 1, shuffles=(mc_reps, len(x_grid)))
+    check_range("x_grid", x_grid, 0, n)
+    check_range("num_anomalous", (num_anomalous,), 0, n)
     lat_gen = mc.generator("latent")
     x_latent = sample_dirichlet_positions(n, lat_gen)
     y_latent = anomaly_perturb(x_latent, num_anomalous, mix_w, lat_gen)

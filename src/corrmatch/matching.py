@@ -29,25 +29,18 @@ from scipy.optimize import linear_sum_assignment
 from .graphs import (
     BlockPartition,
     apply_permutation,
+    as_adjacency,
     gm_objective,
     invert_permutation,
     trace_objective,
 )
 
 
-def _lap_value(cost: np.ndarray) -> float:
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
-
-
-def solve_lap(cost, lexicographic: bool = True) -> tuple[np.ndarray, float]:
+def solve_lap(cost) -> tuple[np.ndarray, float]:
     """Exact linear assignment: permutation minimizing sum_i cost[i, phi(i)].
 
-    With ``lexicographic=True`` ties between optimal assignments are
-    broken toward the lexicographically smallest assignment vector
-    (row-major scan); this costs extra assignment solves and matters
-    only for inputs with exact ties. ``lexicographic=False`` keeps the
-    backend's deterministic (but unspecified) tie-break.
+    Ties between optimal assignments keep the backend's deterministic
+    (but unspecified) tie-break.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
@@ -57,33 +50,8 @@ def solve_lap(cost, lexicographic: bool = True) -> tuple[np.ndarray, float]:
     n = c.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64), 0.0
-    rows, cols = linear_sum_assignment(c)
+    _, cols = linear_sum_assignment(c)
     perm = np.asarray(cols, dtype=np.int64)
-    if not lexicographic or n == 1:
-        return perm, float(c[np.arange(n), perm].sum())
-
-    cols_left = np.ones(n, dtype=bool)
-    perm = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        avail = np.flatnonzero(cols_left)
-        sub = c[np.ix_(np.arange(i, n), avail)]
-        rem_opt = _lap_value(sub)
-        tol = 1e-9 * (1.0 + abs(rem_opt))
-        if i == n - 1:
-            perm[i] = avail[int(np.argmin(sub[0]))]
-            cols_left[perm[i]] = False
-            continue
-        best_col, best_forced = avail[0], np.inf
-        for pos, col in enumerate(avail):
-            keep = np.delete(avail, pos)
-            forced = c[i, col] + _lap_value(c[np.ix_(np.arange(i + 1, n), keep)])
-            if forced <= rem_opt + tol:
-                best_col = col
-                break
-            if forced < best_forced:
-                best_col, best_forced = col, forced
-        perm[i] = best_col
-        cols_left[best_col] = False
     return perm, float(c[np.arange(n), perm].sum())
 
 
@@ -129,13 +97,16 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
               max_iters: int = 100, tol: float = 1e-6) -> MatchResult:
     """Seeded Frank-Wolfe graph matching.
 
-    ``seeds`` is an iterable of (u, v) pairs asserting that vertex u of
+    ``a`` and ``b`` must be simple-graph adjacencies (``as_adjacency``);
+    the gradient 2*A*D*B assumes symmetry. ``seeds`` is an iterable of (u, v) pairs asserting that vertex u of
     a corresponds to vertex v of b; seed pairs are fixed in the output.
     ``init`` is one of "barycenter", "identity", a full-length
     permutation (apply_permutation convention, mapping non-seeds to
     non-seeds), or an explicit doubly stochastic matrix over the
     non-seed block.
     """
+    a = as_adjacency(a)
+    b = as_adjacency(b)
     if a.shape != b.shape:
         raise ValueError(f"graph size mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
@@ -168,7 +139,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     for _ in range(max_iters if m > 0 else 0):
         iterations += 1
         grad = 2.0 * (a22 @ d @ b22) + 2.0 * lin
-        q, _ = solve_lap(-grad, lexicographic=False)
+        q, _ = solve_lap(-grad)
         qmat = np.zeros((m, m))
         qmat[np.arange(m), q] = 1.0
         r = qmat - d
@@ -185,7 +156,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
             break
 
     if m > 0:
-        proj, _ = solve_lap(-d, lexicographic=False)
+        proj, _ = solve_lap(-d)
     else:
         proj = np.zeros(0, dtype=np.int64)
 

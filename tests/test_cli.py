@@ -68,6 +68,16 @@ class TestSampleCommand:
         sigma = read_permutation(out_p)
         assert gm_objective(a, b, invert_permutation(sigma)) == 0
 
+    def test_rejects_flag_of_another_command(self, tmp_path, capsys, er_config):
+        # --bits belongs to mi; sample must not accept and ignore it
+        out_a = tmp_path / "a.edg"
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--model", "rho-er", "--config", er_config, "--bits",
+                  "--out-a", str(out_a), "--out-b", str(tmp_path / "b.edg")])
+        assert exc.value.code == 2
+        assert "--bits" in capsys.readouterr().err
+        assert not out_a.exists()
+
 
 class TestMatchCommand:
     def test_self_match_identity(self, tmp_path, capsys):
@@ -210,8 +220,7 @@ class TestExpCommand:
         ("power-er", ("--s-grid", ","), "s_grid"),
         ("power-omni", ("--x-grid", ","), "x_grid"),
         ("cluster", ("--seeds-grid", ","), "s_grid"),
-        ("phase-transition", ("--threads", "0"), "threads"),
-        ("cluster", ("--threads", "-3"), "threads"),
+        ("power-er", ("--n", "12", "--s-grid", "0,50"), "s_grid"),
         ("power-er", ("--mc", "2000000"), "replicate block"),
     ])
     def test_zero_mc_exit_2(self, tmp_path, capsys, experiment, extra, word):
@@ -286,7 +295,7 @@ class TestClusterRealCommand:
 
     @pytest.mark.parametrize("extra, word", [
         (("--mc", "0"), "mc_reps"),
-        (("--threads", "0"), "threads"),
+        (("--seeds-grid", "0,29"), "s_grid"),
         (("--seeds-grid", ","), "s_grid"),
     ])
     def test_zero_mc_exit_2(self, tmp_path, capsys, synthetic_inputs, extra, word):

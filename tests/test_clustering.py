@@ -264,7 +264,7 @@ _SMALL_RUNS = {
     "power-er": (power_er_experiment,
                  dict(n=12, s_grid=(0, 6), x_grid=(0, 6), mc_reps=2, n_null=20), "s_grid"),
     "power-omni": (power_omni_experiment,
-                   dict(n=12, x_grid=(0, 6), mc_reps=2, n_null=20), "x_grid"),
+                   dict(n=12, num_anomalous=4, x_grid=(0, 6), mc_reps=2, n_null=20), "x_grid"),
     "cluster-gain": (cluster_gain_experiment,
                      dict(params=_SMALL_SBM, rho_grid=(0.5,), d=2, k=2, mc_reps=2,
                           master_seed=0), "rho_grid"),
@@ -304,8 +304,8 @@ class TestClusterExperiments:
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in _SMALL_RUNS
         for bad, match in (({"mc_reps": 0}, "mc_reps"), ({"mc_reps": -2}, "mc_reps"),
-                           ({"threads": 0}, "threads"), ({"threads": -3}, "threads"),
-                           ({_SMALL_RUNS[name][2]: ()}, "must not be empty"))
+                           ({_SMALL_RUNS[name][2]: ()}, "must not be empty"),
+                           ({_SMALL_RUNS[name][2]: (0, 0)}, "must not repeat"))
     ] + [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in ("power-er", "power-omni")
@@ -315,6 +315,19 @@ class TestClusterExperiments:
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name, bad, match in (
             ("power-er", {"x_grid": ()}, "x_grid"),
+            ("power-er", {"x_grid": (6, 6)}, "must not repeat"),
+            # grid values outside the graph, all with n = 12
+            ("power-er", {"s_grid": (0, 50)}, "s_grid"),
+            ("power-er", {"s_grid": (-1,)}, "s_grid"),
+            ("power-er", {"x_grid": (0, -5)}, "x_grid"),
+            ("power-omni", {"x_grid": (0, 13)}, "x_grid"),
+            ("power-omni", {"x_grid": (-1,)}, "x_grid"),
+            ("power-omni", {"num_anomalous": 13}, "num_anomalous"),
+            ("power-omni", {"num_anomalous": -1}, "num_anomalous"),
+            ("cluster-shuffle", {"s_grid": (0, 13)}, "s_grid"),
+            ("cluster-shuffle", {"s_grid": (-1,)}, "s_grid"),
+            ("cluster-real", {"s_grid": (13,)}, "s_grid"),
+            ("cluster-real", {"s_grid": (-2,)}, "s_grid"),
             # stream ids past their block: six s values x 2e6 replicates
             # would reach the null block
             ("power-er", {"mc_reps": 2_000_000, "s_grid": range(0, 12, 2)}, "replicate block"),

@@ -1,5 +1,5 @@
-"""The six Monte Carlo experiments at tiny sizes: pinned tables, thread
-independence, and the stream-id blocks."""
+"""The six Monte Carlo experiments at tiny sizes: pinned tables and the
+stream-id blocks."""
 
 import hashlib
 
@@ -23,30 +23,28 @@ SMALL_SBM = SbmParams(BlockPartition((8, 8)), np.array([[0.6, 0.1], [0.1, 0.6]])
 REAL_PAIR = sample_rho_sbm(SMALL_SBM, 0.6, RngStream(11).generator())
 
 TINY_RUNS = {
-    "phase-transition": lambda threads, seed: phase_transition_experiment(
-        mc_reps=3, master_seed=seed, rho_grid=(0.25, 1.0), params=SMALL_SBM,
-        threads=threads),
-    "power-er": lambda threads, seed: power_er_experiment(
+    "phase-transition": lambda seed: phase_transition_experiment(
+        mc_reps=3, master_seed=seed, rho_grid=(0.25, 1.0), params=SMALL_SBM),
+    "power-er": lambda seed: power_er_experiment(
         p=0.5, q=0.4, n=12, rho=0.4, s_grid=(0, 6), x_grid=(0, 6), alpha=0.1,
-        mc_reps=8, n_null=19, master_seed=seed, threads=threads),
-    "power-omni": lambda threads, seed: power_omni_experiment(
+        mc_reps=8, n_null=19, master_seed=seed),
+    "power-omni": lambda seed: power_omni_experiment(
         n=18, d=3, num_anomalous=4, mix_w=0.1, x_grid=(0, 6), alpha=0.1,
-        mc_reps=6, n_null=19, master_seed=seed, threads=threads),
-    "power-omni-redraw": lambda threads, seed: power_omni_experiment(
+        mc_reps=6, n_null=19, master_seed=seed),
+    "power-omni-redraw": lambda seed: power_omni_experiment(
         n=18, d=3, num_anomalous=4, mix_w=0.1, x_grid=(6,), alpha=0.1,
-        mc_reps=6, n_null=10, master_seed=seed, redraw_latents=True, threads=threads),
-    "cluster-gain": lambda threads, seed: cluster_gain_experiment(
-        SMALL_SBM, (0.3, 0.9), d=2, k=2, mc_reps=2, master_seed=seed, restarts=2,
-        threads=threads),
-    "cluster-shuffle": lambda threads, seed: shuffle_cluster_experiment(
+        mc_reps=6, n_null=10, master_seed=seed, redraw_latents=True),
+    "cluster-gain": lambda seed: cluster_gain_experiment(
+        SMALL_SBM, (0.3, 0.9), d=2, k=2, mc_reps=2, master_seed=seed, restarts=2),
+    "cluster-shuffle": lambda seed: shuffle_cluster_experiment(
         SMALL_SBM, rho=0.6, s_grid=(0, 8), d=2, k=2, mc_reps=2, master_seed=seed,
-        restarts=2, threads=threads),
-    "cluster-real": lambda threads, seed: cluster_real_experiment(
+        restarts=2),
+    "cluster-real": lambda seed: cluster_real_experiment(
         *REAL_PAIR, SMALL_SBM.partition.membership, (4, 16), d=2, k=2, mc_reps=2,
-        master_seed=seed, restarts=2, threads=threads),
+        master_seed=seed, restarts=2),
 }
 
-# SHA-256 of render(rows) at threads=1, master_seed=7 (numpy 2.4, scipy
+# SHA-256 of render(rows) at master_seed=7 (numpy 2.4, scipy
 # 1.17, OpenBLAS); a refactor of the Monte Carlo loops must keep these.
 PINNED = {
     "phase-transition":
@@ -75,18 +73,13 @@ def render(rows) -> str:
 
 @pytest.mark.parametrize("name", sorted(TINY_RUNS))
 def test_tables_pinned(name):
-    text = render(TINY_RUNS[name](1, 7))
+    text = render(TINY_RUNS[name](7))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name], text
-
-
-@pytest.mark.parametrize("name", sorted(TINY_RUNS))
-def test_threads_do_not_change_results(name):
-    assert TINY_RUNS[name](1, 3) == TINY_RUNS[name](2, 3)
 
 
 def test_stream_block_capacity_is_inclusive():
     from corrmatch._parallel import MonteCarlo
 
-    MonteCarlo(0, 10_000_000, 1, {}, 1)
+    MonteCarlo(0, 10_000_000, {}, 1)
     with pytest.raises(ValueError, match="replicate block"):
-        MonteCarlo(0, 10_000_001, 1, {}, 1)
+        MonteCarlo(0, 10_000_001, {}, 1)
