@@ -98,8 +98,9 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     """Seeded Frank-Wolfe graph matching.
 
     ``a`` and ``b`` must be simple-graph adjacencies (``as_adjacency``);
-    the gradient 2*A*D*B assumes symmetry. ``seeds`` is an iterable of (u, v) pairs asserting that vertex u of
-    a corresponds to vertex v of b; seed pairs are fixed in the output.
+    the gradient 2*A*D*B assumes symmetry. ``seeds`` is an iterable of
+    (u, v) pairs asserting that vertex u of a corresponds to vertex v of
+    b; seed pairs are fixed in the output.
     ``init`` is one of "barycenter", "identity", a full-length
     permutation (apply_permutation convention, mapping non-seeds to
     non-seeds), or an explicit doubly stochastic matrix over the

@@ -81,6 +81,14 @@ class TestSolveLap:
             assert total == best_val
             assert cost[np.arange(5), perm].sum() == best_val
 
+    def test_random_6x6_optimal(self):
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            cost = rng.normal(size=(6, 6))
+            perm, total = solve_lap(cost)
+            _, best_val = brute_force_lap(cost)
+            assert total == best_val
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             solve_lap(np.zeros((2, 3)))
