@@ -305,3 +305,87 @@ class TestClusterRealCommand:
                                "-o", str(tmp_path / "x.csv"))
         assert code == 2
         assert err.count("\n") == 1 and word in err
+
+
+SBM_8_8 = {"sizes": [8, 8], "lambda": [[0.6, 0.1], [0.1, 0.6]]}
+
+# Every exp experiment (both cluster modes, one --format json) and
+# cluster-real at tiny sizes, run from the output directory so that the
+# paths echoed by cluster-real are relative.
+PINNED_RUNS = {
+    "phase-transition": ("exp", "phase-transition", "--config", "sbm.json", "--mc", "3",
+                         "--rho-grid", "0.25,1"),
+    "phase-transition-default": ("exp", "phase-transition", "--mc", "1", "--rho-grid", "1"),
+    "power-er": ("exp", "power-er", "--p", "0.5", "--q", "0.4", "--n", "12", "--rho", "0.4",
+                 "--s-grid", "0,6", "--x-grid", "0,6", "--alpha", "0.1", "--mc", "4",
+                 "--n-null", "19", "--null-p", "0.45"),
+    "power-omni": ("exp", "power-omni", "--n", "18", "--d", "3", "--anomalous", "4",
+                   "--w", "0.1", "--x-grid", "0,6", "--alpha", "0.1", "--mc", "3",
+                   "--n-null", "19"),
+    "power-omni-redraw-json": ("exp", "power-omni", "--n", "18", "--anomalous", "4",
+                               "--x-grid", "6", "--alpha", "0.1", "--mc", "3",
+                               "--n-null", "10", "--redraw-latents", "--format", "json"),
+    "cluster-gain": ("exp", "cluster", "--config", "sbm.json", "--rho-grid", "0.3,0.9",
+                     "--mc", "2"),
+    "cluster-shuffle": ("exp", "cluster", "--config", "sbm.json", "--rho", "0.6",
+                        "--seeds-grid", "0,8", "--mc", "2", "--d", "2", "--k", "2"),
+    "cluster-shuffle-json": ("exp", "cluster", "--config", "sbm.json", "--seeds-grid", "8",
+                             "--mc", "2", "--format", "json"),
+    "cluster-real": ("cluster-real", "--a", "a.edg", "--b", "b.edg", "--labels", "lab.txt",
+                     "--d", "2", "--k", "2", "--seeds-grid", "4,16", "--mc", "2"),
+    "cluster-real-scree": ("cluster-real", "--a", "a.edg", "--b", "b.edg",
+                           "--labels", "lab.txt", "--scree", "--k", "2",
+                           "--seeds-grid", "8", "--mc", "2"),
+}
+
+# SHA-256 of (table, .meta.json) at --seed 7 (numpy 2.4, scipy 1.17,
+# OpenBLAS); a change to argument handling must keep these bytes.
+PINNED_BYTES = {
+    "cluster-gain":
+        ("dff9d4c322af884e99cf76e1407bbc64fd3dd1bb1eab1a547c1274c58377eb48",
+         "c0dc57af01c0b76b32dd32b71fca7d7bb0417fca43aca2da71fff5588295d6c3"),
+    "cluster-real":
+        ("c9a258cf5c6c6341d6f26db5086fa297972c69ddb0418fef86f3b82f13017dd1",
+         "6f1db6b0588296b2039e21aa1d140ed78c5616fb81f074be4dea74432886e914"),
+    "cluster-real-scree":
+        ("d42ea39181147453211bb40bbfee0835c554d7bf34572017522cf1af36f07c3c",
+         "2060715d0dad57c1af3fa0e87b699cba92acacbdc13d9a84451c17a1c96b43dc"),
+    "cluster-shuffle":
+        ("684de82d4c9d8f429eace45d06b61d6f0971f5c36a3300883cd781af17178a1b",
+         "f5da755bebc5b120f709020e541e69297585a1a9de86d8d76a6b3e5b921c5266"),
+    "cluster-shuffle-json":
+        ("a68a353729f8f345c62b4b4abf4eb589b4289fa5a7fbcc60e271ac2f11f95503",
+         "2b8cde3f817ac48cdfa962cd478326ee2ac0f80ed5c49af2f4d5af0394589c6f"),
+    "phase-transition":
+        ("a532365adf861359651d6873584715b9d3e6af76554107edf75847455c600528",
+         "98452a455ebb1501215b854ecf967401ce6f832955665200157b87dd3d645326"),
+    "phase-transition-default":
+        ("8bbdd1f98f7401d25ec728d170a4bfa7674dba92bb272873f6d7aa2e7f130176",
+         "4cf385f27f50da32d633899ecfa2a431d1e05ac08c878226de759c48736c7c31"),
+    "power-er":
+        ("f8998b8aad6bf85969060055aeed725b7b148534b706c829d614c4ea26e9d97b",
+         "657953ce9ac583b1a34506e05cf26628a079bff27c3053ebd3d4a4faa12390de"),
+    "power-omni":
+        ("0ee8ca6aaaaa34d0abcea88b377817ffe35a1c4c100cec1656102fd927c270eb",
+         "ce0e8da0341743893398db70cfd71887d5f9116b1f12333818c9e729def9debd"),
+    "power-omni-redraw-json":
+        ("d7fb8c9e8062fdb8f0c5c4ea8dbc6cb20699a79de4afe8dd8c9472c374ba9f47",
+         "8e98d0b74422fe93507e02738d3a4b3d2426663cfdf320438fdd86cff04d283e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_outputs_pinned(tmp_path, capsys, monkeypatch, name):
+    import hashlib
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sbm.json").write_text(json.dumps(SBM_8_8))
+    params = SbmParams(BlockPartition(tuple(SBM_8_8["sizes"])), np.array(SBM_8_8["lambda"]))
+    a, b = sample_rho_sbm(params, 0.6, RngStream(11).generator())
+    write_edgelist("a.edg", a)
+    write_edgelist("b.edg", b)
+    write_labels("lab.txt", params.partition.membership)
+    code, _, err = run_cli(capsys, *PINNED_RUNS[name], "--seed", "7", "-o", "out")
+    assert code == 0, err
+    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("out", "out.meta.json"))
+    assert digests == PINNED_BYTES[name]
