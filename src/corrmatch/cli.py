@@ -5,6 +5,8 @@ power-omni | cluster}, cluster-real. Every command is deterministic
 given --seed; experiment outputs are fixed-schema CSV (or JSON with
 --format json) plus a .meta.json sidecar echoing the configuration.
 Config files are JSON; explicit CLI flags override config fields.
+Each exp experiment has its own parser whose flag dests are the
+keyword arguments of the library function it calls.
 """
 
 from __future__ import annotations
@@ -28,12 +30,11 @@ from .graphs import (
     write_edgelist,
 )
 from .inference import (
-    THREE_BLOCK_LAMBDA,
     PHASE_RHO_GRID,
-    THREE_BLOCK_SIZES,
     phase_transition_experiment,
     power_er_experiment,
     power_omni_experiment,
+    three_block_params,
 )
 from .information import mi_small_rho_ratio, rho_sbm_mi, sbm_entropy
 from .matching import read_permutation, read_seeds, sgm_match, write_permutation
@@ -45,10 +46,6 @@ from .samplers import (
     sample_subset_shuffle,
     sample_uniform_permutation,
 )
-
-
-class CliError(Exception):
-    pass
 
 
 def _fmt(v) -> str:
@@ -93,34 +90,54 @@ def _write_sidecar(path: str, experiment: str, config: dict, master_seed: int) -
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config file {path} is not valid JSON: {exc}")
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    return cfg
 
 
-def _parse_grid(text, cast=float):
-    return tuple(cast(tok) for tok in str(text).split(",") if tok != "")
+def _grid(cast):
+    """argparse type: a comma-separated grid of cast values, as a tuple."""
+    def grid(text: str) -> tuple:
+        return tuple(cast(tok) for tok in text.split(",") if tok != "")
+    grid.__name__ = f"{cast.__name__} grid"
+    return grid
 
 
 def _sbm_from_config(cfg: dict) -> SbmParams:
-    if "sizes" in cfg and "lambda" in cfg:
-        return SbmParams(BlockPartition(tuple(int(s) for s in cfg["sizes"])),
-                         np.asarray(cfg["lambda"], dtype=np.float64))
-    if "n" in cfg and "p" in cfg:
-        n, p = int(cfg["n"]), float(cfg["p"])
-        return SbmParams(BlockPartition((n,)), np.array([[p]]))
-    raise CliError("config must provide either {sizes, lambda} or {n, p}")
+    try:
+        if "sizes" in cfg and "lambda" in cfg:
+            return SbmParams(BlockPartition(tuple(int(s) for s in cfg["sizes"])),
+                             np.asarray(cfg["lambda"], dtype=np.float64))
+        if "n" in cfg and "p" in cfg:
+            n, p = int(cfg["n"]), float(cfg["p"])
+            return SbmParams(BlockPartition((n,)), np.array([[p]]))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"config model fields are malformed: {exc}") from None
+    raise ValueError("config must provide either {sizes, lambda} or {n, p}")
 
 
-def _require_file(path: str) -> str:
-    import os
-    if not os.path.exists(path):
-        raise CliError(f"file not found: {path}")
-    return path
+def _config_rho(cfg: dict) -> float:
+    try:
+        return float(cfg["rho"])
+    except TypeError:
+        raise ValueError(f"config rho must be a number, got {cfg['rho']!r}") from None
+
+
+def _exp_model(path: str) -> SbmParams:
+    """argparse type of `exp --config`: a file holding only the model."""
+    try:
+        cfg = _load_config(path)
+        if set(cfg) not in ({"sizes", "lambda"}, {"n", "p"}):
+            raise ValueError(f"exp reads exactly {{sizes, lambda}} or {{n, p}} from "
+                             f"{path}, got {sorted(cfg)}")
+        return _sbm_from_config(cfg)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # -- commands ----------------------------------------------------------------
@@ -131,21 +148,21 @@ def _cmd_sample(args) -> int:
         cfg["rho"] = args.rho
     if args.model == "rho-er":
         if "n" not in cfg or "p" not in cfg:
-            raise CliError("rho-er needs n and p (config or flags)")
+            raise ValueError("rho-er needs n and p (config or flags)")
     params = _sbm_from_config(cfg)
-    rho = float(cfg.get("rho", 0.0))
-    gen = RngStream(args.seed, 0).generator()
+    rho = _config_rho(cfg) if "rho" in cfg else 0.0
+    gen = RngStream(args.master_seed, 0).generator()
     a, b = sample_rho_sbm(params, rho, gen)
 
     sigma = None
     if args.shuffle != "none":
-        sgen = RngStream(args.seed, 1).generator()
+        sgen = RngStream(args.master_seed, 1).generator()
         if args.shuffle == "uniform":
             sigma = sample_uniform_permutation(params.n, sgen)
         elif args.shuffle == "block":
             sigma = sample_block_permutation(params.partition, sgen)
         else:
-            protect = read_labels(_require_file(args.protect_file)) if args.protect_file else []
+            protect = read_labels(args.protect_file) if args.protect_file else []
             k = args.subset_size if args.subset_size is not None else params.n - len(protect)
             sigma = sample_subset_shuffle(params.n, protect, k, sgen)
         b = apply_permutation(b, sigma)
@@ -159,12 +176,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_match(args) -> int:
-    a = read_edgelist(_require_file(args.a))
-    b = read_edgelist(_require_file(args.b))
-    seeds = read_seeds(_require_file(args.seeds)) if args.seeds else None
+    a = read_edgelist(args.a)
+    b = read_edgelist(args.b)
+    seeds = read_seeds(args.seeds) if args.seeds else None
     init = args.init
     if init not in ("identity", "barycenter"):
-        init = read_permutation(_require_file(init))
+        init = read_permutation(init)
     res = sgm_match(a, b, seeds=seeds, init=init, max_iters=args.max_iters, tol=args.tol)
     write_permutation(args.out_perm, res.permutation)
     report = {
@@ -194,9 +211,9 @@ def _cmd_mi(args) -> int:
     if args.p is not None:
         cfg["p"] = args.p
     if "rho" not in cfg:
-        raise CliError("mi needs rho (config or --rho)")
+        raise ValueError("mi needs rho (config or --rho)")
     params = _sbm_from_config(cfg)
-    rho = float(cfg["rho"])
+    rho = _config_rho(cfg)
     mi = rho_sbm_mi(params, rho)
     ent = sbm_entropy(params)
     scale = 1.0 / math.log(2.0) if args.bits else 1.0
@@ -211,76 +228,40 @@ def _cmd_mi(args) -> int:
     return 0
 
 
-def _cmd_exp(args) -> int:
-    cfg = _load_config(args.config)
-    name = args.experiment
-    if name == "phase-transition":
-        params = _sbm_from_config(cfg) if cfg else None
-        rho_grid = _parse_grid(args.rho_grid) if args.rho_grid else PHASE_RHO_GRID
-        rows = phase_transition_experiment(mc_reps=args.mc, master_seed=args.seed,
-                                           rho_grid=rho_grid, params=params)
-        schema = _SCHEMAS["phase-transition"]
-        config_echo = {"rho_grid": list(rho_grid), "mc_reps": args.mc,
-                       "sizes": list(params.partition.sizes) if params else list(THREE_BLOCK_SIZES),
-                       "lambda": (params.lam if params else THREE_BLOCK_LAMBDA).tolist()}
-    elif name == "power-er":
-        rows = power_er_experiment(p=args.p, q=args.q, n=args.n, rho=args.rho,
-                                   s_grid=_parse_grid(args.s_grid, int),
-                                   x_grid=_parse_grid(args.x_grid, int),
-                                   alpha=args.alpha, mc_reps=args.mc, n_null=args.n_null,
-                                   master_seed=args.seed, null_edge_p=args.null_p)
-        schema = _SCHEMAS["power-er"]
-        config_echo = {"p": args.p, "q": args.q, "n": args.n, "rho": args.rho,
-                       "s_grid": list(_parse_grid(args.s_grid, int)),
-                       "x_grid": list(_parse_grid(args.x_grid, int)),
-                       "alpha": args.alpha, "mc_reps": args.mc, "n_null": args.n_null,
-                       "null_edge_p": args.null_p}
-    elif name == "power-omni":
-        rows = power_omni_experiment(n=args.n, d=args.d, num_anomalous=args.anomalous,
-                                     mix_w=args.w, x_grid=_parse_grid(args.x_grid, int),
-                                     alpha=args.alpha, mc_reps=args.mc, n_null=args.n_null,
-                                     master_seed=args.seed, redraw_latents=args.redraw_latents)
-        schema = _SCHEMAS["power-omni"]
-        config_echo = {"n": args.n, "d": args.d, "num_anomalous": args.anomalous,
-                       "mix_w": args.w, "x_grid": list(_parse_grid(args.x_grid, int)),
-                       "alpha": args.alpha, "mc_reps": args.mc, "n_null": args.n_null,
-                       "redraw_latents": args.redraw_latents}
-    elif name == "cluster":
-        params = _sbm_from_config(cfg) if cfg else SbmParams(
-            BlockPartition((50, 50)), np.array([[0.1, 0.05], [0.05, 0.2]]))
-        if args.seeds_grid:
-            s_grid = _parse_grid(args.seeds_grid, int)
-            rows = shuffle_cluster_experiment(params, rho=args.rho, s_grid=s_grid,
-                                              d=args.d, k=args.k, mc_reps=args.mc,
-                                              master_seed=args.seed)
-            schema = _SCHEMAS["cluster-shuffle"]
-            config_echo = {"rho": args.rho, "s_grid": list(s_grid), "d": args.d,
-                           "k": args.k, "mc_reps": args.mc,
-                           "sizes": list(params.partition.sizes), "lambda": params.lam.tolist()}
-        else:
-            rho_grid = _parse_grid(args.rho_grid) if args.rho_grid else (0.1, 0.3, 0.5, 0.7, 0.9)
-            rows = cluster_gain_experiment(params, rho_grid, d=args.d, k=args.k,
-                                           mc_reps=args.mc, master_seed=args.seed)
-            schema = _SCHEMAS["cluster-gain"]
-            config_echo = {"rho_grid": list(rho_grid), "d": args.d, "k": args.k,
-                           "mc_reps": args.mc, "sizes": list(params.partition.sizes),
-                           "lambda": params.lam.tolist()}
-    else:
-        raise CliError(f"unknown experiment {name!r}")
+# Parsed values of an exp experiment that are not arguments of its library call.
+_EXP_CLI_ONLY = ("command", "experiment", "func", "format", "output")
 
-    _write_rows(args.output, rows, schema, args.format)
-    _write_sidecar(args.output, name, config_echo, args.seed)
+
+def _cmd_exp(args) -> int:
+    kwargs = {k: v for k, v in vars(args).items() if k not in _EXP_CLI_ONLY}
+    table = args.experiment
+    if table == "cluster":
+        # --seeds-grid selects the shuffle table; each mode drops the other's flags
+        shuffle = args.s_grid is not None
+        table = "cluster-shuffle" if shuffle else "cluster-gain"
+        for unused in (("rho_grid",) if shuffle else ("rho", "s_grid")):
+            del kwargs[unused]
+    run = {"phase-transition": phase_transition_experiment,
+           "power-er": power_er_experiment,
+           "power-omni": power_omni_experiment,
+           "cluster-gain": cluster_gain_experiment,
+           "cluster-shuffle": shuffle_cluster_experiment}[table]
+    rows = run(**kwargs)
+
+    config = {k: v for k, v in kwargs.items() if k != "master_seed"}
+    params = config.pop("params", None)
+    if params is not None:
+        config["sizes"] = list(params.partition.sizes)
+        config["lambda"] = params.lam.tolist()
+    _write_rows(args.output, rows, _SCHEMAS[table], args.format)
+    _write_sidecar(args.output, args.experiment, config, args.master_seed)
     return 0
 
 
 def _cmd_cluster_real(args) -> int:
-    a = read_edgelist(_require_file(args.a))
-    b = read_edgelist(_require_file(args.b))
-    labels = read_labels(_require_file(args.labels))
-    if a.shape != b.shape:
-        raise CliError(f"graphs differ in size: {a.shape[0]} vs {b.shape[0]} vertices")
-    if labels.shape[0] != a.shape[0]:
-        raise CliError(f"label file has {labels.shape[0]} lines for {a.shape[0]} vertices")
+    a = read_edgelist(args.a)
+    b = read_edgelist(args.b)
+    labels = read_labels(args.labels)
     if args.scree:
         evals = np.linalg.eigvalsh(omnibus(a, b))
         ranked = evals[np.argsort(-np.abs(evals), kind="stable")]
@@ -288,27 +269,39 @@ def _cmd_cluster_real(args) -> int:
     elif args.d is not None:
         d = args.d
     else:
-        raise CliError("cluster-real needs --d or --scree")
-    s_grid = _parse_grid(args.seeds_grid, int)
-    rows = cluster_real_experiment(a, b, labels, s_grid, d=d, k=args.k,
-                                   mc_reps=args.mc, master_seed=args.seed)
+        raise ValueError("cluster-real needs --d or --scree")
+    rows = cluster_real_experiment(a, b, labels, args.s_grid, d=d, k=args.k,
+                                   mc_reps=args.mc_reps, master_seed=args.master_seed)
     _write_rows(args.output, rows, _SCHEMAS["cluster-real"], args.format)
     _write_sidecar(args.output, "cluster-real", {
         "a": args.a, "b": args.b, "labels": args.labels, "d": int(d),
-        "scree": bool(args.scree), "k": args.k, "s_grid": list(s_grid),
-        "mc_reps": args.mc}, args.seed)
+        "scree": bool(args.scree), "k": args.k, "s_grid": list(args.s_grid),
+        "mc_reps": args.mc_reps}, args.master_seed)
     return 0
 
 
 # -- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors print one `error:` line and exit 2, like every
+    other bad input; subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master random seed")
+    common.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, default=0,
+                        help="master random seed")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    table.add_argument("-o", "--output", required=True)
+    ints, floats = _grid(int), _grid(float)
 
-    parser = argparse.ArgumentParser(prog="corrmatch",
-                                     description="Correlated graph pairs: sampling, "
-                                                 "matching, information, experiments")
+    parser = _Parser(prog="corrmatch",
+                     description="Correlated graph pairs: sampling, "
+                                 "matching, information, experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sample", parents=[common], help="sample a correlated pair")
@@ -344,31 +337,57 @@ def build_parser() -> argparse.ArgumentParser:
                     help="report information quantities in bits instead of nats")
     pi.set_defaults(func=_cmd_mi)
 
-    pe = sub.add_parser("exp", parents=[common], help="run an experiment and write its table")
-    pe.add_argument("experiment", choices=("phase-transition", "power-er", "power-omni", "cluster"))
-    pe.add_argument("--config", help="JSON model override (sizes/lambda or n/p)")
-    pe.add_argument("--mc", type=int, default=None, help="Monte Carlo replicates")
-    pe.add_argument("--rho", type=float, default=0.5)
-    pe.add_argument("--rho-grid", default=None)
-    pe.add_argument("--s-grid", default="0,10,20,30,40,50")
-    pe.add_argument("--x-grid", default=None)
-    pe.add_argument("--seeds-grid", default=None)
-    pe.add_argument("--p", type=float, default=0.4)
-    pe.add_argument("--q", type=float, default=0.375)
-    pe.add_argument("--n", type=int, default=None)
-    pe.add_argument("--d", type=int, default=None)
-    pe.add_argument("--k", type=int, default=2)
-    pe.add_argument("--w", type=float, default=0.2)
-    pe.add_argument("--anomalous", type=int, default=20)
-    pe.add_argument("--alpha", type=float, default=0.05)
-    pe.add_argument("--n-null", type=int, default=999)
-    pe.add_argument("--null-p", type=float, default=None)
-    pe.add_argument("--redraw-latents", action="store_true")
-    pe.add_argument("--format", choices=("csv", "json"), default="csv")
-    pe.add_argument("-o", "--output", required=True)
-    pe.set_defaults(func=_cmd_exp)
+    pe = sub.add_parser("exp", help="run an experiment and write its table")
+    experiments = pe.add_subparsers(dest="experiment", required=True)
 
-    pr = sub.add_parser("cluster-real", parents=[common],
+    def experiment(name: str, mc_reps: int) -> argparse.ArgumentParser:
+        px = experiments.add_parser(name, parents=[common, table])
+        px.add_argument("--mc", dest="mc_reps", type=int, default=mc_reps,
+                        help="Monte Carlo replicates")
+        px.set_defaults(func=_cmd_exp)
+        return px
+
+    model_help = "JSON model file: exactly sizes/lambda or n/p"
+    pt = experiment("phase-transition", 200)
+    pt.add_argument("--config", dest="params", metavar="FILE", type=_exp_model,
+                    default=three_block_params(), help=model_help)
+    pt.add_argument("--rho-grid", type=floats, default=PHASE_RHO_GRID)
+
+    pp = experiment("power-er", 500)
+    pp.add_argument("--p", type=float, default=0.4)
+    pp.add_argument("--q", type=float, default=0.375)
+    pp.add_argument("--n", type=int, default=50)
+    pp.add_argument("--rho", type=float, default=0.5)
+    pp.add_argument("--s-grid", type=ints, default=(0, 10, 20, 30, 40, 50))
+    pp.add_argument("--x-grid", type=ints, default=(0, 10, 20, 30, 40, 50))
+    pp.add_argument("--alpha", type=float, default=0.05)
+    pp.add_argument("--n-null", type=int, default=999)
+    pp.add_argument("--null-p", dest="null_edge_p", type=float, default=None)
+
+    po = experiment("power-omni", 100)
+    po.add_argument("--n", type=int, default=100)
+    po.add_argument("--d", type=int, default=3)
+    po.add_argument("--anomalous", dest="num_anomalous", type=int, default=20)
+    po.add_argument("--w", dest="mix_w", type=float, default=0.2)
+    po.add_argument("--x-grid", type=ints, default=(0, 25, 50, 75))
+    po.add_argument("--alpha", type=float, default=0.05)
+    po.add_argument("--n-null", type=int, default=999)
+    po.add_argument("--redraw-latents", action="store_true")
+
+    pc = experiment("cluster", 200)
+    pc.add_argument("--config", dest="params", metavar="FILE", type=_exp_model, help=model_help,
+                    default=SbmParams(BlockPartition((50, 50)),
+                                      np.array([[0.1, 0.05], [0.05, 0.2]])))
+    pc.add_argument("--rho", type=float, default=0.5, help="shuffle mode only")
+    pc.add_argument("--d", type=int, default=2)
+    pc.add_argument("--k", type=int, default=2)
+    mode = pc.add_mutually_exclusive_group()
+    mode.add_argument("--rho-grid", type=floats, default=(0.1, 0.3, 0.5, 0.7, 0.9),
+                      help="gain mode (the default)")
+    mode.add_argument("--seeds-grid", dest="s_grid", type=ints, default=None,
+                      help="shuffle mode")
+
+    pr = sub.add_parser("cluster-real", parents=[common, table],
                         help="shuffle/match clustering on user-supplied graphs")
     pr.add_argument("--a", required=True)
     pr.add_argument("--b", required=True)
@@ -376,44 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--d", type=int, default=None)
     pr.add_argument("--scree", action="store_true", help="choose d by the scree elbow")
     pr.add_argument("--k", type=int, required=True)
-    pr.add_argument("--seeds-grid", default="0,20,40,60,80")
-    pr.add_argument("--mc", type=int, default=50)
-    pr.add_argument("--format", choices=("csv", "json"), default="csv")
-    pr.add_argument("-o", "--output", required=True)
+    pr.add_argument("--seeds-grid", dest="s_grid", type=ints, default=(0, 20, 40, 60, 80))
+    pr.add_argument("--mc", dest="mc_reps", type=int, default=50)
     pr.set_defaults(func=_cmd_cluster_real)
     return parser
 
 
-_EXP_DEFAULTS = {
-    "phase-transition": {"mc": 200, "n": 150, "d": 2, "x_grid": None},
-    "power-er": {"mc": 500, "n": 50, "d": 2, "x_grid": "0,10,20,30,40,50"},
-    "power-omni": {"mc": 100, "n": 100, "d": 3, "x_grid": "0,25,50,75"},
-    "cluster": {"mc": 200, "n": 100, "d": 2, "x_grid": None},
-}
-
-
-def _fill_exp_defaults(args) -> None:
-    defaults = _EXP_DEFAULTS[args.experiment]
-    if args.mc is None:
-        args.mc = defaults["mc"]
-    if args.n is None:
-        args.n = defaults["n"]
-    if args.d is None:
-        args.d = defaults["d"]
-    if args.x_grid is None:
-        args.x_grid = defaults["x_grid"]
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "exp":
-        _fill_exp_defaults(args)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

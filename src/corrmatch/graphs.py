@@ -59,10 +59,6 @@ def graph_from_edges(n: int, edges) -> np.ndarray:
     return a
 
 
-def num_edges(a: np.ndarray) -> int:
-    return int(a.sum()) // 2
-
-
 def upper_triangle(a: np.ndarray) -> np.ndarray:
     """Strict upper-triangle entries of a as a flat vector (row-major)."""
     n = a.shape[0]

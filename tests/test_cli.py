@@ -374,9 +374,10 @@ PINNED_BYTES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
-def test_outputs_pinned(tmp_path, capsys, monkeypatch, name):
-    import hashlib
+@pytest.fixture
+def input_dir(tmp_path, monkeypatch):
+    """A working directory holding the model configs and a 16-vertex
+    labelled pair (a.edg, b.edg, lab.txt) that the runs below refer to."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sbm.json").write_text(json.dumps(SBM_8_8))
     params = SbmParams(BlockPartition(tuple(SBM_8_8["sizes"])), np.array(SBM_8_8["lambda"]))
@@ -384,8 +385,94 @@ def test_outputs_pinned(tmp_path, capsys, monkeypatch, name):
     write_edgelist("a.edg", a)
     write_edgelist("b.edg", b)
     write_labels("lab.txt", params.partition.membership)
+    return tmp_path
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_outputs_pinned(input_dir, capsys, name):
+    import hashlib
     code, _, err = run_cli(capsys, *PINNED_RUNS[name], "--seed", "7", "-o", "out")
     assert code == 0, err
-    digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+    digests = tuple(hashlib.sha256((input_dir / f).read_bytes()).hexdigest()
                     for f in ("out", "out.meta.json"))
     assert digests == PINNED_BYTES[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in PINNED_RUNS if PINNED_RUNS[n][0] == "exp"))
+def test_sidecar_replays_table(input_dir, capsys, name):
+    # the sidecar config plus master_seed is the library call: replaying
+    # it writes the same table
+    from corrmatch import cluster_gain_experiment, shuffle_cluster_experiment
+    from corrmatch.cli import _SCHEMAS, _write_rows
+    from corrmatch.inference import (phase_transition_experiment, power_er_experiment,
+                                     power_omni_experiment)
+    argv = PINNED_RUNS[name]
+    fmt = "json" if "json" in argv else "csv"
+    assert run_cli(capsys, *argv, "--seed", "3", "-o", "out")[0] == 0
+    meta = json.loads((input_dir / "out.meta.json").read_text())
+    config = dict(meta["config"])
+    if "sizes" in config:
+        config["params"] = SbmParams(BlockPartition(tuple(config.pop("sizes"))),
+                                     np.array(config.pop("lambda")))
+    table = meta["experiment"]
+    if table == "cluster":
+        table = "cluster-shuffle" if "s_grid" in config else "cluster-gain"
+    run = {"phase-transition": phase_transition_experiment,
+           "power-er": power_er_experiment,
+           "power-omni": power_omni_experiment,
+           "cluster-gain": cluster_gain_experiment,
+           "cluster-shuffle": shuffle_cluster_experiment}[table]
+    _write_rows("replay", run(master_seed=meta["master_seed"], **config), _SCHEMAS[table], fmt)
+    assert (input_dir / "replay").read_bytes() == (input_dir / "out").read_bytes()
+
+
+# Input that a run would otherwise ignore or crash on: each exits 2 with
+# one stderr line naming the problem, and writes nothing.
+REJECTED = {
+    "phase-transition --p": (("exp", "phase-transition", "--p", "0.9", "--n", "7",
+                              "--alpha", "3", "-o", "out"), "--p 0.9"),
+    "power-er --config": (("exp", "power-er", "--config", "sbm.json", "-o", "out"),
+                          "--config"),
+    "power-omni --rho": (("exp", "power-omni", "--rho", "0.3", "-o", "out"), "--rho"),
+    "cluster --s-grid": (("exp", "cluster", "--s-grid", "0,20", "-o", "out"), "--s-grid"),
+    "cluster both modes": (("exp", "cluster", "--rho-grid", "0.3", "--seeds-grid", "0,8",
+                            "-o", "out"), "--seeds-grid"),
+    "exp config with rho": (("exp", "cluster", "--config", "rho.json", "-o", "out"), "rho"),
+    "exp config with both models": (("exp", "phase-transition", "--config", "both.json",
+                                     "-o", "out"), "both.json"),
+    "exp empty config": (("exp", "phase-transition", "--config", "empty.json", "-o", "out"),
+                         "empty.json"),
+    "exp list config": (("exp", "cluster", "--config", "list.json", "-o", "out"),
+                        "JSON object"),
+    "exp missing config": (("exp", "cluster", "--config", "nope.json", "-o", "out"),
+                           "nope.json"),
+    "--mc x": (("exp", "power-er", "--mc", "x", "-o", "out"), "--mc"),
+    "--s-grid 0,a": (("exp", "power-er", "--s-grid", "0,a", "-o", "out"), "--s-grid"),
+    "mi list config": (("mi", "--config", "list.json", "--rho", "0.3"), "JSON object"),
+    "mi bad n": (("mi", "--config", "badn.json", "--rho", "0.3"), "malformed"),
+    "mi bad rho": (("mi", "--config", "badrho.json"), "rho"),
+    "sample --bits": (("sample", "--model", "rho-er", "--config", "er.json", "--bits",
+                       "--out-a", "out", "--out-b", "out_b"), "--bits"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_rejected_input(input_dir, capsys, name):
+    argv, word = REJECTED[name]
+    for file, cfg in (("rho.json", dict(SBM_8_8, rho=0.5)),
+                      ("both.json", dict(SBM_8_8, n=16, p=0.3)),
+                      ("empty.json", {}), ("list.json", [1, 2]),
+                      ("badn.json", {"n": [5], "p": 0.3}),
+                      ("badrho.json", {"n": 5, "p": 0.3, "rho": [0.5]}),
+                      ("er.json", {"n": 20, "p": 0.4, "rho": 0.6})):
+        (input_dir / file).write_text(json.dumps(cfg))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert word in captured.err
+    assert not any(input_dir.glob("out*"))
