@@ -4,9 +4,10 @@ Commands: sample, match, mi, exp {phase-transition | power-er |
 power-omni | cluster}, cluster-real. Every command is deterministic
 given --seed; experiment outputs are fixed-schema CSV (or JSON with
 --format json) plus a .meta.json sidecar echoing the configuration.
-Config files are JSON; explicit CLI flags override config fields.
-Each exp experiment has its own parser whose flag dests are the
-keyword arguments of the library function it calls.
+Config files are JSON objects; for sample and mi, explicit flags
+override config fields. Each exp experiment has its own parser whose
+flag dests are the keyword arguments of the library function it calls;
+its --config supplies the model only.
 """
 
 from __future__ import annotations

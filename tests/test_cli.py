@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,14 +7,19 @@ import pytest
 from corrmatch import (
     BlockPartition,
     SbmParams,
+    cluster_gain_experiment,
     gm_objective,
     invert_permutation,
+    phase_transition_experiment,
+    power_er_experiment,
+    power_omni_experiment,
     read_edgelist,
     sample_rho_sbm,
+    shuffle_cluster_experiment,
     write_edgelist,
     write_labels,
 )
-from corrmatch.cli import main
+from corrmatch.cli import _SCHEMAS, _write_rows, main
 from corrmatch.matching import read_permutation, write_seeds
 from corrmatch.samplers import RngStream
 
@@ -318,7 +324,7 @@ PINNED_RUNS = {
     "phase-transition-default": ("exp", "phase-transition", "--mc", "1", "--rho-grid", "1"),
     "power-er": ("exp", "power-er", "--p", "0.5", "--q", "0.4", "--n", "12", "--rho", "0.4",
                  "--s-grid", "0,6", "--x-grid", "0,6", "--alpha", "0.1", "--mc", "4",
-                 "--n-null", "19", "--null-p", "0.45"),
+                 "--n-null", "19", "--null-p", "0.42"),
     "power-omni": ("exp", "power-omni", "--n", "18", "--d", "3", "--anomalous", "4",
                    "--w", "0.1", "--x-grid", "0,6", "--alpha", "0.1", "--mc", "3",
                    "--n-null", "19"),
@@ -363,8 +369,8 @@ PINNED_BYTES = {
         ("8bbdd1f98f7401d25ec728d170a4bfa7674dba92bb272873f6d7aa2e7f130176",
          "4cf385f27f50da32d633899ecfa2a431d1e05ac08c878226de759c48736c7c31"),
     "power-er":
-        ("f8998b8aad6bf85969060055aeed725b7b148534b706c829d614c4ea26e9d97b",
-         "657953ce9ac583b1a34506e05cf26628a079bff27c3053ebd3d4a4faa12390de"),
+        ("6c7262df572c2be7261ae7506e0d72b3b5c5e6b170180bf1f34a929f74eed690",
+         "1253074cb5be63679e184fcb7031eb0a8f4c10cd2425a9a85e342bdc8648d7b2"),
     "power-omni":
         ("0ee8ca6aaaaa34d0abcea88b377817ffe35a1c4c100cec1656102fd927c270eb",
          "ce0e8da0341743893398db70cfd71887d5f9116b1f12333818c9e729def9debd"),
@@ -390,7 +396,6 @@ def input_dir(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(PINNED_RUNS))
 def test_outputs_pinned(input_dir, capsys, name):
-    import hashlib
     code, _, err = run_cli(capsys, *PINNED_RUNS[name], "--seed", "7", "-o", "out")
     assert code == 0, err
     digests = tuple(hashlib.sha256((input_dir / f).read_bytes()).hexdigest()
@@ -402,10 +407,6 @@ def test_outputs_pinned(input_dir, capsys, name):
 def test_sidecar_replays_table(input_dir, capsys, name):
     # the sidecar config plus master_seed is the library call: replaying
     # it writes the same table
-    from corrmatch import cluster_gain_experiment, shuffle_cluster_experiment
-    from corrmatch.cli import _SCHEMAS, _write_rows
-    from corrmatch.inference import (phase_transition_experiment, power_er_experiment,
-                                     power_omni_experiment)
     argv = PINNED_RUNS[name]
     fmt = "json" if "json" in argv else "csv"
     assert run_cli(capsys, *argv, "--seed", "3", "-o", "out")[0] == 0
