@@ -110,16 +110,18 @@ def _grid(cast):
 
 
 def _sbm_from_config(cfg: dict) -> SbmParams:
+    model = sorted({"sizes", "lambda", "n", "p"} & set(cfg))
     try:
-        if "sizes" in cfg and "lambda" in cfg:
+        if model == ["lambda", "sizes"]:
             return SbmParams(BlockPartition(tuple(int(s) for s in cfg["sizes"])),
                              np.asarray(cfg["lambda"], dtype=np.float64))
-        if "n" in cfg and "p" in cfg:
+        if model == ["n", "p"]:
             n, p = int(cfg["n"]), float(cfg["p"])
             return SbmParams(BlockPartition((n,)), np.array([[p]]))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"config model fields are malformed: {exc}") from None
-    raise ValueError("config must provide either {sizes, lambda} or {n, p}")
+    raise ValueError(f"config and flags must give one model, {{sizes, lambda}} or {{n, p}}, "
+                     f"got {model}")
 
 
 def _config_rho(cfg: dict) -> float:
@@ -239,9 +241,13 @@ def _cmd_exp(args) -> int:
     if table == "cluster":
         # --seeds-grid selects the shuffle table; each mode drops the other's flags
         shuffle = args.s_grid is not None
+        if not shuffle and args.rho is not None:
+            raise ValueError("exp cluster reads --rho only with --seeds-grid")
         table = "cluster-shuffle" if shuffle else "cluster-gain"
         for unused in (("rho_grid",) if shuffle else ("rho", "s_grid")):
             del kwargs[unused]
+        if shuffle and args.rho is None:
+            kwargs["rho"] = 0.5  # the shuffle table's default
     run = {"phase-transition": phase_transition_experiment,
            "power-er": power_er_experiment,
            "power-omni": power_omni_experiment,
@@ -267,10 +273,8 @@ def _cmd_cluster_real(args) -> int:
         evals = np.linalg.eigvalsh(omnibus(a, b))
         ranked = evals[np.argsort(-np.abs(evals), kind="stable")]
         d = scree_elbow(ranked)
-    elif args.d is not None:
-        d = args.d
     else:
-        raise ValueError("cluster-real needs --d or --scree")
+        d = args.d
     rows = cluster_real_experiment(a, b, labels, args.s_grid, d=d, k=args.k,
                                    mc_reps=args.mc_reps, master_seed=args.master_seed)
     _write_rows(args.output, rows, _SCHEMAS["cluster-real"], args.format)
@@ -379,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--config", dest="params", metavar="FILE", type=_exp_model, help=model_help,
                     default=SbmParams(BlockPartition((50, 50)),
                                       np.array([[0.1, 0.05], [0.05, 0.2]])))
-    pc.add_argument("--rho", type=float, default=0.5, help="shuffle mode only")
+    pc.add_argument("--rho", type=float, default=None, help="shuffle mode only (default 0.5)")
     pc.add_argument("--d", type=int, default=2)
     pc.add_argument("--k", type=int, default=2)
     mode = pc.add_mutually_exclusive_group()
@@ -393,8 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--a", required=True)
     pr.add_argument("--b", required=True)
     pr.add_argument("--labels", required=True)
-    pr.add_argument("--d", type=int, default=None)
-    pr.add_argument("--scree", action="store_true", help="choose d by the scree elbow")
+    dim = pr.add_mutually_exclusive_group(required=True)
+    dim.add_argument("--d", type=int)
+    dim.add_argument("--scree", action="store_true", help="choose d by the scree elbow")
     pr.add_argument("--k", type=int, required=True)
     pr.add_argument("--seeds-grid", dest="s_grid", type=ints, default=(0, 20, 40, 60, 80))
     pr.add_argument("--mc", dest="mc_reps", type=int, default=50)

@@ -99,22 +99,3 @@ def scree_elbow(eigenvalues) -> int:
     limit = max(1, vals.size // 2)
     gaps = gaps[:limit]
     return int(np.argmax(gaps)) + 1
-
-
-def write_embedding_csv(path, points: np.ndarray) -> None:
-    """CSV serialization: n rows, d comma-separated columns, 17
-    significant digits."""
-    pts = np.asarray(points, dtype=np.float64)
-    with open(path, "w") as fh:
-        for row in pts:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def read_embedding_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=np.float64)

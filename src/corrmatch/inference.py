@@ -2,10 +2,10 @@
 Monte Carlo power experiments.
 
 All tests are right-tailed on an absolute statistic (two-sided
-alternatives). Critical values from Monte Carlo nulls use the
-conservative finite-sample quantile: the ceil((1-alpha)(n_null+1))-th
-order statistic of n_null null draws; a test rejects when its statistic
-strictly exceeds the critical value.
+alternatives). Critical values from Monte Carlo nulls come from
+``_parallel.critical_value``: the ceil((1-alpha)(n_null+1))-th order
+statistic of n_null null draws, a conservative finite-sample quantile;
+a test rejects when its statistic strictly exceeds the critical value.
 
 Null calibration resamples graph pairs from the null model (never
 permutations of a fixed observed pair), under the least favorable
@@ -17,13 +17,12 @@ anomaly test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.stats import norm
 
-from ._parallel import MonteCarlo, check_range, critical_rank, critical_value
+from ._parallel import MonteCarlo, check_range
 from .embedding import t2_omni
 from .graphs import (
     apply_permutation,
@@ -38,7 +37,6 @@ from .samplers import (
     BlockPartition,
     HeterogeneousPair,
     SbmParams,
-    _as_generator,
     anomaly_perturb,
     er_params,
     max_feasible_correlation,
@@ -61,30 +59,6 @@ PHASE_RHO_GRID = (0.0, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1.0)
 
 def three_block_params() -> SbmParams:
     return SbmParams(BlockPartition(THREE_BLOCK_SIZES), THREE_BLOCK_LAMBDA)
-
-
-@dataclass(frozen=True)
-class TestOutcome:
-    statistic: float
-    critical_value: float
-    reject: bool
-    alpha: float
-
-
-def decide(statistic: float, critical_value: float, alpha: float) -> TestOutcome:
-    return TestOutcome(statistic, critical_value, statistic > critical_value, alpha)
-
-
-@dataclass(frozen=True)
-class PowerEstimate:
-    power: float
-    mc_reps: int
-    std_err: float
-
-    @classmethod
-    def from_rejections(cls, rejections: int, mc_reps: int) -> "PowerEstimate":
-        p = rejections / mc_reps
-        return cls(p, mc_reps, math.sqrt(p * (1.0 - p) / mc_reps))
 
 
 # -- statistics --------------------------------------------------------------
@@ -142,15 +116,6 @@ def invariant_stat(a: np.ndarray, b: np.ndarray, kind: str) -> float:
     return float(abs(fn(a) - fn(b)))
 
 
-def empirical_critical_value(null_sampler, alpha: float, n_null: int, rng) -> float:
-    """Conservative Monte Carlo critical value from n_null draws of the
-    null statistic: the ceil((1-alpha)(n_null+1))-th order statistic."""
-    critical_rank(alpha, n_null)  # reject bad input before drawing
-    gen = _as_generator(rng)
-    draws = np.array([float(null_sampler(gen)) for _ in range(n_null)])
-    return float(critical_value(draws, alpha))
-
-
 # -- experiments -------------------------------------------------------------
 
 def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
@@ -181,8 +146,8 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
 
 def _power_row(mc: MonteCarlo, fields: dict, stats: np.ndarray, crit) -> dict:
     """``fields`` plus the rejection rate of ``stats > crit`` and its standard error."""
-    est = PowerEstimate.from_rejections(int((stats > crit).sum()), mc.mc_reps)
-    return {**fields, "power": est.power, "std_err": est.std_err,
+    p = int((stats > crit).sum()) / mc.mc_reps
+    return {**fields, "power": p, "std_err": math.sqrt(p * (1.0 - p) / mc.mc_reps),
             "mc_reps": mc.mc_reps, "master_seed": mc.master_seed}
 
 

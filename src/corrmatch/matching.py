@@ -28,7 +28,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .graphs import (
     BlockPartition,
-    apply_permutation,
     as_adjacency,
     gm_objective,
     invert_permutation,
@@ -101,10 +100,9 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     the gradient 2*A*D*B assumes symmetry. ``seeds`` is an iterable of
     (u, v) pairs asserting that vertex u of a corresponds to vertex v of
     b; seed pairs are fixed in the output.
-    ``init`` is one of "barycenter", "identity", a full-length
+    ``init`` is one of "barycenter", "identity", or a full-length
     permutation (apply_permutation convention, mapping non-seeds to
-    non-seeds), or an explicit doubly stochastic matrix over the
-    non-seed block.
+    non-seeds).
     """
     a = as_adjacency(a)
     b = as_adjacency(b)
@@ -200,31 +198,13 @@ def _initial_iterate(init, m: int, n: int, ra: np.ndarray, rb: np.ndarray, s: in
                 raise ValueError("init permutation must map non-seeds to non-seed targets")
             d[idx, j] = 1.0
         return d
-    if arr.shape != (m, m):
-        raise ValueError(f"init matrix must be {m}x{m}, got {arr.shape}")
-    if arr.min() < -1e-12:
-        raise ValueError("init matrix must be (near) nonnegative")
-    if not (np.allclose(arr.sum(axis=0), 1.0, atol=1e-9) and np.allclose(arr.sum(axis=1), 1.0, atol=1e-9)):
-        raise ValueError("init matrix must be doubly stochastic")
-    return arr
+    raise ValueError(f"init must be 'barycenter', 'identity' or a permutation, got shape {arr.shape}")
 
 
 def faq_match(a: np.ndarray, b: np.ndarray, init="barycenter",
               max_iters: int = 100, tol: float = 1e-6) -> MatchResult:
     """Unseeded Frank-Wolfe graph matching (seed set empty)."""
     return sgm_match(a, b, seeds=None, init=init, max_iters=max_iters, tol=tol)
-
-
-def match_and_align(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
-                    max_iters: int = 100, tol: float = 1e-6) -> np.ndarray:
-    """Match b to a and return b relabeled by the found permutation.
-
-    The returned graph is the single-solution surrogate of "b matched
-    to a": apply_permutation(b, phi) for the matcher's phi, which is one
-    element of the (possibly non-unique) argmin set.
-    """
-    res = sgm_match(a, b, seeds=seeds, init=init, max_iters=max_iters, tol=tol)
-    return apply_permutation(b, res.permutation)
 
 
 def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition):
@@ -304,18 +284,3 @@ def identity_seeds(vertices) -> np.ndarray:
     """Seed pairs (u, u) for each u, i.e. known identity correspondences."""
     v = np.asarray(vertices, dtype=np.int64)
     return np.stack([v, v], axis=1)
-
-
-__all__ = [
-    "MatchResult",
-    "solve_lap",
-    "faq_match",
-    "sgm_match",
-    "match_and_align",
-    "transposition_sweep",
-    "write_permutation",
-    "read_permutation",
-    "write_seeds",
-    "read_seeds",
-    "identity_seeds",
-]

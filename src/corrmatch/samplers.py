@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ADJ_DTYPE, BlockPartition, apply_permutation, identity_permutation
+from .graphs import ADJ_DTYPE, BlockPartition, identity_permutation
 
 
 @dataclass(frozen=True)
@@ -268,11 +268,3 @@ def sample_subset_shuffle(n: int, seed_set, k: int, rng) -> np.ndarray:
         chosen = gen.choice(free, size=k, replace=False)
         phi[chosen] = chosen[gen.permutation(k)]
     return phi
-
-
-def shuffle_pair(pair: tuple[np.ndarray, np.ndarray], sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(G1, G2) -> (G1, sigma(G2))."""
-    g1, g2 = pair
-    if g1.shape != g2.shape:
-        raise ValueError("graph size mismatch")
-    return g1, apply_permutation(g2, sigma)

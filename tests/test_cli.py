@@ -454,6 +454,19 @@ REJECTED = {
     "mi bad rho": (("mi", "--config", "badrho.json"), "rho"),
     "sample --bits": (("sample", "--model", "rho-er", "--config", "er.json", "--bits",
                        "--out-a", "out", "--out-b", "out_b"), "--bits"),
+    "mi sbm config with --n --p": (("mi", "--config", "sbm.json", "--n", "5", "--p", "0.3",
+                                    "--rho", "0.5"), "one model"),
+    "sample rho-er with both models": (("sample", "--model", "rho-er", "--config", "both.json",
+                                        "--rho", "0.5", "--out-a", "out", "--out-b", "out_b"),
+                                       "one model"),
+    "cluster gain --rho": (("exp", "cluster", "--rho", "0.3", "--rho-grid", "0.5",
+                            "-o", "out"), "--rho"),
+    "cluster-real --d --scree": (("cluster-real", "--a", "a.edg", "--b", "b.edg",
+                                  "--labels", "lab.txt", "--d", "5", "--scree", "--k", "2",
+                                  "-o", "out"), "--scree"),
+    "cluster-real no --d or --scree": (("cluster-real", "--a", "a.edg", "--b", "b.edg",
+                                        "--labels", "lab.txt", "--k", "2", "-o", "out"),
+                                       "--d --scree"),
 }
 
 

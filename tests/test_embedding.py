@@ -8,12 +8,10 @@ from corrmatch import (
     empty_graph,
     omnibus,
     procrustes_align,
-    read_embedding_csv,
     sample_dirichlet_positions,
     scree_elbow,
     t1_semipar,
     t2_omni,
-    write_embedding_csv,
 )
 from corrmatch.graphs import apply_permutation, graph_from_edges
 from corrmatch.samplers import er_params, sample_rho_sbm, sample_uniform_permutation
@@ -215,12 +213,3 @@ class TestScreeElbow:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             scree_elbow([])
-
-
-class TestEmbeddingCsv:
-    def test_round_trip_full_precision(self, tmp_path):
-        rng = np.random.default_rng(18)
-        x = rng.normal(size=(7, 3))
-        path = tmp_path / "emb.csv"
-        write_embedding_csv(path, x)
-        assert np.array_equal(read_embedding_csv(path), x)

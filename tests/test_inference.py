@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from corrmatch import (
-    RngStream,
     apply_permutation,
     complete_graph,
-    decide,
-    empirical_critical_value,
     empty_graph,
     invariant_stat,
     paired_z,
@@ -106,35 +103,6 @@ class TestInvariantStat:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             invariant_stat(empty_graph(2), empty_graph(2), "girth")
-
-
-class TestEmpiricalCriticalValue:
-    def test_constant_null(self):
-        crit = empirical_critical_value(lambda gen: 0.0, 0.05, 99, RngStream(5))
-        assert crit == 0.0
-        assert decide(0.5, crit, 0.05).reject
-
-    def test_uniform_null_quantile(self):
-        crit = empirical_critical_value(lambda gen: gen.random(), 0.05, 999, RngStream(6))
-        assert abs(crit - 0.95) < 0.02
-
-    def test_doubling_consistency(self):
-        crit1 = empirical_critical_value(lambda gen: gen.random(), 0.05, 999, RngStream(7))
-        crit2 = empirical_critical_value(lambda gen: gen.random(), 0.05, 1999, RngStream(8))
-        assert abs(crit1 - crit2) < 0.03
-
-    def test_level_control(self):
-        # calibrate then test fresh draws from the same null
-        alpha = 0.05
-        crit = empirical_critical_value(lambda gen: gen.random(), alpha, 999, RngStream(9))
-        gen = RngStream(10).generator()
-        mc = 2000
-        rate = np.mean([gen.random() > crit for _ in range(mc)])
-        assert rate <= alpha + 3 * math.sqrt(alpha / mc)
-
-    def test_insufficient_draws(self):
-        with pytest.raises(ValueError):
-            empirical_critical_value(lambda gen: 0.0, 0.01, 50, RngStream(11))
 
 
 class TestPhaseTransitionExperiment:

@@ -11,7 +11,6 @@ from corrmatch import (
     identity_permutation,
     identity_seeds,
     invert_permutation,
-    match_and_align,
     read_permutation,
     read_seeds,
     sample_edge_correlation,
@@ -138,6 +137,8 @@ class TestFaqMatch:
             faq_match(a, a, init="nonsense")
         with pytest.raises(ValueError):
             faq_match(a, a, init=np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match="init"):
+            faq_match(a, a, init=np.eye(3))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -214,26 +215,13 @@ class TestSgmMatch:
     ])
     def test_rejects_non_adjacency(self, bad, match):
         good = graph_from_edges(2, [(0, 1)])
-        for matcher in (sgm_match, faq_match, match_and_align):
+        for matcher in (sgm_match, faq_match):
             for a, b in ((bad, good), (good, bad)):
                 with pytest.raises(ValueError, match=match):
                     matcher(np.array(a), np.array(b))
 
 
-class TestMatchAndAlign:
-    def test_self_alignment(self):
-        rng = np.random.default_rng(11)
-        a = random_graph(10, 0.5, rng)
-        assert np.array_equal(match_and_align(a, a, init="identity"), a)
-
-    def test_isomorphic_pair_with_seeds(self):
-        gen = RngStream(12).generator()
-        a, b = sample_rho_sbm(er_params(60, 0.3), 1.0, gen)
-        sigma = sample_subset_shuffle(60, np.arange(8), 52, gen)
-        b_sh = apply_permutation(b, sigma)
-        aligned = match_and_align(a, b_sh, seeds=identity_seeds(np.arange(8)))
-        assert np.array_equal(aligned, a)
-
+class TestAlignment:
     def test_matching_raises_correlation_of_independent_pair(self):
         corr_matched = []
         corr_shuffled = []
@@ -242,8 +230,8 @@ class TestMatchAndAlign:
             a, b = sample_rho_sbm(er_params(60, 0.4), 0.0, gen)
             sigma = sample_uniform_permutation(60, gen)
             b_sh = apply_permutation(b, sigma)
-            aligned = match_and_align(a, b_sh, init="barycenter")
-            corr_matched.append(sample_edge_correlation(a, aligned))
+            res = sgm_match(a, b_sh, init="barycenter")
+            corr_matched.append(sample_edge_correlation(a, apply_permutation(b_sh, res.permutation)))
             corr_shuffled.append(sample_edge_correlation(a, b_sh))
         assert np.mean(corr_matched) >= np.mean(corr_shuffled)
 

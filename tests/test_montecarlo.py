@@ -1,10 +1,13 @@
-"""The six Monte Carlo experiments at tiny sizes: pinned tables and the
-stream-id blocks."""
+"""The six Monte Carlo experiments at tiny sizes: pinned tables, the
+stream-id blocks and the one critical-value routine."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from corrmatch import (
     BlockPartition,
@@ -18,6 +21,7 @@ from corrmatch import (
     sample_rho_sbm,
     shuffle_cluster_experiment,
 )
+from corrmatch._parallel import critical_rank, critical_value
 
 SMALL_SBM = SbmParams(BlockPartition((8, 8)), np.array([[0.6, 0.1], [0.1, 0.6]]))
 REAL_PAIR = sample_rho_sbm(SMALL_SBM, 0.6, RngStream(11).generator())
@@ -83,3 +87,52 @@ def test_stream_block_capacity_is_inclusive():
     MonteCarlo(0, 10_000_000, {}, 1)
     with pytest.raises(ValueError, match="replicate block"):
         MonteCarlo(0, 10_000_001, {}, 1)
+
+
+class TestCriticalValue:
+    def test_constant_null(self):
+        crit = critical_value(np.zeros(99), 0.05)
+        assert crit == 0.0
+
+    def test_uniform_null_quantile(self):
+        crit = critical_value(RngStream(6).generator().random(999), 0.05)
+        assert abs(crit - 0.95) < 0.02
+
+    def test_doubling_consistency(self):
+        crit1 = critical_value(RngStream(7).generator().random(999), 0.05)
+        crit2 = critical_value(RngStream(8).generator().random(1999), 0.05)
+        assert abs(crit1 - crit2) < 0.03
+
+    def test_level_control(self):
+        # calibrate then test fresh draws from the same null
+        alpha = 0.05
+        crit = critical_value(RngStream(9).generator().random(999), alpha)
+        mc = 2000
+        rate = np.mean(RngStream(10).generator().random(mc) > crit)
+        assert rate <= alpha + 3 * math.sqrt(alpha / mc)
+
+    def test_insufficient_draws(self):
+        with pytest.raises(ValueError):
+            critical_value(np.zeros(50), 0.01)
+
+
+# 10**7 null draws fill the null stream block, so no run draws more
+@given(st.floats(1e-7, 1.0, exclude_max=True), st.data())
+def test_critical_rank_bounds(alpha, data):
+    n_null = data.draw(st.integers(math.ceil(1.0 / alpha), 10**7))
+    rank = critical_rank(alpha, n_null)
+    assert 1 <= rank <= n_null
+    assert rank >= (1.0 - alpha) * (n_null + 1)
+
+
+@given(st.floats().filter(lambda alpha: not 0.0 < alpha < 1.0), st.integers(1, 10**7))
+def test_critical_rank_rejects_alpha(alpha, n_null):
+    with pytest.raises(ValueError, match="alpha"):
+        critical_rank(alpha, n_null)
+
+
+@given(st.floats(1e-9, 1.0, exclude_max=True), st.data())
+def test_critical_rank_rejects_too_few_draws(alpha, data):
+    n_null = data.draw(st.integers(-1, math.ceil(1.0 / alpha) - 1))
+    with pytest.raises(ValueError, match="n_null"):
+        critical_rank(alpha, n_null)
