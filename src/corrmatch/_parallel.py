@@ -37,6 +37,14 @@ def check_range(name: str, values, low: int, high: float = math.inf) -> None:
             raise ValueError(f"{name} value {v} is outside [{low}, {high}]")
 
 
+def check_count(name: str, value, low: int = 1) -> None:
+    """Reject a count that is not an integer (bools included) or is below low."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"need {name} >= {low}, got {value}")
+
+
 def critical_rank(alpha: float, n_null: int) -> int:
     """1-based rank ceil((1-alpha)(n_null+1)) of the conservative critical
     value among n_null null draws; needs 0 < alpha < 1 and n_null >= 1/alpha."""

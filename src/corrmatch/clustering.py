@@ -3,21 +3,25 @@ Index scoring, plus the joint-versus-single clustering experiments.
 
 The mixture is fit by plain EM with full covariances, k-means++
 seeding, and ridge regularization eps*I on every covariance update
-(eps = 1e-6 times the mean coordinatewise data variance). Each EM
-iteration works on (k, n, d) and (k, d, d) stacks, with no Python loop
-over components; its log-sum-exp follows scipy.special.logsumexp's
-formula, so fits equal those of a per-component loop bit for bit. The
+(eps = 1e-6 times the mean coordinatewise data variance). All
+restarts are seeded first; their EM iterations then run in lockstep on
+(a, k, n, d) and (a, k, d, d) stacks over the a restarts still
+running, with no Python loop over restarts or components. Each restart
+keeps its own stopping rule, and the log-sum-exp follows
+scipy.special.logsumexp's formula, so fits equal those of a
+per-component loop run one restart at a time, bit for bit. The
 per-iteration log-likelihood trace is kept on the model so monotonicity
 is checkable.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import MonteCarlo, check_range
+from ._parallel import MonteCarlo, check_count, check_range
 from .embedding import ase, omnibus
 from .graphs import apply_permutation
 from .samplers import (
@@ -56,21 +60,22 @@ def _kmeanspp_centers(points: np.ndarray, k: int, gen: np.random.Generator) -> n
 
 
 def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each column of a finite (k, n) array.
+    """Log-sum-exp over axis -2 of a finite (..., k, n) array.
 
-    Equals ``scipy.special.logsumexp(a.T, axis=1)`` (scipy 1.17) bit for
-    bit: the entries equal to the column maximum are taken out of the
-    shifted sum and counted, and the rest is summed along the rows of
-    the C-ordered (n, k) transpose, in scipy's order. The max and the
-    count are exact in any order, so they reduce over the long axis.
+    Equals ``scipy.special.logsumexp(a[i].T, axis=1)`` (scipy 1.17) for
+    every (k, n) slice ``a[i]``, bit for bit: the entries equal to the
+    column maximum are taken out of the shifted sum and counted, and the
+    rest is summed along the last axis of the C-ordered (..., n, k)
+    transpose, in scipy's order. The max and the count are exact in any
+    order, so they reduce over the long axis.
     """
-    amax = a.max(axis=0)
+    amax = a.max(axis=-2, keepdims=True)
     at_max = a == amax
-    count = at_max.sum(axis=0)
+    count = at_max.sum(axis=-2)
     shifted = np.exp(a - amax)
     shifted[at_max] = 0.0
-    rest = np.ascontiguousarray(shifted.T).sum(axis=1)
-    return np.log1p(rest / count) + np.log(count) + amax
+    rest = np.ascontiguousarray(np.swapaxes(shifted, -1, -2)).sum(axis=-1)
+    return np.log1p(rest / count) + np.log(count) + amax[..., 0, :]
 
 
 def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
@@ -80,6 +85,15 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     Runs ``restarts`` independently seeded fits and keeps the best
     final log-likelihood (ties go to the earliest restart). Labels are
     maximum-posterior assignments under the winning model.
+
+    Every restart is seeded first, in restart order; EM draws nothing.
+    The restarts then iterate in lockstep on (a, k, n, d) and
+    (a, k, d, d) stacks over the a restarts still running. A restart
+    whose log-likelihood moved by less than ``tol`` keeps the parameters
+    of that E-step and leaves the stack; one still running after
+    ``max_iters`` iterations keeps its last M-step's parameters. Either
+    way its labels come from its last E-step, so each restart ends as a
+    fit run on its own would.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -87,71 +101,86 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     if not np.isfinite(x).all():
         raise ValueError("points must be finite (no NaN or inf)")
     n, d = x.shape
-    if not 1 <= k <= n:
+    check_count("k", k)
+    if k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if restarts < 1:
-        raise ValueError(f"need restarts >= 1, got {restarts}")
-    if max_iters < 1:
-        raise ValueError(f"need max_iters >= 1, got {max_iters}")
+    check_count("restarts", restarts)
+    check_count("max_iters", max_iters)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"need a finite tol >= 0, got {tol}")
     gen = _as_generator(rng)
     eps = 1e-6 * float(np.var(x, axis=0).mean())
     if eps <= 0.0:
         eps = 1e-6
     reg = eps * np.eye(d)
+    global_cov = np.cov(x.T).reshape(d, d) + reg
 
-    best: tuple[GmmModel, np.ndarray] | None = None
-    for _ in range(restarts):
+    weights = np.empty((restarts, k))
+    means = np.empty((restarts, k, d))
+    covs = np.empty((restarts, k, d, d))
+    for r in range(restarts):
         centers = _kmeanspp_centers(x, k, gen)
         hard = np.argmin(((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
-        weights = np.empty(k)
-        means = np.empty((k, d))
-        covs = np.empty((k, d, d))
-        global_cov = np.cov(x.T).reshape(d, d) + reg
         for j in range(k):
             members = x[hard == j]
-            weights[j] = max(members.shape[0], 1)
+            weights[r, j] = max(members.shape[0], 1)
             if members.shape[0] >= 2:
-                means[j] = members.mean(axis=0)
-                covs[j] = np.cov(members.T).reshape(d, d) + reg
+                means[r, j] = members.mean(axis=0)
+                covs[r, j] = np.cov(members.T).reshape(d, d) + reg
             else:
-                means[j] = centers[j]
-                covs[j] = global_cov
-        weights /= weights.sum()
+                means[r, j] = centers[j]
+                covs[r, j] = global_cov
+        weights[r] /= weights[r].sum()
 
-        trace: list[float] = []
-        d_log_2pi = d * np.log(2.0 * np.pi)
-        diff = x[None, :, :] - means[:, None, :]
-        for it in range(max_iters):
-            chol = np.linalg.cholesky(covs)
-            sol = np.linalg.solve(chol, diff.transpose(0, 2, 1))
-            maha = (sol ** 2).sum(axis=1)
-            logdet = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-            log_gauss = -0.5 * ((d_log_2pi + logdet)[:, None] + maha)
-            log_prob = np.log(weights)[:, None] + log_gauss
-            norm = _logsumexp_cols(log_prob)
-            ll = float(norm.sum())
-            # C-ordered (n, k): the sum over n for nk depends on this
-            # layout in the last bits
-            log_resp = np.ascontiguousarray((log_prob - norm).T)
-            trace.append(ll)
-            if it > 0 and abs(trace[-1] - trace[-2]) < tol:
-                break
-            resp = np.exp(log_resp)
-            nk = resp.sum(axis=0)
-            nk = np.maximum(nk, 1e-300)
-            weights = nk / n
-            means = (resp.T @ x) / nk[:, None]
-            diff = x[None, :, :] - means[:, None, :]
-            weighted = resp.T[:, :, None] * diff
-            covs = np.matmul(weighted.transpose(0, 2, 1), diff) / nk[:, None, None] + reg
+    d_log_2pi = d * np.log(2.0 * np.pi)
+    traces: list[list[float]] = [[] for _ in range(restarts)]
+    # restart -> (weights, means, covs, log_resp) it ended with
+    final: list[tuple] = [None] * restarts
+    active = np.arange(restarts)
+    diff = x - means[:, :, None, :]
+    for it in range(max_iters):
+        chol = np.linalg.cholesky(covs)
+        sol = np.linalg.solve(chol, np.swapaxes(diff, -1, -2))
+        maha = (sol ** 2).sum(axis=-2)
+        logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+        log_gauss = -0.5 * ((d_log_2pi + logdet)[..., None] + maha)
+        log_prob = np.log(weights)[..., None] + log_gauss
+        norm = _logsumexp_cols(log_prob)
+        ll = norm.sum(axis=-1)
+        # C-ordered (a, n, k): the sum over n for nk depends on this
+        # layout in the last bits
+        log_resp = np.ascontiguousarray(np.swapaxes(log_prob - norm[:, None, :], -1, -2))
+        for r, value in zip(active.tolist(), ll.tolist()):
+            traces[r].append(value)
+        if it > 0:
+            done = np.abs(ll - prev_ll) < tol
+            if done.any():
+                for i in np.flatnonzero(done):
+                    final[active[i]] = (weights[i], means[i], covs[i], log_resp[i])
+                if done.all():
+                    break
+                keep = ~done
+                active, ll, log_resp = active[keep], ll[keep], log_resp[keep]
+        prev_ll = ll
+        resp = np.exp(log_resp)
+        nk = np.maximum(resp.sum(axis=-2), 1e-300)
+        weights = nk / n
+        resp_t = np.swapaxes(resp, -1, -2)
+        means = (resp_t @ x) / nk[..., None]
+        diff = x - means[:, :, None, :]
+        weighted = resp_t[..., None] * diff
+        covs = np.matmul(np.swapaxes(weighted, -1, -2), diff) / nk[..., None, None] + reg
+    else:
+        for i, r in enumerate(active.tolist()):
+            final[r] = (weights[i], means[i], covs[i], log_resp[i])
 
-        labels = np.argmax(log_resp, axis=1).astype(np.int64)
-        model = GmmModel(k=k, weights=weights.copy(), means=means.copy(),
-                         covariances=covs.copy(), loglik=trace[-1],
-                         loglik_trace=tuple(trace))
-        if best is None or model.loglik > best[0].loglik:
-            best = (model, labels)
-    return best
+    # max keeps the first of equal maxima: ties go to the earliest restart
+    best = max(range(restarts), key=lambda r: traces[r][-1])
+    weights, means, covs, log_resp = final[best]
+    model = GmmModel(k=k, weights=weights.copy(), means=means.copy(),
+                     covariances=covs.copy(), loglik=traces[best][-1],
+                     loglik_trace=tuple(traces[best]))
+    return model, np.argmax(log_resp, axis=1).astype(np.int64)
 
 
 def ari(labels_a, labels_b) -> float:
@@ -216,6 +245,7 @@ def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
     against the true block labels."""
     rho_grid = [float(rho) for rho in rho_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
+    check_count("restarts", restarts)
     truth = params.partition.membership
 
     def one_rep(rho: float, gen: np.random.Generator) -> tuple[float, float]:
@@ -241,6 +271,7 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     s_grid = [int(s) for s in s_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid}, len(s_grid))
     check_range("s_grid", s_grid, 0, truth.shape[0])
+    check_count("restarts", restarts)
 
     def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:
         a, b = draw_pair(gen)

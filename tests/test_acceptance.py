@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from corrmatch import (
     BlockPartition,
@@ -20,7 +19,6 @@ from corrmatch import (
     apply_permutation,
     brute_force_pair_mi,
     cluster_gain_experiment,
-    edge_disagreements,
     er_params,
     faq_match,
     three_block_params,
@@ -35,7 +33,6 @@ from corrmatch import (
     sample_edge_correlation,
     sample_rho_sbm,
     sample_uniform_permutation,
-    sgm_match,
     shuffle_cluster_experiment,
     solve_lap,
     transposition,

@@ -41,8 +41,9 @@ def _log_gaussian(points, mean, cov):
 
 
 def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6):
-    """Per-component EM with scipy's logsumexp: the oracle for fit_gmm,
-    which must reproduce it bit for bit."""
+    """Per-component EM with scipy's logsumexp, one restart after
+    another: the oracle for fit_gmm, which must reproduce it bit for bit.
+    Also returns every restart's trace."""
     x = np.asarray(points, dtype=np.float64)
     n, d = x.shape
     gen = _as_generator(rng)
@@ -51,6 +52,7 @@ def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6):
         eps = 1e-6
     reg = eps * np.eye(d)
     best = None
+    traces = []
     for _ in range(restarts):
         centers = _kmeanspp_centers(x, k, gen)
         hard = np.argmin(((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
@@ -87,9 +89,10 @@ def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6):
                 diff = x - means[j]
                 covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j] + reg
         labels = np.argmax(log_resp, axis=1).astype(np.int64)
+        traces.append(tuple(trace))
         if best is None or trace[-1] > best[4][-1]:
             best = (labels, weights.copy(), means.copy(), covs.copy(), tuple(trace))
-    return best
+    return best + (traces,)
 
 
 class TestFitGmm:
@@ -140,11 +143,14 @@ class TestFitGmm:
             fit_gmm(np.zeros((3, 2)), 4, RngStream(10))
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1},
-                                        {"max_iters": 0}, {"max_iters": -3}])
+                                        {"max_iters": 0}, {"max_iters": -3},
+                                        {"k": 2.0}, {"k": True}, {"restarts": 2.5},
+                                        {"restarts": True}, {"max_iters": 3.5},
+                                        {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf}])
     def test_rejects_nonpositive_counts(self, kwargs):
         x = np.random.default_rng(17).normal(size=(20, 2))
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            fit_gmm(x, 2, RngStream(18), **kwargs)
+            fit_gmm(x, **{"k": 2, "rng": RngStream(18), **kwargs})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_points(self, bad):
@@ -155,7 +161,8 @@ class TestFitGmm:
 
 
 class TestFitGmmOracle:
-    """The vectorised EM equals the per-component loop exactly."""
+    """The vectorised EM, with its restarts in lockstep, equals the
+    per-component, per-restart loop exactly."""
 
     @pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3),
                                       (2, 4), (4, 2), (5, 3), (3, 5), (6, 2)])
@@ -165,13 +172,49 @@ class TestFitGmmOracle:
             n = int(rng.integers(max(k, 20), 90))
             x = rng.normal(size=(n, d)) + rng.choice([0.0, 2.5, 6.0], size=(n, 1))
             model, labels = fit_gmm(x, k, RngStream(rep), restarts=3)
-            ref_labels, weights, means, covs, trace = reference_fit_gmm(
+            ref_labels, weights, means, covs, trace, _ = reference_fit_gmm(
                 x, k, RngStream(rep), restarts=3)
             assert np.array_equal(labels, ref_labels)
             assert model.loglik_trace == trace
             assert np.array_equal(model.means, means)
             assert np.array_equal(model.covariances, covs)
             assert np.array_equal(model.weights, weights)
+
+    @staticmethod
+    def _assert_matches_oracle(x, k, seed, restarts, max_iters):
+        gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        model, labels = fit_gmm(x, k, gen, restarts=restarts, max_iters=max_iters)
+        ref_labels, weights, means, covs, trace, traces = reference_fit_gmm(
+            x, k, ref_gen, restarts=restarts, max_iters=max_iters)
+        assert np.array_equal(labels, ref_labels)
+        assert model.loglik_trace == trace
+        assert np.array_equal(model.means, means)
+        assert np.array_equal(model.covariances, covs)
+        assert np.array_equal(model.weights, weights)
+        # callers share one generator between fits, so draw order is
+        # part of the contract
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        return traces
+
+    @pytest.mark.parametrize("restarts", [1, 2, 5])
+    @pytest.mark.parametrize("max_iters", [1, 3, 200])
+    def test_lockstep_restarts_bit_identical(self, restarts, max_iters):
+        rng = np.random.default_rng(10 * restarts + max_iters)
+        uneven = False
+        for d, k in [(1, 2), (2, 2), (2, 3), (3, 2), (2, 4)]:
+            n = int(rng.integers(max(k, 20), 120))
+            x = rng.normal(size=(n, d)) + rng.choice([0.0, 2.5, 6.0], size=(n, 1))
+            x[: n // 4] = x[0]  # duplicate points
+            traces = self._assert_matches_oracle(x, k, d + 7 * k, restarts, max_iters)
+            lengths = {len(t) for t in traces}
+            if len(lengths) > 1:
+                uneven = True
+                # caps between the shortest and the longest run: in one
+                # stack, some restarts stop early and the others hit the cap
+                for cap in sorted(lengths)[1:]:
+                    self._assert_matches_oracle(x, k, d + 7 * k, restarts, cap - 1)
+        if restarts > 1 and max_iters == 200:
+            assert uneven, "no case had restarts stopping at different iterations"
 
     def test_bit_identical_on_omnibus_embedding(self):
         params = SbmParams(BlockPartition((50, 50)),
@@ -180,7 +223,8 @@ class TestFitGmmOracle:
             g1, g2 = sample_rho_sbm(params, 0.5, RngStream(rep).generator())
             z = ase(omnibus(g1, g2), 2)
             model, labels = fit_gmm(z, 2, RngStream(rep), restarts=3)
-            ref_labels, _, means, covs, trace = reference_fit_gmm(z, 2, RngStream(rep), restarts=3)
+            ref_labels, _, means, covs, trace, _ = reference_fit_gmm(z, 2, RngStream(rep),
+                                                                     restarts=3)
             assert np.array_equal(labels, ref_labels)
             assert model.loglik_trace == trace
             assert np.array_equal(model.means, means)
@@ -196,6 +240,10 @@ class TestFitGmmOracle:
             part = a[:, :k]
             assert np.array_equal(_logsumexp_cols(np.ascontiguousarray(part.T)),
                                   logsumexp(part, axis=1))
+            # a stack of (k, n) slices reduces slice by slice
+            stack = np.stack([part.T, part[::-1].T, part.T[::-1]])
+            assert np.array_equal(_logsumexp_cols(stack),
+                                  [logsumexp(s.T, axis=1) for s in stack])
 
 
 class TestAri:
@@ -337,6 +385,10 @@ class TestClusterExperiments:
             ("power-omni", {"mc_reps": 10 ** 6, "x_grid": range(71)}, "shuffle block"),
             ("cluster-gain", {"mc_reps": 10 ** 7 + 1}, "replicate block"),
         )
+    ] + [
+        pytest.param(name, {"restarts": bad}, "restarts", id=f"{name}-restarts-{bad}")
+        for name in ("cluster-gain", "cluster-shuffle", "cluster-real")
+        for bad in (0, 2.5, True)
     ])
     def test_every_experiment_rejects_zero_mc_reps(self, monkeypatch, name, bad, match):
         # every argument is checked before the first random draw

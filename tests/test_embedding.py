@@ -13,7 +13,7 @@ from corrmatch import (
     t1_semipar,
     t2_omni,
 )
-from corrmatch.graphs import apply_permutation, graph_from_edges
+from corrmatch.graphs import apply_permutation
 from corrmatch.samplers import er_params, sample_rho_sbm, sample_uniform_permutation
 
 

@@ -1,13 +1,15 @@
-"""Dead-import guard: every module of the package uses each name it
-imports. ``__init__.py`` only re-exports, and ``from __future__``
-imports are directives, so both are exempt."""
+"""Dead-import guard: every module of the package and every test file
+uses each name it imports. ``__init__.py`` only re-exports, and ``from
+__future__`` imports are directives, so both are exempt."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "corrmatch"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "corrmatch"
+CHECKED = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -27,6 +29,6 @@ def test_guard_flags_unused_names():
     assert unused_imports(source) == ["math"]
 
 
-@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
-def test_no_unused_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+@pytest.mark.parametrize("path", CHECKED, ids=[p.name for p in CHECKED])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

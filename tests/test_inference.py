@@ -14,7 +14,6 @@ from corrmatch import (
     power_er_experiment,
     power_omni_experiment,
     sample_edge_correlation,
-    sample_uniform_permutation,
 )
 from corrmatch.graphs import BlockPartition, graph_from_edges
 from corrmatch.samplers import SbmParams
