@@ -37,12 +37,11 @@ def check_range(name: str, values, low: int, high: float = math.inf) -> None:
             raise ValueError(f"{name} value {v} is outside [{low}, {high}]")
 
 
-def check_count(name: str, value, low: int = 1) -> None:
-    """Reject a count that is not an integer (bools included) or is below low."""
+def check_count(name: str, value, high: float = math.inf) -> None:
+    """Reject a count that is not an integer (bools included) or is outside [1, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"need {name} >= {low}, got {value}")
+    check_range(name, (value,), 1, high)
 
 
 def critical_rank(alpha: float, n_null: int) -> int:
@@ -74,14 +73,14 @@ class MonteCarlo:
     def __init__(self, master_seed: int, mc_reps: int, grids: dict,
                  cells: int, *, alpha: float | None = None, n_null: int = 0,
                  null_cells: int = 0, shuffles: tuple[int, int] = (0, 0)):
-        if mc_reps < 1:
-            raise ValueError(f"need mc_reps >= 1, got {mc_reps}")
+        check_count("mc_reps", mc_reps)
         for name, grid in grids.items():
             if len(grid) == 0:
                 raise ValueError(f"{name} must not be empty")
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} must not repeat a value, got {list(grid)}")
         if alpha is not None:
+            check_count("n_null", n_null)
             critical_rank(alpha, n_null)
         for role, used in (("replicate", cells * mc_reps), ("null", null_cells * n_null),
                            ("shuffle", shuffles[0] * shuffles[1])):

@@ -57,24 +57,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-_SCHEMAS = {
-    "phase-transition": ("experiment", "rho", "variant", "mean", "se", "mc_reps", "master_seed"),
-    "power-er": ("experiment", "s", "x", "variant", "power", "std_err", "mc_reps", "master_seed"),
-    "power-omni": ("experiment", "x", "variant", "power", "std_err", "mc_reps", "master_seed"),
-    "cluster-gain": ("experiment", "rho", "variant", "mean_ari", "se", "mc_reps", "master_seed"),
-    "cluster-shuffle": ("experiment", "s", "variant", "mean_ari", "se", "mc_reps", "master_seed"),
-    "cluster-real": ("experiment", "s", "variant", "mean_ari", "se", "mc_reps", "master_seed"),
-}
-
-
-def _write_rows(path: str, rows: list[dict], fields: tuple[str, ...], fmt: str) -> None:
-    if fmt == "json":
-        payload = [{f: r[f] for f in fields} for r in rows]
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return
+def _write_rows(path: str, rows: list[dict], fmt: str) -> None:
+    """Write a table; its columns are the keys of the library's rows, in order."""
     with open(path, "w") as fh:
+        if fmt == "json":
+            json.dump(rows, fh, indent=2)
+            fh.write("\n")
+            return
+        fields = tuple(rows[0])
         fh.write(",".join(fields) + "\n")
         for r in rows:
             fh.write(",".join(_fmt(r[f]) for f in fields) + "\n")
@@ -260,7 +250,7 @@ def _cmd_exp(args) -> int:
     if params is not None:
         config["sizes"] = list(params.partition.sizes)
         config["lambda"] = params.lam.tolist()
-    _write_rows(args.output, rows, _SCHEMAS[table], args.format)
+    _write_rows(args.output, rows, args.format)
     _write_sidecar(args.output, args.experiment, config, args.master_seed)
     return 0
 
@@ -277,7 +267,7 @@ def _cmd_cluster_real(args) -> int:
         d = args.d
     rows = cluster_real_experiment(a, b, labels, args.s_grid, d=d, k=args.k,
                                    mc_reps=args.mc_reps, master_seed=args.master_seed)
-    _write_rows(args.output, rows, _SCHEMAS["cluster-real"], args.format)
+    _write_rows(args.output, rows, args.format)
     _write_sidecar(args.output, "cluster-real", {
         "a": args.a, "b": args.b, "labels": args.labels, "d": int(d),
         "scree": bool(args.scree), "k": args.k, "s_grid": list(args.s_grid),

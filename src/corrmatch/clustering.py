@@ -245,6 +245,7 @@ def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
     against the true block labels."""
     rho_grid = [float(rho) for rho in rho_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
+    check_count("d", d, params.n)
     check_count("restarts", restarts)
     truth = params.partition.membership
 
@@ -271,6 +272,7 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     s_grid = [int(s) for s in s_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid}, len(s_grid))
     check_range("s_grid", s_grid, 0, truth.shape[0])
+    check_count("d", d, truth.shape[0])
     check_count("restarts", restarts)
 
     def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._parallel import check_count
+
 
 def ase(m: np.ndarray, d: int) -> np.ndarray:
     """Adjacency spectral embedding: n x d matrix U_d * diag(|lambda|_d)^(1/2).
@@ -27,8 +29,7 @@ def ase(m: np.ndarray, d: int) -> np.ndarray:
     if not np.allclose(a, a.T, atol=1e-12):
         raise ValueError("input must be symmetric")
     n = a.shape[0]
-    if not 1 <= d <= n:
-        raise ValueError(f"need 1 <= d <= {n}, got {d}")
+    check_count("d", d, n)
     w, v = np.linalg.eigh(a)
     order = np.argsort(-np.abs(w), kind="stable")[:d]
     vecs = v[:, order]

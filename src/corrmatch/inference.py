@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 from scipy.stats import norm
 
-from ._parallel import MonteCarlo, check_range
+from ._parallel import MonteCarlo, check_count, check_range
 from .embedding import t2_omni
 from .graphs import (
     apply_permutation,
@@ -249,6 +249,7 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
                     n_null=n_null, null_cells=len(x_grid) + 1, shuffles=(mc_reps, len(x_grid)))
     check_range("x_grid", x_grid, 0, n)
     check_range("num_anomalous", (num_anomalous,), 0, n)
+    check_count("d", d, 2 * n)  # the omnibus matrix is 2n x 2n
     lat_gen = mc.generator("latent")
     x_latent = sample_dirichlet_positions(n, lat_gen)
     y_latent = anomaly_perturb(x_latent, num_anomalous, mix_w, lat_gen)

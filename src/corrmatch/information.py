@@ -35,7 +35,7 @@ def binary_entropy(p: float) -> float:
         raise ValueError("p must lie in [0, 1]")
     if p == 0.0 or p == 1.0:
         return 0.0
-    return -p * math.log(p) - (1.0 - p) * math.log(1.0 - p)
+    return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
 
 
 def bernoulli_pair_mi(p: float, rho: float) -> float:
@@ -49,8 +49,10 @@ def bernoulli_pair_mi(p: float, rho: float) -> float:
     if rho == 1.0:
         return binary_entropy(p)
     q = 1.0 - p
-    t1 = p * (p + rho * q) * math.log1p(rho * q / p)
-    t2 = 2.0 * p * q * (1.0 - rho) * math.log(1.0 - rho)
+    ratio = rho * q / p  # overflows only for subnormal p
+    t1 = p * (p + rho * q) * (math.log1p(ratio) if ratio < math.inf
+                              else math.log(rho * q) - math.log(p))
+    t2 = 2.0 * p * q * (1.0 - rho) * math.log1p(-rho)
     t3 = q * (q + p * rho) * math.log1p(rho * p / q)
     return t1 + t2 + t3
 

@@ -4,10 +4,15 @@ seeded matching.
 The matcher maximizes trace(A P B P^T) over permutation matrices by
 Frank-Wolfe ascent on the Birkhoff polytope: at each step the gradient
 is 2*A*D*B (symmetric adjacencies), the ascent direction is the
-permutation maximizing the linearized objective (a linear assignment
-problem), and the step size solves the 1-d quadratic exactly. The final
-doubly stochastic iterate is projected to the nearest permutation with
-one more assignment solve.
+permutation Q maximizing the linearized objective (a linear assignment
+problem), and the step size solves the 1-d quadratic in R = Q - D
+exactly. The final doubly stochastic iterate is projected to the
+nearest permutation with one more assignment solve.
+
+Each dense product is formed once: one A*D*B per iterate scores it and
+gives the next gradient, and one A*R*B per step gives both line-search
+coefficients. The result is relabelled once, for trace(A P B P^T); the
+objective follows as ||A||^2 + ||B||^2 - 2 trace(A P B P^T).
 
 Seeded matching reorders both graphs so the seed pairs occupy a leading
 aligned block and optimizes only over the non-seed block; the seed
@@ -29,8 +34,8 @@ from scipy.optimize import linear_sum_assignment
 from .graphs import (
     BlockPartition,
     as_adjacency,
-    gm_objective,
     invert_permutation,
+    is_permutation,
     trace_objective,
 )
 
@@ -128,46 +133,44 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     const = float((af[:s, :s] * bf[:s, :s]).sum())
 
     d = _initial_iterate(init, m, n, ra, rb, s)
-
-    def relaxed_obj(mat: np.ndarray) -> float:
-        return const + 2.0 * float((lin * mat).sum()) + float((a22 @ mat @ b22 * mat).sum())
-
-    trace_vals = [relaxed_obj(d)] if m > 0 else [const]
+    adb = a22 @ d @ b22  # scores d; 2*adb + 2*lin is the next gradient
+    trace_vals = [const + 2.0 * float((lin * d).sum()) + float((adb * d).sum())]
     iterations = 0
     converged = m == 0
     for _ in range(max_iters if m > 0 else 0):
         iterations += 1
-        grad = 2.0 * (a22 @ d @ b22) + 2.0 * lin
-        q, _ = solve_lap(-grad)
-        qmat = np.zeros((m, m))
-        qmat[np.arange(m), q] = 1.0
-        r = qmat - d
-        c2 = float((a22 @ r @ b22 * r).sum())
-        c1 = 2.0 * float((a22 @ r @ b22 * d).sum()) + 2.0 * float((lin * r).sum())
+        q, _ = solve_lap(-(2.0 * adb + 2.0 * lin))
+        r = np.zeros((m, m))
+        r[np.arange(m), q] = 1.0
+        r -= d  # R = Q - D
+        arb = a22 @ r @ b22
+        c2 = float((arb * r).sum())
+        c1 = 2.0 * float((arb * d).sum()) + 2.0 * float((lin * r).sum())
+        del arb
         t = _quadratic_step(c2, c1)
         if t > 0.0:
-            d = d + t * r
-        new_obj = relaxed_obj(d)
+            d += t * r
+            adb = a22 @ d @ b22
+        del r
+        new_obj = const + 2.0 * float((lin * d).sum()) + float((adb * d).sum())
         prev_obj = trace_vals[-1]
         trace_vals.append(new_obj)
         if abs(new_obj - prev_obj) <= tol * max(1.0, abs(prev_obj)):
             converged = True
             break
-
-    if m > 0:
-        proj, _ = solve_lap(-d)
-    else:
-        proj = np.zeros(0, dtype=np.int64)
+    del adb
+    proj, _ = solve_lap(-d)
 
     # canonical full assignment: seeds identity, then projected block
     match = np.empty(n, dtype=np.int64)  # a-vertex -> b-vertex
     match[ra[:s]] = rb[:s]
     match[free_a] = rb[s + proj]
     phi = invert_permutation(match)
+    trace_value = trace_objective(a, b, phi)
     return MatchResult(
         permutation=phi,
-        objective=gm_objective(a, b, phi),
-        trace_value=trace_objective(a, b, phi),
+        objective=int(a.sum()) + int(b.sum()) - 2 * trace_value,
+        trace_value=trace_value,
         iterations=iterations,
         converged=converged,
         objective_trace=tuple(trace_vals),
@@ -185,18 +188,15 @@ def _initial_iterate(init, m: int, n: int, ra: np.ndarray, rb: np.ndarray, s: in
         raise ValueError(f"unknown init {init!r}")
     arr = np.asarray(init, dtype=np.float64)
     if arr.ndim == 1:
-        phi0 = np.asarray(init, dtype=np.int64)
-        if phi0.shape[0] != n or not np.array_equal(np.sort(phi0), np.arange(n)):
+        if arr.shape[0] != n or not is_permutation(arr):
             raise ValueError("init permutation must be a bijection of [n]")
-        match0 = invert_permutation(phi0)
         pos_b = np.full(n, -1, dtype=np.int64)
         pos_b[rb[s:]] = np.arange(m)
+        cols = pos_b[invert_permutation(arr)[ra[s:]]]
+        if (cols < 0).any():
+            raise ValueError("init permutation must map non-seeds to non-seed targets")
         d = np.zeros((m, m))
-        for idx, u in enumerate(ra[s:]):
-            j = pos_b[match0[u]]
-            if j < 0:
-                raise ValueError("init permutation must map non-seeds to non-seed targets")
-            d[idx, j] = 1.0
+        d[np.arange(m), cols] = 1.0
         return d
     raise ValueError(f"init must be 'barycenter', 'identity' or a permutation, got shape {arr.shape}")
 
@@ -254,7 +254,7 @@ def read_permutation(path) -> np.ndarray:
     with open(path) as fh:
         vals = [int(line.strip()) for line in fh if line.strip()]
     phi = np.asarray(vals, dtype=np.int64)
-    if not np.array_equal(np.sort(phi), np.arange(phi.shape[0])):
+    if not is_permutation(phi):
         raise ValueError(f"{path} does not contain a permutation of 0..{phi.shape[0]-1}")
     return phi
 

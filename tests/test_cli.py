@@ -19,7 +19,7 @@ from corrmatch import (
     write_edgelist,
     write_labels,
 )
-from corrmatch.cli import _SCHEMAS, _write_rows, main
+from corrmatch.cli import _write_rows, main
 from corrmatch.matching import read_permutation, write_seeds
 from corrmatch.samplers import RngStream
 
@@ -423,7 +423,7 @@ def test_sidecar_replays_table(input_dir, capsys, name):
            "power-omni": power_omni_experiment,
            "cluster-gain": cluster_gain_experiment,
            "cluster-shuffle": shuffle_cluster_experiment}[table]
-    _write_rows("replay", run(master_seed=meta["master_seed"], **config), _SCHEMAS[table], fmt)
+    _write_rows("replay", run(master_seed=meta["master_seed"], **config), fmt)
     assert (input_dir / "replay").read_bytes() == (input_dir / "out").read_bytes()
 
 

@@ -352,13 +352,16 @@ class TestClusterExperiments:
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in _SMALL_RUNS
         for bad, match in (({"mc_reps": 0}, "mc_reps"), ({"mc_reps": -2}, "mc_reps"),
+                           ({"mc_reps": 2.5}, "mc_reps must be an integer"),
+                           ({"mc_reps": True}, "mc_reps must be an integer"),
                            ({_SMALL_RUNS[name][2]: ()}, "must not be empty"),
                            ({_SMALL_RUNS[name][2]: (0, 0)}, "must not repeat"))
     ] + [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in ("power-er", "power-omni")
         for bad, match in (({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
-                           ({"alpha": 1.5}, "alpha"), ({"alpha": 0.01, "n_null": 50}, "n_null"))
+                           ({"alpha": 1.5}, "alpha"), ({"alpha": 0.01, "n_null": 50}, "n_null"),
+                           ({"n_null": 20.5}, "n_null must be an integer"))
     ] + [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name, bad, match in (
@@ -385,6 +388,13 @@ class TestClusterExperiments:
             ("power-omni", {"mc_reps": 10 ** 6, "x_grid": range(71)}, "shuffle block"),
             ("cluster-gain", {"mc_reps": 10 ** 7 + 1}, "replicate block"),
         )
+    ] + [
+        pytest.param(name, {"d": bad}, match, id=f"{name}-d-{bad}")
+        for name in ("power-omni", "cluster-gain", "cluster-shuffle", "cluster-real")
+        for bad, match in ((0, "d value 0 is outside"), (2.5, "d must be an integer"),
+                           (True, "d must be an integer"),
+                           # 12 vertices; power-omni embeds the 24 x 24 omnibus matrix
+                           (25 if name == "power-omni" else 13, "d value .* is outside"))
     ] + [
         pytest.param(name, {"restarts": bad}, "restarts", id=f"{name}-restarts-{bad}")
         for name in ("cluster-gain", "cluster-shuffle", "cluster-real")

@@ -79,6 +79,9 @@ class TestAse:
             ase(empty_graph(3), 4)
         with pytest.raises(ValueError):
             ase(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="d value 0 is outside|d must be an integer"):
+                ase(empty_graph(3), bad)
 
 
 class TestOmnibus:

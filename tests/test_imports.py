@@ -1,8 +1,10 @@
-"""Dead-import guard: every module of the package and every test file
-uses each name it imports. ``__init__.py`` only re-exports, and ``from
-__future__`` imports are directives, so both are exempt."""
+"""Import guards. Every module of the package and every test file uses
+each name it imports; ``__init__.py`` only re-exports, and ``from
+__future__`` imports are directives, so both are exempt. Every function
+that perfbench's tracer wraps still exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,17 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", CHECKED, ids=[p.name for p in CHECKED])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_tracer_layers_name_existing_functions():
+    # perfbench's --trace wraps every function its LAYERS table names; read
+    # the table from the source, without importing it, and check each name
+    source = (TESTS.parent / "perfbench" / "tracer.py").read_text()
+    tables = {node.targets[0].id: ast.literal_eval(node.value)
+              for node in ast.parse(source).body
+              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+              and node.targets[0].id in ("MODULES", "LAYERS")}
+    modules = {mod: importlib.import_module(f"corrmatch.{mod}") for mod in tables["MODULES"]}
+    missing = [f"{mod}.{name}" for mod, names in tables["LAYERS"].values() for name in names
+               if not callable(getattr(modules[mod], name, None))]
+    assert missing == []

@@ -25,7 +25,8 @@ from corrmatch import (
     write_permutation,
     write_seeds,
 )
-from corrmatch.graphs import BlockPartition, graph_from_edges
+from corrmatch.graphs import BlockPartition, complete_graph, empty_graph, graph_from_edges
+from corrmatch.matching import MatchResult, _quadratic_step, _validate_seeds
 from corrmatch.samplers import RngStream
 
 
@@ -47,6 +48,109 @@ def brute_force_lap(cost):
                 abs(val - best_val) <= 1e-12 and perm < best_perm):
             best_val, best_perm = val, perm
     return np.array(best_perm), best_val
+
+
+def reference_sgm_match(a, b, seeds=None, init="barycenter", max_iters=100, tol=1e-6):
+    """Seeded Frank-Wolfe with every product written out: A*D*B twice
+    and A*R*B twice per iteration, a per-vertex loop for a permutation
+    init, and a relabel each for the two scores. The oracle for
+    sgm_match, which must reproduce it bit for bit."""
+    a = np.asarray(a, dtype=np.int8)
+    b = np.asarray(b, dtype=np.int8)
+    n = a.shape[0]
+    seed_arr = _validate_seeds(seeds, n)
+    s = seed_arr.shape[0]
+    m = n - s
+    free_a = np.setdiff1d(np.arange(n, dtype=np.int64), seed_arr[:, 0])
+    free_b = np.setdiff1d(np.arange(n, dtype=np.int64), seed_arr[:, 1])
+    ra = np.concatenate([seed_arr[:, 0], free_a])
+    rb = np.concatenate([seed_arr[:, 1], free_b])
+    af = a[np.ix_(ra, ra)].astype(np.float64)
+    bf = b[np.ix_(rb, rb)].astype(np.float64)
+    a22 = af[s:, s:]
+    b22 = bf[s:, s:]
+    lin = af[s:, :s] @ bf[s:, :s].T
+    const = float((af[:s, :s] * bf[:s, :s]).sum())
+
+    if m == 0:
+        d = np.zeros((0, 0))
+    elif isinstance(init, str):
+        d = np.full((m, m), 1.0 / m) if init == "barycenter" else np.eye(m)
+    else:
+        match0 = invert_permutation(init)
+        pos_b = np.full(n, -1, dtype=np.int64)
+        pos_b[rb[s:]] = np.arange(m)
+        d = np.zeros((m, m))
+        for idx, u in enumerate(ra[s:]):
+            d[idx, pos_b[match0[u]]] = 1.0
+
+    def relaxed_obj(mat):
+        return const + 2.0 * float((lin * mat).sum()) + float((a22 @ mat @ b22 * mat).sum())
+
+    trace_vals = [relaxed_obj(d)] if m > 0 else [const]
+    iterations = 0
+    converged = m == 0
+    for _ in range(max_iters if m > 0 else 0):
+        iterations += 1
+        grad = 2.0 * (a22 @ d @ b22) + 2.0 * lin
+        q, _ = solve_lap(-grad)
+        qmat = np.zeros((m, m))
+        qmat[np.arange(m), q] = 1.0
+        r = qmat - d
+        c2 = float((a22 @ r @ b22 * r).sum())
+        c1 = 2.0 * float((a22 @ r @ b22 * d).sum()) + 2.0 * float((lin * r).sum())
+        t = _quadratic_step(c2, c1)
+        if t > 0.0:
+            d = d + t * r
+        new_obj = relaxed_obj(d)
+        prev_obj = trace_vals[-1]
+        trace_vals.append(new_obj)
+        if abs(new_obj - prev_obj) <= tol * max(1.0, abs(prev_obj)):
+            converged = True
+            break
+    proj = solve_lap(-d)[0] if m > 0 else np.zeros(0, dtype=np.int64)
+    match = np.empty(n, dtype=np.int64)
+    match[ra[:s]] = rb[:s]
+    match[free_a] = rb[s + proj]
+    phi = invert_permutation(match)
+    return MatchResult(phi, gm_objective(a, b, phi), trace_objective(a, b, phi),
+                       iterations, converged, tuple(trace_vals))
+
+
+def _oracle_cases():
+    """(a, b, seeds, init, max_iters): n = 1 to 40, seed counts from none
+    to all, empty and complete graphs (ties in every LAP) and random
+    pairs, the three kinds of init and early, late and capped stops."""
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 5, 13, 40):
+        pairs = ((empty_graph(n), empty_graph(n)), (complete_graph(n), complete_graph(n)),
+                 (complete_graph(n), random_graph(n, 0.5, rng)),
+                 sample_rho_sbm(er_params(n, 0.4), 0.8, rng),
+                 (random_graph(n, 0.3, rng), random_graph(n, 0.3, rng)))
+        for a, b in pairs:
+            for s in sorted({0, n // 3, n - 1, n}):
+                verts = np.sort(rng.choice(n, size=s, replace=False))
+                seeds = identity_seeds(verts) if s else None
+                free = np.setdiff1d(np.arange(n), verts)
+                phi = np.arange(n)
+                phi[free] = rng.permutation(free)
+                for init in ("barycenter", "identity", phi):
+                    for max_iters in (1, 2, 100):
+                        yield a, b, seeds, init, max_iters
+
+
+def test_sgm_match_reproduces_reference_bit_for_bit():
+    count = 0
+    for a, b, seeds, init, max_iters in _oracle_cases():
+        got = sgm_match(a, b, seeds=seeds, init=init, max_iters=max_iters)
+        want = reference_sgm_match(a, b, seeds=seeds, init=init, max_iters=max_iters)
+        assert np.array_equal(got.permutation, want.permutation)
+        assert (got.objective, got.trace_value) == (want.objective, want.trace_value)
+        assert type(got.objective) is type(got.trace_value) is int
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert got.objective_trace == want.objective_trace
+        count += 1
+    assert count == 765  # 17 (n, s) pairs x 5 graph pairs x 3 inits x 3 caps
 
 
 class TestSolveLap:
@@ -137,6 +241,8 @@ class TestFaqMatch:
             faq_match(a, a, init="nonsense")
         with pytest.raises(ValueError):
             faq_match(a, a, init=np.array([0, 0, 1]))
+        with pytest.raises(ValueError, match="bijection"):
+            faq_match(a, a, init=[0.0, 1.9, 2.0])
         with pytest.raises(ValueError, match="init"):
             faq_match(a, a, init=np.eye(3))
 
