@@ -10,17 +10,16 @@ single swaps.
 """
 
 from corrmatch import (
+    BlockPartition,
     RngStream,
+    SbmParams,
     phase_transition_experiment,
-    three_block_params,
     sample_rho_sbm,
+    three_block_params,
     transposition_sweep,
 )
 
 # smaller blocks and fewer replicates than the full study so this runs in seconds
-import numpy as np
-from corrmatch import BlockPartition, SbmParams
-
 params = SbmParams(BlockPartition((30, 30, 30)), three_block_params().lam)
 rows = phase_transition_experiment(mc_reps=30, master_seed=7, params=params)
 

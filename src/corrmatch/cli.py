@@ -42,6 +42,7 @@ from .matching import read_permutation, read_seeds, sgm_match, write_permutation
 from .samplers import (
     RngStream,
     SbmParams,
+    er_params,
     sample_block_permutation,
     sample_rho_sbm,
     sample_subset_shuffle,
@@ -78,17 +79,19 @@ def _write_sidecar(path: str, experiment: str, config: dict, master_seed: int) -
         fh.write("\n")
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
-    return cfg
+def _load_config(path: str | None, **flags) -> dict:
+    """The JSON object in ``path`` ({} without one), overridden by the
+    ``flags`` that were given."""
+    cfg = {}
+    if path is not None:
+        with open(path) as fh:
+            try:
+                cfg = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+    return {**cfg, **{k: v for k, v in flags.items() if v is not None}}
 
 
 def _grid(cast):
@@ -106,8 +109,7 @@ def _sbm_from_config(cfg: dict) -> SbmParams:
             return SbmParams(BlockPartition(tuple(int(s) for s in cfg["sizes"])),
                              np.asarray(cfg["lambda"], dtype=np.float64))
         if model == ["n", "p"]:
-            n, p = int(cfg["n"]), float(cfg["p"])
-            return SbmParams(BlockPartition((n,)), np.array([[p]]))
+            return er_params(int(cfg["n"]), float(cfg["p"]))
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"config model fields are malformed: {exc}") from None
     raise ValueError(f"config and flags must give one model, {{sizes, lambda}} or {{n, p}}, "
@@ -136,35 +138,29 @@ def _exp_model(path: str) -> SbmParams:
 # -- commands ----------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
-    cfg = _load_config(args.config)
-    if args.rho is not None:
-        cfg["rho"] = args.rho
-    if args.model == "rho-er":
-        if "n" not in cfg or "p" not in cfg:
-            raise ValueError("rho-er needs n and p (config or flags)")
+    cfg = _load_config(args.config, rho=args.rho)
+    if args.model == "rho-er" and not {"n", "p"} <= cfg.keys():
+        raise ValueError("rho-er needs n and p (config or flags)")
     params = _sbm_from_config(cfg)
     rho = _config_rho(cfg) if "rho" in cfg else 0.0
     gen = RngStream(args.master_seed, 0).generator()
     a, b = sample_rho_sbm(params, rho, gen)
 
-    sigma = None
-    if args.shuffle != "none":
-        sgen = RngStream(args.master_seed, 1).generator()
-        if args.shuffle == "uniform":
-            sigma = sample_uniform_permutation(params.n, sgen)
-        elif args.shuffle == "block":
-            sigma = sample_block_permutation(params.partition, sgen)
-        else:
-            protect = read_labels(args.protect_file) if args.protect_file else []
-            k = args.subset_size if args.subset_size is not None else params.n - len(protect)
-            sigma = sample_subset_shuffle(params.n, protect, k, sgen)
-        b = apply_permutation(b, sigma)
+    sigma = np.arange(params.n, dtype=np.int64)  # --shuffle none
+    sgen = RngStream(args.master_seed, 1).generator()
+    if args.shuffle == "uniform":
+        sigma = sample_uniform_permutation(params.n, sgen)
+    elif args.shuffle == "block":
+        sigma = sample_block_permutation(params.partition, sgen)
+    elif args.shuffle == "subset":
+        protect = read_labels(args.protect_file) if args.protect_file else []
+        k = args.subset_size if args.subset_size is not None else params.n - len(protect)
+        sigma = sample_subset_shuffle(params.n, protect, k, sgen)
 
     write_edgelist(args.out_a, a)
-    write_edgelist(args.out_b, b)
+    write_edgelist(args.out_b, apply_permutation(b, sigma))
     if args.out_perm:
-        write_permutation(args.out_perm, sigma if sigma is not None
-                          else np.arange(params.n, dtype=np.int64))
+        write_permutation(args.out_perm, sigma)
     return 0
 
 
@@ -172,9 +168,7 @@ def _cmd_match(args) -> int:
     a = read_edgelist(args.a)
     b = read_edgelist(args.b)
     seeds = read_seeds(args.seeds) if args.seeds else None
-    init = args.init
-    if init not in ("identity", "barycenter"):
-        init = read_permutation(init)
+    init = args.init if args.init in ("identity", "barycenter") else read_permutation(args.init)
     res = sgm_match(a, b, seeds=seeds, init=init, max_iters=args.max_iters, tol=args.tol)
     write_permutation(args.out_perm, res.permutation)
     report = {
@@ -196,13 +190,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_mi(args) -> int:
-    cfg = _load_config(args.config)
-    if args.rho is not None:
-        cfg["rho"] = args.rho
-    if args.n is not None:
-        cfg["n"] = args.n
-    if args.p is not None:
-        cfg["p"] = args.p
+    cfg = _load_config(args.config, rho=args.rho, n=args.n, p=args.p)
     if "rho" not in cfg:
         raise ValueError("mi needs rho (config or --rho)")
     params = _sbm_from_config(cfg)
@@ -213,10 +201,8 @@ def _cmd_mi(args) -> int:
     unit = "bits" if args.bits else "nats"
     print(f"I = {mi * scale:.6f}")
     print(f"H = {ent * scale:.6f}")
-    if rho > 0.0:
-        print(f"small_rho_ratio = {mi_small_rho_ratio(params, rho):.6f}")
-    else:
-        print("small_rho_ratio = undefined")
+    ratio = f"{mi_small_rho_ratio(params, rho):.6f}" if rho > 0.0 else "undefined"
+    print(f"small_rho_ratio = {ratio}")
     print(f"units = {unit}")
     return 0
 
@@ -401,7 +387,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

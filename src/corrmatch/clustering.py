@@ -23,7 +23,7 @@ import numpy as np
 
 from ._parallel import MonteCarlo, check_count, check_range
 from .embedding import ase, omnibus
-from .graphs import apply_permutation
+from .graphs import _check_same_size, apply_permutation
 from .samplers import (
     SbmParams,
     _as_generator,
@@ -222,8 +222,7 @@ def joint_cluster(a: np.ndarray, b: np.ndarray, d: int, k: int, rng,
                   restarts: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """Embed the omnibus matrix, fit one GMM on all 2n rows, and return
     the label slices for a's and b's vertices."""
-    if a.shape != b.shape:
-        raise ValueError("graph size mismatch")
+    _check_same_size(a, b)
     n = a.shape[0]
     z = ase(omnibus(a, b), d)
     _, labels = fit_gmm(z, k, rng, restarts=restarts)
@@ -278,7 +277,7 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:
         a, b = draw_pair(gen)
         n = a.shape[0]
-        seed_vertices = np.sort(gen.choice(n, size=s, replace=False)) if s else np.zeros(0, dtype=np.int64)
+        seed_vertices = np.sort(gen.choice(n, size=s, replace=False))
         sigma = sample_subset_shuffle(n, seed_vertices, n - s, gen)
         b_sh = apply_permutation(b, sigma)
         cluster_seed = int(gen.integers(2 ** 62))
@@ -324,8 +323,7 @@ def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
     restarts. Scores the clustering of graph a's vertices against the
     given labels; swap the inputs to score the other graph.
     """
-    if a.shape != b.shape:
-        raise ValueError("graph size mismatch")
+    _check_same_size(a, b)
     labels = np.asarray(labels, dtype=np.int64)
     n = a.shape[0]
     if labels.shape[0] != n:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._parallel import check_count
+from .graphs import _check_same_size
 
 
 def ase(m: np.ndarray, d: int) -> np.ndarray:
@@ -33,18 +34,14 @@ def ase(m: np.ndarray, d: int) -> np.ndarray:
     w, v = np.linalg.eigh(a)
     order = np.argsort(-np.abs(w), kind="stable")[:d]
     vecs = v[:, order]
-    vals = np.abs(w[order])
-    for col in range(d):
-        lead = int(np.argmax(np.abs(vecs[:, col])))
-        if vecs[lead, col] < 0:
-            vecs[:, col] = -vecs[:, col]
-    return vecs * np.sqrt(vals)[None, :]
+    lead = np.argmax(np.abs(vecs), axis=0)  # each column's largest-magnitude entry
+    vecs *= np.where(vecs[lead, np.arange(d)] < 0, -1.0, 1.0)
+    return vecs * np.sqrt(np.abs(w[order]))[None, :]
 
 
 def omnibus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """2n x 2n omnibus matrix [[A, (A+B)/2], [(A+B)/2, B]]."""
-    if a.shape != b.shape:
-        raise ValueError(f"graph size mismatch: {a.shape} vs {b.shape}")
+    _check_same_size(a, b)
     af = np.asarray(a, dtype=np.float64)
     bf = np.asarray(b, dtype=np.float64)
     avg = (af + bf) / 2.0
@@ -70,16 +67,13 @@ def procrustes_align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 def t1_semipar(a: np.ndarray, b: np.ndarray, d: int) -> float:
     """Semiparametric statistic: Procrustes distance of the two ASEs."""
-    if a.shape != b.shape:
-        raise ValueError("graph size mismatch")
-    _, residual = procrustes_align(ase(a, d), ase(b, d))
-    return residual
+    _check_same_size(a, b)
+    return procrustes_align(ase(a, d), ase(b, d))[1]
 
 
 def t2_omni(a: np.ndarray, b: np.ndarray, d: int) -> float:
     """Omnibus statistic: ||Xhat_O - Yhat_O||_F from the joint embedding."""
-    if a.shape != b.shape:
-        raise ValueError("graph size mismatch")
+    _check_same_size(a, b)
     n = a.shape[0]
     z = ase(omnibus(a, b), d)
     return float(np.linalg.norm(z[:n] - z[n:]))

@@ -12,6 +12,8 @@ transposition deltas) are computed in exact integer arithmetic.
 
 from __future__ import annotations
 
+import io
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +36,7 @@ def as_adjacency(a, copy: bool = False) -> np.ndarray:
         raise ValueError("adjacency must have zero diagonal (no self-loops)")
     if not np.array_equal(m, m.T):
         raise ValueError("adjacency must be symmetric")
-    out = m.astype(ADJ_DTYPE, copy=copy)
-    return out
+    return m.astype(ADJ_DTYPE, copy=copy)
 
 
 def empty_graph(n: int) -> np.ndarray:
@@ -49,21 +50,19 @@ def complete_graph(n: int) -> np.ndarray:
 
 
 def graph_from_edges(n: int, edges) -> np.ndarray:
-    """Adjacency from an iterable of (u, v) pairs."""
+    """Adjacency from an (m, 2) array or a sequence of (u, v) pairs."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    if (u == v).any():
+        raise ValueError(f"self-loop {u[u == v][0]}")
     a = empty_graph(n)
-    for u, v in edges:
-        if u == v:
-            raise ValueError(f"self-loop {u}")
-        a[u, v] = 1
-        a[v, u] = 1
+    a[u, v] = 1
+    a[v, u] = 1
     return a
 
 
 def upper_triangle(a: np.ndarray) -> np.ndarray:
     """Strict upper-triangle entries of a as a flat vector (row-major)."""
-    n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return a[iu]
+    return a[np.triu_indices(a.shape[0], k=1)]
 
 
 # -- permutations -----------------------------------------------------------
@@ -278,62 +277,92 @@ class BlockPartition:
 
 
 # -- file formats -----------------------------------------------------------
+# Edge lists, labels, permutations and seeds share one format: lines of the
+# same number of integers. Blank lines and lines whose first non-blank
+# character is '#' are skipped; '# n=<int>' gives n.
+
+_HEADER = re.compile(r"#\s*n=(.*)")
+
+
+def _file_error(path, text: str, width: int, row: int | None = None,
+                message: str = "") -> ValueError:
+    """The error naming the first malformed line of a file's ``text``, or
+    else the line of data row ``row`` with ``message`` (error path only)."""
+    seen = -1  # index of the last data row read
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line, tokens = line.strip(), line.split()
+        header = _HEADER.match(line)
+        if header and not header[1].strip().isdecimal():
+            return ValueError(f"{path}:{lineno}: expected '# n=<int>', got {line!r}")
+        if not tokens or line.startswith("#"):
+            continue
+        if len(tokens) != width or not all(
+                re.fullmatch(r"[+-]?[0-9]+", t) and -2 ** 63 <= int(t) < 2 ** 63 for t in tokens):
+            return ValueError(f"{path}:{lineno}: expected {width} integer(s), got {line!r}")
+        seen += 1
+        if seen == row:
+            return ValueError(f"{path}:{lineno}: {message}")
+    return ValueError(f"{path}: expected lines of {width} integer(s)")
+
+
+def _read_int_lines(path, width: int) -> tuple[np.ndarray, int | None, str]:
+    """The data rows of a file, shape (lines, width), its '# n=' count, and
+    its text, which ``_file_error`` reads (a pipe cannot be read twice)."""
+    with open(path) as fh:
+        text = fh.read()
+    n = None
+    for line in re.findall(r"^.*#.*", text, re.MULTILINE):  # the lines holding a '#'
+        header = _HEADER.match(line.strip())
+        if not line.lstrip().startswith("#") or header and not header[1].strip().isdecimal():
+            raise _file_error(path, text, width)  # '#' after data, or a malformed '# n='
+        n = int(header[1]) if header else n
+    try:  # a last row of zeros fixes the width, also of a file without data
+        rows = np.loadtxt(io.StringIO(f"{text}\n{' 0' * width}"), dtype=np.int64,
+                          comments="#", ndmin=2)
+    except ValueError:
+        raise _file_error(path, text, width) from None
+    return rows[:-1], n, text
+
+
+def _write_int_lines(path, values, width: int, header: str = "") -> None:
+    """Write ``header``, then ``values`` as lines of ``width`` integers."""
+    rows = np.asarray(values, dtype=np.int64).reshape(-1, width)
+    line = " ".join(["%d"] * width) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + (line * len(rows)) % tuple(rows.ravel().tolist()))
+
 
 def write_edgelist(path, a: np.ndarray) -> None:
     """Write an edge list: header line '# n=<int>' then one 'u v' per line."""
-    n = a.shape[0]
-    iu, ju = np.nonzero(np.triu(a, k=1))
-    with open(path, "w") as fh:
-        fh.write(f"# n={n}\n")
-        for u, v in zip(iu.tolist(), ju.tolist()):
-            fh.write(f"{u} {v}\n")
+    _write_int_lines(path, np.argwhere(np.triu(a, k=1)), 2, header=f"# n={a.shape[0]}\n")
 
 
 def read_edgelist(path) -> np.ndarray:
     """Read an edge list file into an adjacency matrix.
 
     Accepts an optional '# n=<int>' header; otherwise n is inferred as
-    max vertex id + 1. Self-loops and duplicate edges are rejected.
+    max vertex id + 1. Self-loops, vertices out of range and duplicate
+    edges are rejected, naming the file line.
     """
-    n = None
-    edges = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("n="):
-                    n = int(body[2:])
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if u == v:
-                raise ValueError(f"{path}:{lineno}: self-loop {u}")
-            edges.append((u, v))
-    if n is None:
-        n = 1 + max((max(u, v) for u, v in edges), default=-1)
-    a = empty_graph(n)
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"vertex out of range in {path}: ({u}, {v}) with n={n}")
-        if a[u, v]:
-            raise ValueError(f"duplicate edge ({u}, {v}) in {path}")
-        a[u, v] = 1
-        a[v, u] = 1
-    return a
+    edges, n, text = _read_int_lines(path, 2)
+    n = int(edges.max(initial=-1)) + 1 if n is None else n
+    u, v = edges.T
+    first = np.zeros(len(edges), dtype=bool)
+    first[np.unique(np.minimum(u, v) * n + np.maximum(u, v), return_index=True)[1]] = True
+    for bad, message in ((u == v, "self-loop {u}"),
+                         ((edges < 0).any(axis=1) | (edges >= n).any(axis=1),
+                          "vertex out of range ({u}, {v}) with n={n}"),
+                         (~first, "duplicate edge ({u}, {v})")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise _file_error(path, text, 2, k, message.format(u=u[k], v=v[k], n=n))
+    return graph_from_edges(n, edges)
 
 
 def write_labels(path, labels) -> None:
-    with open(path, "w") as fh:
-        for lab in np.asarray(labels, dtype=np.int64).tolist():
-            fh.write(f"{lab}\n")
+    """Write one integer label per line."""
+    _write_int_lines(path, labels, 1)
 
 
 def read_labels(path) -> np.ndarray:
-    with open(path) as fh:
-        vals = [int(line.strip()) for line in fh if line.strip()]
-    return np.asarray(vals, dtype=np.int64)
+    return _read_int_lines(path, 1)[0][:, 0]

@@ -25,6 +25,7 @@ from scipy.stats import norm
 from ._parallel import MonteCarlo, check_count, check_range
 from .embedding import t2_omni
 from .graphs import (
+    _check_same_size,
     apply_permutation,
     edge_disagreements,
     max_degree,
@@ -64,8 +65,7 @@ def three_block_params() -> SbmParams:
 # -- statistics --------------------------------------------------------------
 
 def _edge_fractions(a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
-    if a.shape != b.shape:
-        raise ValueError("graph size mismatch")
+    _check_same_size(a, b)
     n = a.shape[0]
     m = n * (n - 1) // 2
     p1 = int(a.sum()) // 2 / m
@@ -267,7 +267,7 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     def omni_stats(a: np.ndarray, b: np.ndarray, x: int, gen: np.random.Generator):
         """T2 of a against b with x random unseeded vertices of b shuffled,
         before and after seeded matching."""
-        unseeded = np.sort(gen.choice(n, size=x, replace=False)) if x else np.zeros(0, dtype=np.int64)
+        unseeded = np.sort(gen.choice(n, size=x, replace=False))
         seeds = np.setdiff1d(np.arange(n), unseeded, assume_unique=True)
         b_sh = apply_permutation(b, sample_subset_shuffle(n, seeds, x, gen))
         t_shuffled = t2_omni(a, b_sh, d)

@@ -11,11 +11,12 @@ for i < j and C(n_i, 2) for i = j,
 
 The per-pair mutual information has the closed form
 
-    I(X;Y) = p(p+r(1-p)) log(1 + r(1-p)/p) + 2p(1-p)(1-r) log(1-r)
-             + (1-p)(1-p+pr) log(1 + rp/(1-p)),
+    I(X;Y) = p^2 f(r(1-p)/p) + (1-p)^2 f(rp/(1-p)) + 2p(1-p) f(-r),
+    f(x)   = (1+x) log(1+x) - x >= 0,
 
-with the conventions 0*log(0) = 0 and the r = 1 / degenerate-p limits
-taken by explicit branches. ``brute_force_pair_mi`` recomputes I(G1;G2)
+whose terms are each nonnegative and O(r^2); f is summed as a power
+series at small |x|, and the r = 1 / degenerate-p limits are taken by
+explicit branches. ``brute_force_pair_mi`` recomputes I(G1;G2)
 from the definition by enumerating all graph pairs; it exists to
 validate the formula and is only usable for tiny n.
 """
@@ -49,12 +50,17 @@ def bernoulli_pair_mi(p: float, rho: float) -> float:
     if rho == 1.0:
         return binary_entropy(p)
     q = 1.0 - p
-    ratio = rho * q / p  # overflows only for subnormal p
-    t1 = p * (p + rho * q) * (math.log1p(ratio) if ratio < math.inf
-                              else math.log(rho * q) - math.log(p))
-    t2 = 2.0 * p * q * (1.0 - rho) * math.log1p(-rho)
-    t3 = q * (q + p * rho) * math.log1p(rho * p / q)
-    return t1 + t2 + t3
+    return _scaled_f(p, rho * q) + _scaled_f(q, rho * p) + 2.0 * p * q * _scaled_f(1.0, -rho)
+
+
+def _scaled_f(a: float, c: float) -> float:
+    """a^2 f(c/a) for f(x) = (1+x) log1p(x) - x, without cancellation at
+    small |c/a| and without overflow of c/a at subnormal a."""
+    x = c / a
+    if abs(x) < 0.5:  # f(x) = sum_{k>=2} (-x)^k / (k(k-1)), smallest terms first
+        return a * a * sum((-x) ** k / (k * (k - 1)) for k in range(60, 1, -1))
+    log = math.log1p(x) if x < math.inf else math.log(c) - math.log(a)
+    return a * (a + c) * log - a * c
 
 
 def block_pair_counts(params: SbmParams) -> list[tuple[int, int, int]]:
@@ -69,22 +75,20 @@ def block_pair_counts(params: SbmParams) -> list[tuple[int, int, int]]:
     return out
 
 
+def _block_sum(params: SbmParams, per_pair) -> float:
+    """sum_{i<=j} n_ij * per_pair(lam_ij), in block order."""
+    return sum((nij * per_pair(float(params.lam[i, j]))
+                for i, j, nij in block_pair_counts(params) if nij), 0.0)
+
+
 def rho_sbm_mi(params: SbmParams, rho: float) -> float:
     """I(G1; G2) in nats for a correlated SBM pair at the latent alignment."""
-    total = 0.0
-    for i, j, nij in block_pair_counts(params):
-        if nij:
-            total += nij * bernoulli_pair_mi(float(params.lam[i, j]), rho)
-    return total
+    return _block_sum(params, lambda p: bernoulli_pair_mi(p, rho))
 
 
 def sbm_entropy(params: SbmParams) -> float:
     """H(G1) in nats under edgewise independence."""
-    total = 0.0
-    for i, j, nij in block_pair_counts(params):
-        if nij:
-            total += nij * binary_entropy(float(params.lam[i, j]))
-    return total
+    return _block_sum(params, binary_entropy)
 
 
 def mi_small_rho_ratio(params: SbmParams, rho: float) -> float:

@@ -33,6 +33,9 @@ from scipy.optimize import linear_sum_assignment
 
 from .graphs import (
     BlockPartition,
+    _check_same_size,
+    _read_int_lines,
+    _write_int_lines,
     as_adjacency,
     invert_permutation,
     is_permutation,
@@ -73,11 +76,9 @@ class MatchResult:
 
 
 def _validate_seeds(seeds, n: int) -> np.ndarray:
-    if seeds is None:
-        return np.zeros((0, 2), dtype=np.int64)
-    arr = np.asarray(seeds, dtype=np.int64)
+    arr = np.asarray(() if seeds is None else seeds, dtype=np.int64)
     if arr.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
+        return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("seeds must be an array of (u, v) pairs")
     if arr.min() < 0 or arr.max() >= n:
@@ -111,8 +112,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     """
     a = as_adjacency(a)
     b = as_adjacency(b)
-    if a.shape != b.shape:
-        raise ValueError(f"graph size mismatch: {a.shape} vs {b.shape}")
+    _check_same_size(a, b)
     n = a.shape[0]
     seed_arr = _validate_seeds(seeds, n)
     s = seed_arr.shape[0]
@@ -216,8 +216,7 @@ def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition)
     then row-major order), and best_delta its value. best_pair is None
     when no block has two vertices.
     """
-    if a.shape != b.shape:
-        raise ValueError("graph size mismatch")
+    _check_same_size(a, b)
     ab = a.astype(np.int64) @ b.astype(np.int64)
     diag = np.diag(ab)
     full = diag[:, None] + diag[None, :] - ab - ab.T
@@ -245,39 +244,23 @@ def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition)
 
 def write_permutation(path, phi: np.ndarray) -> None:
     """Write a permutation file: line i holds phi(i), 0-based."""
-    with open(path, "w") as fh:
-        for v in np.asarray(phi, dtype=np.int64).tolist():
-            fh.write(f"{v}\n")
+    _write_int_lines(path, phi, 1)
 
 
 def read_permutation(path) -> np.ndarray:
-    with open(path) as fh:
-        vals = [int(line.strip()) for line in fh if line.strip()]
-    phi = np.asarray(vals, dtype=np.int64)
+    phi = _read_int_lines(path, 1)[0][:, 0]
     if not is_permutation(phi):
         raise ValueError(f"{path} does not contain a permutation of 0..{phi.shape[0]-1}")
     return phi
 
 
 def write_seeds(path, seeds: np.ndarray) -> None:
-    arr = np.asarray(seeds, dtype=np.int64).reshape(-1, 2)
-    with open(path, "w") as fh:
-        for u, v in arr.tolist():
-            fh.write(f"{u} {v}\n")
+    """Write a seed file: one 'u v' line per seed pair."""
+    _write_int_lines(path, seeds, 2)
 
 
 def read_seeds(path) -> np.ndarray:
-    pairs = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'u v'")
-            pairs.append((int(parts[0]), int(parts[1])))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return _read_int_lines(path, 2)[0]
 
 
 def identity_seeds(vertices) -> np.ndarray:

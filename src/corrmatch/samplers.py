@@ -149,6 +149,11 @@ def _sample_symmetric_bernoulli(prob: np.ndarray, gen: np.random.Generator) -> n
     return a + a.T
 
 
+def _rho_conditional(a: np.ndarray, p, rho: float) -> np.ndarray:
+    """P(second cell = 1 | first cell a) for rho-correlated Bernoulli(p) cells."""
+    return np.where(a == 1, p + rho * (1.0 - p), p * (1.0 - rho))
+
+
 def sample_sbm(params: SbmParams, rng) -> np.ndarray:
     """One SBM draw: pair {j,l} adjacent with probability lambda[b(j), b(l)]."""
     gen = _as_generator(rng)
@@ -167,7 +172,7 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
     gen = _as_generator(rng)
     p = params.edge_probability_matrix()
     a = _sample_symmetric_bernoulli(p, gen)
-    cond = np.where(a == 1, p + rho * (1.0 - p), p * (1.0 - rho))
+    cond = _rho_conditional(a, p, rho)
     b = _sample_symmetric_bernoulli(cond, gen)
     return a, b
 
@@ -181,7 +186,7 @@ def sample_rho_bipartite(m1: int, m2: int, p: float, rho: float, rng) -> tuple[n
         raise ValueError("p must lie in [0, 1]")
     gen = _as_generator(rng)
     a = (gen.random((m1, m2)) < p).astype(ADJ_DTYPE)
-    cond = np.where(a == 1, p + rho * (1.0 - p), p * (1.0 - rho))
+    cond = _rho_conditional(a, p, rho)
     b = (gen.random((m1, m2)) < cond).astype(ADJ_DTYPE)
     return a, b
 

@@ -490,3 +490,72 @@ def test_rejected_input(input_dir, capsys, name):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert word in captured.err
     assert not any(input_dir.glob("out*"))
+
+
+# SHA-256 of the files that `sample` and then `match` write at --seed 7
+# (numpy 2.4, scipy 1.17, OpenBLAS): the edge lists, the shuffle, and the
+# permutation and report of a seeded match and of one started from a file.
+PINNED_FILES = {
+    "a.edg": "b7b0f61b4c27edb3131f7fdcd585fd598b42021c0834853e02fa12424b0881bb",
+    "b.edg": "ff609a728f707346b2e87ff33459538eca9a6970388c462409f833ad57cde815",
+    "sigma.txt": "394b0420eeb5f36593c6df46c3ebbdeab0a098e965d1424bbfe1fd0a6341c3f3",
+    "phi.txt": "e72b8e869920812d337182c5f2cbc8e5fe27c9b8deae6d3050bfdc383128d760",
+    "report.json": "7a3c9df57e0772dba146cb97a42fcb8810a8323ada3550767bec0b5ee0a9fae6",
+    "phi_init.txt": "afb380eccb8b4f63475acc39538e3da93c3abcfcafb021f41b05c0256f6fecd8",
+    "report_init.json": "ea668ddd2e9603eb6cf0887ffcaa7d1deeb29b571fc1c98b3d0f6ddc71e2bc6c",
+}
+
+
+def test_sample_and_match_files_pinned(input_dir, capsys):
+    (input_dir / "er.json").write_text(json.dumps({"n": 20, "p": 0.4, "rho": 0.6}))
+    (input_dir / "protect.txt").write_text("0\n1\n2\n3\n")
+    (input_dir / "seeds.txt").write_text("0 0\n1 1\n2 2\n3 3\n")
+    runs = [("sample", "--model", "rho-er", "--config", "er.json", "--shuffle", "subset",
+             "--protect-file", "protect.txt", "--subset-size", "10",
+             "--out-a", "a.edg", "--out-b", "b.edg", "--out-perm", "sigma.txt"),
+            ("match", "--a", "a.edg", "--b", "b.edg", "--seeds", "seeds.txt",
+             "--out-perm", "phi.txt", "--report", "report.json"),
+            ("match", "--a", "a.edg", "--b", "b.edg", "--init", "sigma.txt",
+             "--out-perm", "phi_init.txt", "--report", "report_init.json")]
+    for argv in runs:
+        code, _, err = run_cli(capsys, *argv, "--seed", "7")
+        assert code == 0, err
+    digests = {f: hashlib.sha256((input_dir / f).read_bytes()).hexdigest() for f in PINNED_FILES}
+    assert digests == PINNED_FILES
+
+
+# A malformed file of each kind, read by the command that takes it: each
+# run exits 2 with one stderr line naming the file and line, and writes
+# nothing.
+MALFORMED_FILES = {
+    "edge list": ("match", "--a", "bad.txt", "--b", "a.edg", "--out-perm", "out"),
+    "seeds": ("match", "--a", "a.edg", "--b", "a.edg", "--seeds", "bad.txt",
+              "--out-perm", "out"),
+    "permutation": ("match", "--a", "a.edg", "--b", "a.edg", "--init", "bad.txt",
+                    "--out-perm", "out"),
+    "labels": ("sample", "--model", "rho-er", "--config", "er.json", "--shuffle", "subset",
+               "--protect-file", "bad.txt", "--out-a", "out", "--out-b", "out_b"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_FILES))
+@pytest.mark.parametrize("bad_line", ["1.5", "0 1 2", "0 # x", "# n=abc"])
+def test_malformed_file_exit_2(input_dir, capsys, kind, bad_line):
+    (input_dir / "er.json").write_text(json.dumps({"n": 16, "p": 0.4, "rho": 0.6}))
+    (input_dir / "bad.txt").write_text(f"# head\n\n{bad_line}\n")
+    code, out, err = run_cli(capsys, *MALFORMED_FILES[kind])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad.txt:3: ") and err.count("\n") == 1
+    assert not any(input_dir.glob("out*"))
+
+
+def test_unallocatable_graph_exit_2(input_dir, capsys):
+    # numpy refuses an n x n int8 array of 888 PiB at once, touching no memory
+    (input_dir / "huge.edg").write_text("# n=1000000000\n0 1\n")
+    code, out, err = run_cli(capsys, "match", "--a", "huge.edg", "--b", "huge.edg",
+                             "--out-perm", "out")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(input_dir.glob("out*"))

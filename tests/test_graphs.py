@@ -20,6 +20,8 @@ from corrmatch import (
     permutation_matrix,
     read_edgelist,
     read_labels,
+    read_permutation,
+    read_seeds,
     sample_edge_correlation,
     spectral_norm,
     trace_objective,
@@ -28,6 +30,8 @@ from corrmatch import (
     triangle_count,
     write_edgelist,
     write_labels,
+    write_permutation,
+    write_seeds,
 )
 
 
@@ -316,16 +320,77 @@ class TestFileFormats:
     def test_edgelist_rejects_self_loop(self, tmp_path):
         path = tmp_path / "bad.edg"
         path.write_text("# n=3\n1 1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             read_edgelist(path)
+        assert str(exc.value) == f"{path}:2: self-loop 1"
 
     def test_edgelist_rejects_duplicates(self, tmp_path):
         path = tmp_path / "bad.edg"
-        path.write_text("# n=3\n0 1\n1 0\n")
-        with pytest.raises(ValueError):
+        path.write_text("# n=3\n0 1\n\n# c\n1 0\n")
+        with pytest.raises(ValueError) as exc:
             read_edgelist(path)
+        assert str(exc.value) == f"{path}:5: duplicate edge (1, 0)"
+
+    @pytest.mark.parametrize("body, line, edge", [("# n=3\n0 1\n2 3\n", 3, "(2, 3) with n=3"),
+                                                  ("0 1\n-1 2\n", 2, "(-1, 2) with n=3")])
+    def test_edgelist_rejects_vertex_out_of_range(self, tmp_path, body, line, edge):
+        path = tmp_path / "bad.edg"
+        path.write_text(body)
+        with pytest.raises(ValueError) as exc:
+            read_edgelist(path)
+        assert str(exc.value) == f"{path}:{line}: vertex out of range {edge}"
 
     def test_labels_round_trip(self, tmp_path):
         path = tmp_path / "lab.txt"
         write_labels(path, [0, 1, 1, 2])
         assert read_labels(path).tolist() == [0, 1, 1, 2]
+
+    def test_writers_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        for write, value, text in ((write_edgelist, PATH3, "# n=3\n0 1\n1 2\n"),
+                                   (write_edgelist, empty_graph(2), "# n=2\n"),
+                                   (write_labels, [3, 1], "3\n1\n"),
+                                   (write_permutation, np.array([1, 0]), "1\n0\n"),
+                                   (write_seeds, [[0, 1], [2, 2]], "0 1\n2 2\n"),
+                                   (write_seeds, np.zeros((0, 2)), "")):
+            write(path, value)
+            assert path.read_bytes() == text.encode()
+
+
+# reader -> (lines of a well-formed file, shape of an empty file)
+READERS = {
+    "edgelist": (read_edgelist, ["0 1", "1 2"], (0, 0)),
+    "labels": (read_labels, ["3", "1"], (0,)),
+    "permutation": (read_permutation, ["1", "0"], (0,)),
+    "seeds": (read_seeds, ["0 1", "2 2"], (0, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+class TestIntegerLineFiles:
+    """The one format of the four file kinds: lines of integers, with
+    blank and '#' lines skipped, and each bad line named by path:line."""
+
+    def test_skips_comment_and_blank_lines(self, tmp_path, kind):
+        read, lines, _ = READERS[kind]
+        plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+        plain.write_text("".join(f"{line}\n" for line in lines))
+        commented.write_text("# head\n\n" + "\n   \n  # c\n".join(lines) + "\n\n")
+        assert np.array_equal(read(commented), read(plain))
+
+    @pytest.mark.parametrize("body", ["", "\n \n", "# c\n"])
+    def test_empty_file(self, tmp_path, kind, body):
+        read, _, shape = READERS[kind]
+        path = tmp_path / "empty.txt"
+        path.write_text(body)
+        assert read(path).shape == shape
+
+    @pytest.mark.parametrize("bad", ["1.5", "0 1 2", "0 # x", "x", "99999999999999999999",
+                                     "# n=abc", "# n=-3"])
+    def test_malformed_line_named(self, tmp_path, kind, bad):
+        read, lines, _ = READERS[kind]
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{lines[0]}\n# c\n\n{bad}\n{lines[1]}\n")
+        with pytest.raises(ValueError) as exc:
+            read(path)
+        assert str(exc.value).startswith(f"{path}:4: expected ")

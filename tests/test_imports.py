@@ -1,7 +1,8 @@
-"""Import guards. Every module of the package and every test file uses
-each name it imports; ``__init__.py`` only re-exports, and ``from
-__future__`` imports are directives, so both are exempt. Every function
-that perfbench's tracer wraps still exists."""
+"""Import guards. Every module of the package, every test file and every
+demo uses each name it imports; ``__init__.py`` only re-exports, and
+``from __future__`` imports are directives, so both are exempt. Every
+name a demo imports from corrmatch exists, since the suite does not run
+the demos. Every function that perfbench's tracer wraps still exists."""
 
 import ast
 import importlib
@@ -11,7 +12,9 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "corrmatch"
-CHECKED = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
+DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
+CHECKED = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")) + DEMOS)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +37,15 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", CHECKED, ids=[p.name for p in CHECKED])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
+def test_demo_imports_exist(path):
+    missing = [f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "corrmatch"
+               for alias in node.names
+               if not hasattr(importlib.import_module(node.module), alias.name)]
+    assert missing == []
 
 
 def test_tracer_layers_name_existing_functions():

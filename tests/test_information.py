@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,17 @@ def table_mi_oracle(p, rho):
         if joint > 0:
             total += joint * math.log(joint / (marg[x] * marg[y]))
     return total
+
+
+def mpmath_mi_oracle(p, rho):
+    """The three-term closed form at 60 significant digits, where its
+    O(rho) cancellation costs nothing at double precision."""
+    with mpmath.workdps(60):
+        p, r = mpmath.mpf(p), mpmath.mpf(rho)
+        q = 1 - p
+        return (p * (p + r * q) * mpmath.log1p(r * q / p)
+                + 2 * p * q * (1 - r) * mpmath.log1p(-r)
+                + q * (q + p * r) * mpmath.log1p(r * p / q))
 
 
 def entropy_enumeration_oracle(params):
@@ -64,6 +76,12 @@ class TestBernoulliPairMi:
             for rho in (0.01, 0.2, 0.4, 0.85, 0.999):
                 assert bernoulli_pair_mi(p, rho) == pytest.approx(
                     table_mi_oracle(p, rho), abs=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-8, 0.05, 0.3, 0.5, 0.62, 0.95, 1 - 1e-6])
+    def test_against_mpmath_down_to_tiny_rho(self, p):
+        for rho in (0.999, 0.9, 0.6, 0.5, 0.3, 0.1, 1e-2, 1e-4, 1e-7, 1e-10, 1e-12, 1e-15):
+            exact = mpmath_mi_oracle(p, rho)
+            assert abs(bernoulli_pair_mi(p, rho) - exact) <= 1e-14 * exact, rho
 
     def test_degenerate_p(self):
         assert bernoulli_pair_mi(0.0, 0.7) == 0.0

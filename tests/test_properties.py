@@ -1,6 +1,7 @@
 """Property tests: permutation algebra, the matching objectives, ARI,
-mutual information and triangle counts, on inputs drawn by hypothesis,
-with networkx as the independent oracle for triangle counts."""
+mutual information, the spectral embedding and triangle counts, on
+inputs drawn by hypothesis, with networkx as the independent oracle for
+triangle counts and isomorphism witnesses."""
 
 import math
 
@@ -14,6 +15,7 @@ from corrmatch import (
     SbmParams,
     apply_permutation,
     ari,
+    ase,
     compose_permutations,
     gm_objective,
     identity_permutation,
@@ -35,6 +37,17 @@ def graph(n: int):
         return a + a.T
     pairs = n * (n - 1) // 2
     return st.lists(st.booleans(), min_size=pairs, max_size=pairs).map(build)
+
+
+def symmetric(n: int):
+    """Strategy: a symmetric n x n matrix of small integers, rich in
+    eigenvalues of equal magnitude."""
+    def build(cells):
+        m = np.zeros((n, n))
+        m[np.triu_indices(n)] = cells
+        return m + np.triu(m, k=1).T
+    cells = n * (n + 1) // 2
+    return st.lists(st.integers(-2, 2), min_size=cells, max_size=cells).map(build)
 
 
 def permutation(n: int):
@@ -115,3 +128,53 @@ def test_rho_sbm_mi_monotone_in_rho(lam, rhos):
 def test_triangle_count_matches_networkx(g):
     expected = sum(nx.triangles(nx.from_numpy_array(g)).values()) // 3
     assert triangle_count(g) == expected
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(graph(n), permutation(n))))
+def test_isomorphism_witness_has_zero_objective(pair):
+    g, sigma = pair
+    h = apply_permutation(g, sigma)
+    matcher = nx.isomorphism.GraphMatcher(nx.from_numpy_array(g), nx.from_numpy_array(h))
+    assert matcher.is_isomorphic()
+    # VF2 maps vertex u of g to vertex match[u] of h; phi relabels h onto g
+    match = np.array([matcher.mapping[u] for u in range(g.shape[0])], dtype=np.int64)
+    assert gm_objective(g, h, invert_permutation(match)) == 0
+
+
+@st.composite
+def embedded(draw):
+    """(m, d, w, v, z): a symmetric matrix, a dimension, its eigh
+    decomposition, and its d-dimensional ase."""
+    n = draw(st.integers(1, 8))
+    m = draw(symmetric(n) | graph(n).map(lambda g: g.astype(np.float64)))
+    d = draw(st.integers(1, n))
+    w, v = np.linalg.eigh(m)
+    return m, d, w, v, ase(m, d)
+
+
+@given(embedded())
+def test_ase_ranks_by_magnitude_keeping_eigh_order(case):
+    m, d, w, _, z = case
+    # ranked by |lambda| descending; equal magnitudes keep eigh's ascending order
+    lam = w[np.argsort(-np.abs(w), kind="stable")][:d]
+    # column k is sqrt|lambda_k| times a unit eigenvector of lambda_k
+    assert np.allclose((z ** 2).sum(axis=0), np.abs(lam), atol=1e-9)
+    assert np.allclose(m @ z, z * lam, atol=1e-9)
+
+
+@given(embedded())
+def test_ase_largest_entry_positive(case):
+    *_, z = case
+    # the sign is fixed before scaling, which can reorder entries of equal
+    # magnitude in the last bit; so compare up to that rounding
+    assert np.all(z.max(axis=0) >= (1 - 1e-12) * np.abs(z).max(axis=0))
+
+
+@given(embedded())
+def test_ase_gram_is_rank_d_part(case):
+    m, d, w, v, z = case
+    top = np.argsort(-np.abs(w), kind="stable")[:d]
+    u = v[:, top]
+    assert np.allclose(z @ z.T, u @ np.diag(np.abs(w[top])) @ u.T, atol=1e-9)
+    if d == m.shape[0]:  # the full embedding's Gram matrix is |M| = (M^2)^(1/2)
+        assert np.allclose((z @ z.T) @ (z @ z.T), m @ m, atol=1e-8)
