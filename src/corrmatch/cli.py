@@ -138,6 +138,11 @@ def _exp_model(path: str) -> SbmParams:
 # -- commands ----------------------------------------------------------------
 
 def _cmd_sample(args) -> int:
+    if args.shuffle != "subset":
+        for flag, value in (("--subset-size", args.subset_size),
+                            ("--protect-file", args.protect_file)):
+            if value is not None:
+                raise ValueError(f"sample reads {flag} only with --shuffle subset")
     cfg = _load_config(args.config, rho=args.rho)
     if args.model == "rho-er" and not {"n", "p"} <= cfg.keys():
         raise ValueError("rho-er needs n and p (config or flags)")

@@ -18,6 +18,14 @@ from ._parallel import check_count
 from .graphs import _check_same_size
 
 
+def _check_symmetric(a: np.ndarray) -> None:
+    """Reject a float64 matrix that is not square or not symmetric to 1e-12."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"input must be square, got {a.shape}")
+    if not (np.array_equal(a, a.T) or np.allclose(a, a.T, atol=1e-12)):
+        raise ValueError("input must be symmetric")
+
+
 def ase(m: np.ndarray, d: int) -> np.ndarray:
     """Adjacency spectral embedding: n x d matrix U_d * diag(|lambda|_d)^(1/2).
 
@@ -25,10 +33,7 @@ def ase(m: np.ndarray, d: int) -> np.ndarray:
     in the ascending-eigenvalue decomposition).
     """
     a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"input must be square, got {a.shape}")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("input must be symmetric")
+    _check_symmetric(a)
     n = a.shape[0]
     check_count("d", d, n)
     w, v = np.linalg.eigh(a)
@@ -72,9 +77,21 @@ def t1_semipar(a: np.ndarray, b: np.ndarray, d: int) -> float:
 
 
 def t2_omni(a: np.ndarray, b: np.ndarray, d: int) -> float:
-    """Omnibus statistic: ||Xhat_O - Yhat_O||_F from the joint embedding."""
+    """Omnibus statistic: ||Xhat_O - Yhat_O||_F from the joint embedding.
+
+    Exactly 0.0 when ``np.array_equal(a, b)``, without an embedding: the
+    omnibus matrix of (A, A) is [[1, 1], [1, 1]] kron A, whose
+    eigenvectors of nonzero eigenvalue all have the form [u; u], so the
+    two halves of the embedding coincide for every d and every tie. The
+    input checks (sizes, d in [1, 2n], square, symmetric) are the same
+    on both paths.
+    """
     _check_same_size(a, b)
     n = a.shape[0]
+    if np.array_equal(a, b):
+        _check_symmetric(np.asarray(a, dtype=np.float64))
+        check_count("d", d, 2 * n)
+        return 0.0
     z = ase(omnibus(a, b), d)
     return float(np.linalg.norm(z[:n] - z[n:]))
 

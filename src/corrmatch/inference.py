@@ -240,6 +240,9 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     then redraw graphs only. Under the anomaly-free null the maximal
     correlation is 1, so the null pair is a graph and its shuffled
     copy (all x unseeded vertices shuffled: the least favorable level).
+    A null copy that seeded matching recovers exactly scores T2 = 0
+    (see ``t2_omni``), so with ``num_anomalous=0`` the matched omnibus
+    test rejects only replicates whose copy matching fails to recover.
     The invariant tests, being label-free, are calibrated under the
     independent-pair null; their power is computed once per replicate
     and is constant across the x grid by construction.

@@ -468,6 +468,13 @@ REJECTED = {
                                         "--labels", "lab.txt", "--k", "2", "-o", "out"),
                                        "--d --scree"),
 }
+# sample reads --subset-size and --protect-file only with --shuffle subset,
+# even when the protect file does not exist
+for _shuffle in ("none", "uniform", "block"):
+    for _flag, _value in (("--subset-size", "5"), ("--protect-file", "nope.txt")):
+        REJECTED[f"sample --shuffle {_shuffle} {_flag}"] = (
+            ("sample", "--config", "sbm.json", "--shuffle", _shuffle, _flag, _value,
+             "--out-a", "out", "--out-b", "out_b"), _flag)
 
 
 @pytest.mark.parametrize("name", sorted(REJECTED))

@@ -83,6 +83,15 @@ class TestAse:
             with pytest.raises(ValueError, match="d value 0 is outside|d must be an integer"):
                 ase(empty_graph(3), bad)
 
+    def test_symmetry_tolerance(self):
+        rng = np.random.default_rng(19)
+        a = random_graph(8, 0.5, rng).astype(np.float64)
+        a[2, 5] += 1e-13  # within the 1e-12 tolerance
+        assert ase(a, 2).shape == (8, 2)
+        a[2, 5] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            ase(a, 2)
+
 
 class TestOmnibus:
     def test_equal_inputs(self):
@@ -169,9 +178,33 @@ class TestStatistics:
         assert t1_semipar(a, b, 2) > 0.0
 
     def test_t2_zero_on_equal(self):
+        # exactly 0, not rounding noise, for every d up to 2n
         rng = np.random.default_rng(14)
-        a = random_graph(10, 0.5, rng)
-        assert t2_omni(a, a, 2) < 1e-9
+        for n, p in ((1, 0.5), (2, 1.0), (10, 0.5), (17, 0.3)):
+            a = random_graph(n, p, rng)
+            for d in range(1, 2 * n + 1):
+                assert t2_omni(a, a, d) == 0.0
+                assert t2_omni(a, a.astype(np.float64), d) == 0.0
+
+    @pytest.mark.parametrize("equal", [True, False])
+    def test_t2_input_validation(self, equal):
+        # the exact-zero path for a == b checks what the embedding path checks
+        rng = np.random.default_rng(18)
+        a = random_graph(10, 0.5, rng).astype(np.float64)
+        other = a if equal else 1.0 - a
+        for bad in (0, 21, 2.5, True):
+            with pytest.raises(ValueError, match="d value .* is outside|d must be an integer"):
+                t2_omni(a, other, bad)
+        assert t2_omni(a, other, 20) >= 0.0
+        flat = np.zeros((3, 4))
+        with pytest.raises(ValueError, match="square"):
+            t2_omni(flat, flat if equal else flat + 1.0, 1)
+        lopsided = a.copy()
+        lopsided[0, 1] += 1e-3
+        with pytest.raises(ValueError, match="symmetric"):
+            t2_omni(lopsided, lopsided if equal else lopsided + 1.0, 2)
+        with pytest.raises(ValueError, match="size mismatch"):
+            t2_omni(a, a[:9, :9], 2)
 
     def test_t2_scalar_nonnegative(self):
         rng = np.random.default_rng(15)

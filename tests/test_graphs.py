@@ -1,5 +1,6 @@
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -33,6 +34,7 @@ from corrmatch import (
     write_permutation,
     write_seeds,
 )
+from corrmatch.graphs import upper_triangle
 
 
 def random_graph(n, p, rng):
@@ -259,6 +261,16 @@ class TestInvariantStatistics:
         g = random_graph(12, 0.5, rng)
         assert isinstance(triangle_count(g), int)
 
+    @pytest.mark.parametrize("g", [empty_graph(0), empty_graph(1), complete_graph(2),
+                                   complete_graph(3), PATH3, complete_graph(200)]
+                             + [random_graph(n, 0.5, np.random.default_rng(n))
+                                for n in (4, 9, 30, 61)])
+    def test_triangle_count_oracles(self, g):
+        a = g.astype(np.int64)
+        expected = int(np.trace(a @ a @ a)) // 6
+        assert triangle_count(g) == expected
+        assert sum(nx.triangles(nx.from_numpy_array(g)).values()) // 3 == expected
+
 
 class TestBlockPartition:
     def test_contiguous_default(self):
@@ -284,6 +296,30 @@ class TestValidation:
         m[0, 1] = 1
         with pytest.raises(ValueError):
             as_adjacency(m)
+
+    @pytest.mark.parametrize("off", [False, True, 0.0, 1.0, np.nan, 2, -1, 0.5, 1 + 0j,
+                                     1 + 1j, np.inf, "1"])
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
+    def test_as_adjacency_entry_check(self, off):
+        # accepts exactly the entries np.isin(m, (0, 1)) accepts
+        m = np.array([[0, off], [off, 0]], dtype=np.asarray(off).dtype)
+        if np.isin(m, (0, 1)).all():
+            assert np.array_equal(as_adjacency(m), (m == 1).astype(np.int8))
+        else:
+            with pytest.raises(ValueError, match="0 or 1"):
+                as_adjacency(m)
+
+    def test_upper_triangle_row_major(self):
+        rng = np.random.default_rng(20)
+        for n in (0, 1, 2, 5, 5, 13):  # the second 5 reads the cached mask
+            g = rng.random((n, n))
+            assert np.array_equal(upper_triangle(g), g[np.triu_indices(n, k=1)])
+        g = np.arange(25).reshape(5, 5)
+        upper_triangle(g)[:] = 0  # writes to a copy, not to g or the cached mask
+        assert np.array_equal(upper_triangle(g), [1, 2, 3, 4, 7, 8, 9, 13, 14, 19])
+
+    def test_as_adjacency_empty(self):
+        assert as_adjacency(np.zeros((0, 0))).shape == (0, 0)
 
     def test_as_adjacency_rejects_loops(self):
         m = np.eye(3, dtype=int)

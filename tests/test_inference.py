@@ -174,6 +174,31 @@ class TestPowerOmniExperiment:
         by = {r["variant"]: r["power"] for r in rows}
         assert by["omni_shuffled"] == by["omni_matched"]
 
+    def test_identical_pairs_skip_the_embedding(self, monkeypatch):
+        # the null pairs at x = 0, and those that matching recovers, are a
+        # graph beside itself: t2_omni scores them 0 without calling ase
+        from corrmatch import embedding
+        real_ase = embedding.ase
+        halves_equal = []
+
+        def recording_ase(m, d):
+            n = m.shape[0] // 2
+            halves_equal.append(np.array_equal(m[:n, :n], m[n:, n:]))
+            return real_ase(m, d)
+
+        monkeypatch.setattr(embedding, "ase", recording_ase)
+        power_omni_experiment(n=20, d=3, num_anomalous=5, x_grid=(0, 10), alpha=0.1,
+                              mc_reps=4, n_null=19, master_seed=8)
+        assert halves_equal and not any(halves_equal)
+
+    def test_exact_copy_null_rejects_nothing(self):
+        # num_anomalous=0: every replicate pair is a graph and its exact copy
+        rows = power_omni_experiment(n=40, num_anomalous=0, x_grid=(0, 10, 20, 30),
+                                     mc_reps=20, n_null=20, master_seed=3)
+        for r in rows:
+            if r["variant"] != "omni_shuffled" or r["x"] == 0:
+                assert r["power"] == 0.0, r
+
     def test_determinism(self):
         kwargs = dict(n=18, d=3, num_anomalous=4, mix_w=0.2, x_grid=(6,),
                       alpha=0.1, mc_reps=5, n_null=19, master_seed=9)
