@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from .graphs import check_count
 from .samplers import RngStream
 
 # role -> (first stream id, capacity); the latent block is last and open above
@@ -28,20 +29,6 @@ _BLOCKS = {
     "shuffle": (20_000_000, 70_000_000),
     "latent": (90_000_000, None),
 }
-
-
-def check_range(name: str, values, low: int, high: float = math.inf) -> None:
-    """Reject the first of ``values`` outside [low, high]."""
-    for v in values:
-        if not low <= v <= high:
-            raise ValueError(f"{name} value {v} is outside [{low}, {high}]")
-
-
-def check_count(name: str, value, high: float = math.inf) -> None:
-    """Reject a count that is not an integer (bools included) or is outside [1, high]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    check_range(name, (value,), 1, high)
 
 
 def critical_rank(alpha: float, n_null: int) -> int:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import MonteCarlo, check_count, check_range
+from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import _check_same_size, apply_permutation
+from .graphs import _check_same_size, apply_permutation, check_count, check_range
 from .samplers import (
     SbmParams,
     _as_generator,

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._parallel import check_count
-from .graphs import _check_same_size
+from .graphs import _check_same_size, check_count
 
 
 def _check_symmetric(a: np.ndarray) -> None:

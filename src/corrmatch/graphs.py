@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -31,8 +32,8 @@ def as_adjacency(a, copy: bool = False) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"adjacency must be square, got shape {m.shape}")
-    if not ((m == 0) | (m == 1)).all():
-        raise ValueError("adjacency entries must be 0 or 1")
+    if m.dtype.kind == "c" or not ((m == 0) | (m == 1)).all():
+        raise ValueError("adjacency entries must be real 0 or 1")
     if np.any(np.diag(m) != 0):
         raise ValueError("adjacency must have zero diagonal (no self-loops)")
     if not np.array_equal(m, m.T):
@@ -117,6 +118,20 @@ def transposition(n: int, i: int, j: int) -> np.ndarray:
     phi = identity_permutation(n)
     phi[i], phi[j] = phi[j], phi[i]
     return phi
+
+
+def check_range(name: str, values, low: int, high: float = math.inf) -> None:
+    """Reject the first of ``values`` outside [low, high]."""
+    for v in values:
+        if not low <= v <= high:
+            raise ValueError(f"{name} value {v} is outside [{low}, {high}]")
+
+
+def check_count(name: str, value, high: float = math.inf, *, low: int = 1) -> None:
+    """Reject a count that is not an integer (bools included) or is outside [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    check_range(name, (value,), low, high)
 
 
 def _check_same_size(a: np.ndarray, b: np.ndarray) -> None:
@@ -251,30 +266,21 @@ def spectral_norm(g: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class BlockPartition:
-    """Partition of [n] into K blocks.
+    """Partition of [n] into K consecutive blocks.
 
     ``membership[v]`` is the 0-based block of vertex v; ``sizes[i]``
     counts the vertices of block i.
     """
 
     sizes: tuple[int, ...]
-    membership: np.ndarray = field(compare=False, default=None)
+    membership: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if any(s <= 0 for s in sizes):
             raise ValueError("block sizes must be positive")
-        if self.membership is None:
-            object.__setattr__(self, "membership", np.repeat(np.arange(len(sizes)), sizes))
-        else:
-            m = np.asarray(self.membership, dtype=np.int64)
-            if m.shape[0] != sum(sizes):
-                raise ValueError("membership length != sum of sizes")
-            counts = np.bincount(m, minlength=len(sizes))
-            if len(counts) != len(sizes) or not np.array_equal(counts, np.asarray(sizes)):
-                raise ValueError("membership counts do not match sizes")
-            object.__setattr__(self, "membership", m)
+        object.__setattr__(self, "membership", np.repeat(np.arange(len(sizes)), sizes))
 
     @property
     def n(self) -> int:

@@ -22,11 +22,13 @@ from functools import partial
 import numpy as np
 from scipy.stats import norm
 
-from ._parallel import MonteCarlo, check_count, check_range
+from ._parallel import MonteCarlo
 from .embedding import t2_omni
 from .graphs import (
     _check_same_size,
     apply_permutation,
+    check_count,
+    check_range,
     edge_disagreements,
     max_degree,
     sample_edge_correlation,
@@ -119,8 +121,8 @@ def invariant_stat(a: np.ndarray, b: np.ndarray, kind: str) -> float:
 # -- experiments -------------------------------------------------------------
 
 def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
-                                rho_grid=PHASE_RHO_GRID, params: SbmParams | None = None,
-                                max_iters: int = 100) -> list[dict]:
+                                rho_grid=PHASE_RHO_GRID,
+                                params: SbmParams | None = None) -> list[dict]:
     """Matchability phase transition: edge disagreements at the latent
     alignment versus after matching from it, and the edge correlation
     induced by matching versus shuffling."""
@@ -132,7 +134,7 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
     def one_rep(rho: float, gen: np.random.Generator) -> tuple[float, float, float, float]:
         a, b = sample_rho_sbm(params, rho, gen)
         dis_id = edge_disagreements(a, b)
-        res = faq_match(a, b, init="identity", max_iters=max_iters)
+        res = faq_match(a, b, init="identity", max_iters=100)
         matched = apply_permutation(b, res.permutation)
         corr_matched = sample_edge_correlation(a, matched)
         sigma = sample_uniform_permutation(params.n, gen)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ADJ_DTYPE, BlockPartition, identity_permutation
+from .graphs import ADJ_DTYPE, BlockPartition, check_count, identity_permutation
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def _as_generator(rng) -> np.random.Generator:
         return rng.generator()
     if isinstance(rng, np.random.Generator):
         return rng
-    raise TypeError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+    raise ValueError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 @dataclass(frozen=True)
@@ -149,15 +149,12 @@ def _sample_symmetric_bernoulli(prob: np.ndarray, gen: np.random.Generator) -> n
     return a + a.T
 
 
-def _rho_conditional(a: np.ndarray, p, rho: float) -> np.ndarray:
-    """P(second cell = 1 | first cell a) for rho-correlated Bernoulli(p) cells."""
-    return np.where(a == 1, p + rho * (1.0 - p), p * (1.0 - rho))
-
-
-def sample_sbm(params: SbmParams, rng) -> np.ndarray:
-    """One SBM draw: pair {j,l} adjacent with probability lambda[b(j), b(l)]."""
-    gen = _as_generator(rng)
-    return _sample_symmetric_bernoulli(params.edge_probability_matrix(), gen)
+def _correlated_pair(p: np.ndarray, given_edge: np.ndarray, given_non_edge: np.ndarray,
+                     gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """G1 with edge probabilities p, then each G2 cell with probability
+    given_edge where G1 has an edge and given_non_edge where it has none."""
+    a = _sample_symmetric_bernoulli(p, gen)
+    return a, _sample_symmetric_bernoulli(np.where(a == 1, given_edge, given_non_edge), gen)
 
 
 def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -171,24 +168,7 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
         raise ValueError("rho must lie in [0, 1]")
     gen = _as_generator(rng)
     p = params.edge_probability_matrix()
-    a = _sample_symmetric_bernoulli(p, gen)
-    cond = _rho_conditional(a, p, rho)
-    b = _sample_symmetric_bernoulli(cond, gen)
-    return a, b
-
-
-def sample_rho_bipartite(m1: int, m2: int, p: float, rho: float, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Correlated bipartite pair: m1 x m2 biadjacency matrices, cellwise
-    Bernoulli(p) with correlation rho across the two draws."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    gen = _as_generator(rng)
-    a = (gen.random((m1, m2)) < p).astype(ADJ_DTYPE)
-    cond = _rho_conditional(a, p, rho)
-    b = (gen.random((m1, m2)) < cond).astype(ADJ_DTYPE)
-    return a, b
+    return _correlated_pair(p, p + rho * (1.0 - p), p * (1.0 - rho), gen)
 
 
 def sample_correlated_heterogeneous(spec: HeterogeneousPair, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -205,20 +185,19 @@ def sample_correlated_heterogeneous(spec: HeterogeneousPair, rng) -> tuple[np.nd
     if (np.any(p11 > np.minimum(p, q) + 1e-12) or np.any(p11 < -1e-12)
             or np.any(1 - p - q + p11 < -1e-12)):
         raise ValueError("infeasible correlation entry: joint table not a distribution")
-    a = _sample_symmetric_bernoulli(p, gen)
-    # Y | X=1 ~ Bern(p11/p), Y | X=0 ~ Bern((q - p11)/(1 - p))
+    # Y | X=1 ~ Bern(p11/p), Y | X=0 ~ Bern((q - p11)/(1 - p)). The draw
+    # u < x with u in [0, 1) reads any x >= 1 as 1 and any x <= 0 as 0, so
+    # rounding past [0, 1] needs no clip; the NaN and inf entries arise only
+    # at p = 0, where G1 has no edge, and at p = 1, where it has one, so the
+    # draw never selects them.
     with np.errstate(divide="ignore", invalid="ignore"):
-        c1 = np.where(p > 0, p11 / p, 0.0)
-        c0 = np.where(p < 1, (q - p11) / (1 - p), 0.0)
-    cond = np.clip(np.where(a == 1, c1, c0), 0.0, 1.0)
-    b = _sample_symmetric_bernoulli(cond, gen)
-    return a, b
+        given_edge, given_non_edge = p11 / p, (q - p11) / (1 - p)
+    return _correlated_pair(p, given_edge, given_non_edge, gen)
 
 
 def sample_dirichlet_positions(n: int, rng, dim: int = 3) -> np.ndarray:
     """n latent positions drawn i.i.d. Dirichlet(1, ..., 1) on the simplex."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_count("n", n)
     gen = _as_generator(rng)
     return gen.dirichlet(np.ones(dim), size=n)
 
@@ -227,8 +206,7 @@ def anomaly_perturb(x: np.ndarray, m: int, w: float, rng) -> np.ndarray:
     """Mix the first m rows of x with fresh Dirichlet rows: (1-w)*x + w*D."""
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must lie in [0, 1]")
-    if m > x.shape[0]:
-        raise ValueError("m exceeds the number of rows")
+    check_count("m", m, x.shape[0], low=0)
     gen = _as_generator(rng)
     y = np.array(x, dtype=np.float64, copy=True)
     if m > 0 and w > 0:
@@ -240,6 +218,7 @@ def anomaly_perturb(x: np.ndarray, m: int, w: float, rng) -> np.ndarray:
 # -- permutations and shuffles ----------------------------------------------
 
 def sample_uniform_permutation(n: int, rng) -> np.ndarray:
+    check_count("n", n, low=0)
     gen = _as_generator(rng)
     return gen.permutation(n).astype(np.int64)
 
@@ -261,6 +240,8 @@ def sample_subset_shuffle(n: int, seed_set, k: int, rng) -> np.ndarray:
     Seeds are always fixed points. Because the subset permutation may
     itself fix points, *at most* k vertices move.
     """
+    check_count("n", n, low=0)
+    check_count("k", k, low=0)
     gen = _as_generator(rng)
     seeds = np.asarray(sorted(set(int(s) for s in seed_set)), dtype=np.int64)
     if seeds.size and (seeds.min() < 0 or seeds.max() >= n):

@@ -467,6 +467,9 @@ REJECTED = {
     "cluster-real no --d or --scree": (("cluster-real", "--a", "a.edg", "--b", "b.edg",
                                         "--labels", "lab.txt", "--k", "2", "-o", "out"),
                                        "--d --scree"),
+    "sample --subset-size -3": (("sample", "--model", "rho-er", "--config", "er.json",
+                                 "--shuffle", "subset", "--subset-size", "-3", "--out-a", "out",
+                                 "--out-b", "out_b", "--out-perm", "out_perm"), "k value -3"),
 }
 # sample reads --subset-size and --protect-file only with --shuffle subset,
 # even when the protect file does not exist

@@ -2,10 +2,11 @@
 demo uses each name it imports; ``__init__.py`` only re-exports, and
 ``from __future__`` imports are directives, so both are exempt. Every
 name a demo imports from corrmatch exists, since the suite does not run
-the demos. Every function that perfbench's tracer wraps still exists."""
+the demos. perfbench's tracer binds every function it wraps."""
 
 import ast
 import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -48,15 +49,19 @@ def test_demo_imports_exist(path):
     assert missing == []
 
 
-def test_tracer_layers_name_existing_functions():
-    # perfbench's --trace wraps every function its LAYERS table names; read
-    # the table from the source, without importing it, and check each name
-    source = (TESTS.parent / "perfbench" / "tracer.py").read_text()
-    tables = {node.targets[0].id: ast.literal_eval(node.value)
-              for node in ast.parse(source).body
-              if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
-              and node.targets[0].id in ("MODULES", "LAYERS")}
-    modules = {mod: importlib.import_module(f"corrmatch.{mod}") for mod in tables["MODULES"]}
-    missing = [f"{mod}.{name}" for mod, names in tables["LAYERS"].values() for name in names
-               if not callable(getattr(modules[mod], name, None))]
-    assert missing == []
+def test_tracer_binds_every_layer_function():
+    # perfbench's --trace wraps every function its LAYERS table names; run
+    # tracer.py from its source, so nothing is written under perfbench/, and
+    # check that installing the tracer rebinds each of them and restores it
+    path = TESTS.parent / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(), str(path), "exec"), tracer.__dict__)
+    names = [(mod, name) for mod, names in tracer.LAYERS.values() for name in names]
+    assert len(names) == 38
+    modules = {mod: importlib.import_module(f"corrmatch.{mod}") for mod in tracer.MODULES}
+    originals = {(mod, name): getattr(modules[mod], name) for mod, name in names}
+    with tracer.Tracer(importlib.import_module("corrmatch")).installed(run_id=0):
+        unbound = [f"{mod}.{name}" for (mod, name), fn in originals.items()
+                   if getattr(modules[mod], name) is fn]
+    assert unbound == []
+    assert all(getattr(modules[mod], name) is fn for (mod, name), fn in originals.items())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -18,43 +19,47 @@ from corrmatch import (
     sample_correlated_heterogeneous,
     sample_dirichlet_positions,
     sample_edge_correlation,
-    sample_rho_bipartite,
     sample_rho_sbm,
-    sample_sbm,
     sample_subset_shuffle,
     sample_uniform_permutation,
 )
 from corrmatch.graphs import as_adjacency
+from corrmatch.samplers import _as_generator
+
+
+def sbm_draw(params, rng):
+    """The first graph of a pair, which is one SBM draw."""
+    return sample_rho_sbm(params, 0.0, rng)[0]
 
 
 class TestSbmSampler:
     def test_all_zero_lambda(self):
         params = er_params(20, 0.0)
-        g = sample_sbm(params, RngStream(1))
+        g = sbm_draw(params, RngStream(1))
         assert g.sum() == 0
 
     def test_all_one_lambda(self):
         params = er_params(10, 1.0)
-        g = sample_sbm(params, RngStream(2))
+        g = sbm_draw(params, RngStream(2))
         assert g.sum() == 10 * 9
 
     def test_output_is_valid_adjacency(self):
         params = SbmParams(BlockPartition((5, 5)), np.array([[0.9, 0.1], [0.1, 0.9]]))
-        g = sample_sbm(params, RngStream(3))
+        g = sbm_draw(params, RngStream(3))
         as_adjacency(g)
 
     def test_edge_count_within_4_sigma(self):
         # |E| ~ Binomial(C(100,2), 0.5)
         params = er_params(100, 0.5)
         m = 100 * 99 // 2
-        counts = [int(sample_sbm(params, RngStream(4, i)).sum()) // 2 for i in range(100)]
+        counts = [int(sbm_draw(params, RngStream(4, i)).sum()) // 2 for i in range(100)]
         mean = np.mean(counts)
         sigma_of_mean = math.sqrt(m * 0.25 / 100)
         assert abs(mean - 0.5 * m) < 4 * sigma_of_mean
 
     def test_block_rates(self):
         params = SbmParams(BlockPartition((40, 40)), np.array([[0.8, 0.1], [0.1, 0.8]]))
-        g = sample_sbm(params, RngStream(5))
+        g = sbm_draw(params, RngStream(5))
         cross = g[:40, 40:].mean()
         within = g[:40, :40][np.triu_indices(40, 1)].mean()
         assert abs(cross - 0.1) < 0.08
@@ -114,26 +119,6 @@ class TestRhoSbm:
     def test_rho_out_of_range(self):
         with pytest.raises(ValueError):
             sample_rho_sbm(er_params(5, 0.5), 1.5, RngStream(0))
-
-
-class TestRhoBipartite:
-    def test_rho_one_identical(self):
-        a, b = sample_rho_bipartite(8, 13, 0.5, 1.0, RngStream(11))
-        assert a.shape == (8, 13)
-        assert np.array_equal(a, b)
-
-    def test_p_zero_empty(self):
-        a, b = sample_rho_bipartite(6, 7, 0.0, 0.3, RngStream(12))
-        assert a.sum() == 0 and b.sum() == 0
-
-    def test_cell_correlation_near_rho(self):
-        rs = []
-        for i in range(60):
-            a, b = sample_rho_bipartite(30, 40, 0.4, 0.5, RngStream(13, i))
-            x = a.ravel().astype(float)
-            y = b.ravel().astype(float)
-            rs.append(np.corrcoef(x, y)[0, 1])
-        assert abs(np.mean(rs) - 0.5) < 0.03
 
 
 class TestMaxFeasibleCorrelation:
@@ -213,6 +198,27 @@ class TestHeterogeneous:
         with pytest.raises(ValueError):
             HeterogeneousPair(0.4 * off, 0.375 * off, 0.99 * off)
 
+    def test_draws_pinned(self):
+        # cells at p = 0 and p = 1, q != p, rho at the feasible bound on
+        # half the cells and rho = -0.2 on the other half
+        n = 8
+        gen = np.random.default_rng(12)
+        p = np.triu(gen.uniform(0.2, 0.8, (n, n)), 1)
+        q = np.triu(gen.uniform(0.2, 0.8, (n, n)), 1)
+        p[0, 1:4] = 0.0
+        p[1, 2:5] = 1.0
+        p, q = p + p.T, q + q.T
+        checker = np.add.outer(np.arange(n), np.arange(n)) % 2 == 0
+        rho = np.where(checker, max_feasible_correlation(p, q), -0.2)
+        np.fill_diagonal(rho, 0.0)
+        spec = HeterogeneousPair(p, q, rho)
+        digest = hashlib.sha256()
+        for i in range(20):
+            for g in sample_correlated_heterogeneous(spec, RngStream(70, i)):
+                digest.update(g.tobytes())
+        assert digest.hexdigest() == (
+            "c6307683166459f09759d8a00fda814f84054cbc8cffea718c4f15b7a6649db0")
+
 
 class TestLatentPositions:
     def test_rows_on_simplex(self):
@@ -242,6 +248,17 @@ class TestLatentPositions:
         assert np.array_equal(y[4:], x[4:])
         assert not np.array_equal(y[:4], x[:4])
 
+    @pytest.mark.parametrize("n", [0, -2, 2.5, True])
+    def test_dirichlet_positions_count(self, n):
+        with pytest.raises(ValueError, match="n "):
+            sample_dirichlet_positions(n, RngStream(35))
+
+    @pytest.mark.parametrize("m", [-1, 11, 2.5, True])
+    def test_anomaly_perturb_count(self, m):
+        x = sample_dirichlet_positions(10, RngStream(36))
+        with pytest.raises(ValueError, match="m "):
+            anomaly_perturb(x, m, 0.5, RngStream(37))
+
 
 class TestPermutationSamplers:
     def test_n1_identity(self):
@@ -267,6 +284,18 @@ class TestPermutationSamplers:
     def test_subset_too_large(self):
         with pytest.raises(ValueError):
             sample_subset_shuffle(5, [0, 1], 4, RngStream(29))
+
+    @pytest.mark.parametrize("k", [-3, -1, True, 2.5, np.float64(2.0)])
+    def test_subset_size_not_a_count(self, k):
+        with pytest.raises(ValueError, match="k "):
+            sample_subset_shuffle(6, [0], k, RngStream(30))
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True])
+    def test_vertex_count_not_a_count(self, n):
+        with pytest.raises(ValueError, match="n "):
+            sample_uniform_permutation(n, RngStream(38))
+        with pytest.raises(ValueError, match="n "):
+            sample_subset_shuffle(n, [], 0, RngStream(39))
 
 
 class TestShufflePair:
@@ -297,3 +326,8 @@ class TestDeterminism:
         a1, _ = sample_rho_sbm(params, 0.4, RngStream(99, 0))
         a2, _ = sample_rho_sbm(params, 0.4, RngStream(99, 1))
         assert not np.array_equal(a1, a2)
+
+    @pytest.mark.parametrize("rng", [7, None, np.random.RandomState(0)])
+    def test_rng_neither_stream_nor_generator(self, rng):
+        with pytest.raises(ValueError, match="RngStream or numpy Generator"):
+            _as_generator(rng)
