@@ -1,16 +1,19 @@
 """The Monte Carlo driver behind the six experiments.
 
 A run is a grid of cells with ``mc_reps`` replicates each, plus, in the
-power experiments, cells of ``n_null`` null-calibration draws. Each draw
-has its own stream ``RngStream(master_seed, first + major * width +
-minor)``, built only by :meth:`MonteCarlo.generator`, in the id block of
-its role (``_BLOCKS``): replicates (cell, replicate; width mc_reps) from
-0, null draws (null cell, draw; width n_null) from 10**7, shuffles (laid
-out by the experiment) from 2 * 10**7, latent positions (0 for the
-shared draw, 1 + replicate for redraws) from 9 * 10**7. A run whose ids
-would leave their block, or with any other bad argument, is rejected
-before the first draw, so no two draws share a stream. Replicates and
-null draws run serially, in order.
+power experiments, cells of ``n_null`` null-calibration draws. Each role
+has an id block (``_BLOCKS``) and a declared shape: replicates (cells,
+mc_reps) from 0, null draws (null_cells, n_null) from 10**7, shuffles
+(as the experiment declares them) from 2 * 10**7, and latent positions
+(1 + mc_reps: index 0 for the shared draw, 1 + replicate for redraws)
+from 9 * 10**7. The draw at ``index`` has the stream
+``RngStream(master_seed, first + ravel_multi_index(index, shape))``,
+built only by :meth:`MonteCarlo.generator`, which rejects an index
+outside the shape. A run whose shapes would leave their blocks, or with
+any other bad argument, is rejected before the first draw, so no two
+draws share a stream. Replicates and null draws run serially, in order;
+:meth:`MonteCarlo.power_table` is the one place a statistic is compared
+with its critical value.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ _BLOCKS = {
     "replicate": (0, 10_000_000),
     "null": (10_000_000, 10_000_000),
     "shuffle": (20_000_000, 70_000_000),
-    "latent": (90_000_000, None),
+    "latent": (90_000_000, math.inf),
 }
 
 
@@ -48,18 +51,18 @@ def critical_value(draws: np.ndarray, alpha: float):
 
 
 class MonteCarlo:
-    """The checked sizes, stream ids and loops of one Monte Carlo run.
+    """The checked sizes, stream ids, loops and tables of one Monte Carlo run.
 
     ``grids`` maps argument names to grids that must be non-empty and
     must not repeat a value.
     ``cells`` replicate cells and ``null_cells`` null cells use the
-    replicate and null blocks; ``shuffles`` is (majors, width) in the
-    shuffle block. ``alpha`` is the level of the null calibration.
+    replicate and null blocks; ``shuffles`` is the shape of the shuffle
+    block. ``alpha`` is the level of the null calibration.
     """
 
     def __init__(self, master_seed: int, mc_reps: int, grids: dict,
                  cells: int, *, alpha: float | None = None, n_null: int = 0,
-                 null_cells: int = 0, shuffles: tuple[int, int] = (0, 0)):
+                 null_cells: int = 0, shuffles: tuple[int, ...] = (0,)):
         check_count("mc_reps", mc_reps)
         for name, grid in grids.items():
             if len(grid) == 0:
@@ -69,9 +72,10 @@ class MonteCarlo:
         if alpha is not None:
             check_count("n_null", n_null)
             critical_rank(alpha, n_null)
-        for role, used in (("replicate", cells * mc_reps), ("null", null_cells * n_null),
-                           ("shuffle", shuffles[0] * shuffles[1])):
-            capacity = _BLOCKS[role][1]
+        self._shapes = {"replicate": (cells, mc_reps), "null": (null_cells, n_null),
+                        "shuffle": tuple(shuffles), "latent": (1 + mc_reps,)}
+        for role, shape in self._shapes.items():
+            used, capacity = math.prod(shape), _BLOCKS[role][1]
             if used > capacity:
                 raise ValueError(f"run needs {used} {role} streams, but the {role} "
                                  f"block holds {capacity}; reduce mc_reps, n_null or the grids")
@@ -79,12 +83,15 @@ class MonteCarlo:
         self.mc_reps = mc_reps
         self.alpha = alpha
         self.n_null = n_null
-        self._width = {"replicate": mc_reps, "null": n_null, "shuffle": shuffles[1], "latent": 1}
 
-    def generator(self, role: str, major: int = 0, minor: int = 0) -> np.random.Generator:
-        """The stream ``minor`` of row ``major`` in the block of ``role``."""
-        stream_id = _BLOCKS[role][0] + major * self._width[role] + minor
-        return RngStream(self.master_seed, stream_id).generator()
+    def generator(self, role: str, *index: int) -> np.random.Generator:
+        """The stream at ``index`` in the declared shape of ``role``."""
+        shape = self._shapes[role]
+        try:
+            offset = int(np.ravel_multi_index(index, shape))
+        except ValueError:
+            raise ValueError(f"{role} stream index {index} is outside shape {shape}") from None
+        return RngStream(self.master_seed, _BLOCKS[role][0] + offset).generator()
 
     def replicates(self, cell: int, one_rep) -> list:
         """``one_rep(rep, gen)`` for every replicate of ``cell``, in order."""
@@ -105,10 +112,23 @@ class MonteCarlo:
         for cell, value in enumerate(grid):
             vals = np.array(self.replicates(cell, lambda rep, gen: one_rep(value, gen)))
             for col, variant in enumerate(variants):
-                mean = float(vals[:, col].mean())
                 se = (float(vals[:, col].std(ddof=1) / math.sqrt(self.mc_reps))
                       if self.mc_reps > 1 else 0.0)
                 rows.append({"experiment": experiment, key: value, "variant": variant,
-                             mean_key: mean, "se": se, "mc_reps": self.mc_reps,
-                             "master_seed": self.master_seed})
+                             mean_key: float(vals[:, col].mean()), "se": se,
+                             "mc_reps": self.mc_reps, "master_seed": self.master_seed})
+        return rows
+
+    def power_table(self, fields: dict, key: str, grid, variants, stats, crit) -> list[dict]:
+        """One row of ``fields``, rejection rate and standard error per grid
+        value and variant: the share of replicates whose ``stats`` (mc_reps x
+        grid x variants) strictly exceed ``crit`` (broadcast to grid x variants)."""
+        rejects = (np.asarray(stats) > np.asarray(crit)).sum(axis=0)
+        rows = []
+        for cell, value in enumerate(grid):
+            for col, variant in enumerate(variants):
+                p = int(rejects[cell, col]) / self.mc_reps
+                rows.append({**fields, key: value, "variant": variant, "power": p,
+                             "std_err": math.sqrt(p * (1.0 - p) / self.mc_reps),
+                             "mc_reps": self.mc_reps, "master_seed": self.master_seed})
         return rows

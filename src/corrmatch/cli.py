@@ -25,6 +25,7 @@ from .embedding import omnibus, scree_elbow
 from .graphs import (
     BlockPartition,
     apply_permutation,
+    check_range,
     edge_disagreements,
     read_edgelist,
     read_labels,
@@ -159,7 +160,10 @@ def _cmd_sample(args) -> int:
         sigma = sample_block_permutation(params.partition, sgen)
     elif args.shuffle == "subset":
         protect = read_labels(args.protect_file) if args.protect_file else []
-        k = args.subset_size if args.subset_size is not None else params.n - len(protect)
+        k = params.n - len(protect)
+        if args.subset_size is not None:
+            k = args.subset_size
+            check_range("--subset-size", (k,), 0, params.n - len(set(protect)))
         sigma = sample_subset_shuffle(params.n, protect, k, sgen)
 
     write_edgelist(args.out_a, a)
@@ -314,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--report", help="write the JSON report here (default stdout)")
     pm.set_defaults(func=_cmd_match)
 
-    pi = sub.add_parser("mi", parents=[common], help="closed-form mutual information")
+    pi = sub.add_parser("mi", help="closed-form mutual information")
     pi.add_argument("--config", help="JSON with sizes/lambda (or n/p) and rho")
     pi.add_argument("--n", type=int, default=None)
     pi.add_argument("--p", type=float, default=None)

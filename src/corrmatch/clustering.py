@@ -23,7 +23,7 @@ import numpy as np
 
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import _check_same_size, apply_permutation, check_count, check_range
+from .graphs import _check_same_size, apply_permutation, check_count, check_counts
 from .samplers import (
     SbmParams,
     _as_generator,
@@ -268,9 +268,8 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     seed, so variants with identical inputs (e.g. everything seeded,
     nothing shuffled) produce identical scores.
     """
-    s_grid = [int(s) for s in s_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid}, len(s_grid))
-    check_range("s_grid", s_grid, 0, truth.shape[0])
+    s_grid = check_counts("s_grid", s_grid, truth.shape[0])
     check_count("d", d, truth.shape[0])
     check_count("restarts", restarts)
 

@@ -23,7 +23,7 @@ import numpy as np
 ADJ_DTYPE = np.int8
 
 
-def as_adjacency(a, copy: bool = False) -> np.ndarray:
+def as_adjacency(a) -> np.ndarray:
     """Validate and return a simple-graph adjacency matrix.
 
     Accepts any square array-like with entries in {0, 1}, symmetric,
@@ -38,7 +38,7 @@ def as_adjacency(a, copy: bool = False) -> np.ndarray:
         raise ValueError("adjacency must have zero diagonal (no self-loops)")
     if not np.array_equal(m, m.T):
         raise ValueError("adjacency must be symmetric")
-    return m.astype(ADJ_DTYPE, copy=copy)
+    return m.astype(ADJ_DTYPE, copy=False)
 
 
 def empty_graph(n: int) -> np.ndarray:
@@ -127,11 +127,17 @@ def check_range(name: str, values, low: int, high: float = math.inf) -> None:
             raise ValueError(f"{name} value {v} is outside [{low}, {high}]")
 
 
-def check_count(name: str, value, high: float = math.inf, *, low: int = 1) -> None:
-    """Reject a count that is not an integer (bools included) or is outside [low, high]."""
+def check_count(name: str, value, high: float = math.inf, *, low: int = 1) -> int:
+    """``value`` as an int; rejects a non-integer (bools included) or one outside [low, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     check_range(name, (value,), low, high)
+    return int(value)
+
+
+def check_counts(name: str, values, high: float = math.inf) -> list[int]:
+    """``values`` as a list of ints, each checked by check_count with low 0."""
+    return [check_count(name, v, high, low=0) for v in values]
 
 
 def _check_same_size(a: np.ndarray, b: np.ndarray) -> None:

@@ -28,7 +28,7 @@ from .graphs import (
     _check_same_size,
     apply_permutation,
     check_count,
-    check_range,
+    check_counts,
     edge_disagreements,
     max_degree,
     sample_edge_correlation,
@@ -146,18 +146,6 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
                           "correlation_matched", "correlation_shuffled"), one_rep)
 
 
-def _power_row(mc: MonteCarlo, fields: dict, stats: np.ndarray, crit) -> dict:
-    """``fields`` plus the rejection rate of ``stats > crit`` and its standard error."""
-    p = int((stats > crit).sum()) / mc.mc_reps
-    return {**fields, "power": p, "std_err": math.sqrt(p * (1.0 - p) / mc.mc_reps),
-            "mc_reps": mc.mc_reps, "master_seed": mc.master_seed}
-
-
-def _constant_pq_pair(n: int, p: float, q: float, rho: float) -> HeterogeneousPair:
-    off = 1.0 - np.eye(n)
-    return HeterogeneousPair(p * off, q * off, rho * off)
-
-
 def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: float = 0.7,
                         s_grid=(0, 10, 20, 30, 40, 50), x_grid=(0, 10, 20, 30, 40, 50),
                         alpha: float = 0.05, mc_reps: int = 500, n_null: int = 999,
@@ -172,18 +160,17 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     the leading s vertices, without loss of generality under the
     exchangeable null and alternative.
     """
-    s_grid = [int(s) for s in s_grid]
-    x_grid = [int(x) for x in x_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid, "x_grid": x_grid},
                     len(s_grid), alpha=alpha, n_null=n_null, null_cells=len(s_grid) + 1,
-                    shuffles=(len(s_grid) * len(x_grid), mc_reps))
-    check_range("s_grid", s_grid, 0, n)
-    check_range("x_grid", x_grid, 0)  # x > n - s shuffles all n - s unseeded vertices
+                    shuffles=(len(s_grid), len(x_grid), mc_reps))
+    s_grid = check_counts("s_grid", s_grid, n)
+    x_grid = check_counts("x_grid", x_grid)  # x > n - s shuffles all n - s unseeded vertices
     if max_feasible_correlation(p, q) < rho:
         raise ValueError(f"rho={rho} infeasible for marginals ({p}, {q})")
     p0 = (p + q) / 2.0 if null_edge_p is None else float(null_edge_p)
     null_params = er_params(n, p0)
-    alt_spec = _constant_pq_pair(n, p, q, rho)
+    off = 1.0 - np.eye(n)
+    alt_spec = HeterogeneousPair(p * off, q * off, rho * off)
 
     def paired_null(gen: np.random.Generator) -> float:
         a, b = sample_rho_sbm(null_params, rho, gen)
@@ -196,9 +183,8 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
 
     crit_paired = mc.null_critical(0, paired_null)
     crit_pooled = float(norm.ppf(1.0 - alpha / 2.0))
-    crit_matched = {s: mc.null_critical(s_idx + 1,
-                                        partial(matched_null, identity_seeds(np.arange(s))))
-                    for s_idx, s in enumerate(s_grid)}
+    crit_matched = [mc.null_critical(s_idx + 1, partial(matched_null, identity_seeds(np.arange(s))))
+                    for s_idx, s in enumerate(s_grid)]
 
     rows = []
     for s_idx, s in enumerate(s_grid):
@@ -212,7 +198,7 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
             a, b = sample_correlated_heterogeneous(alt_spec, gen)
             out = np.empty((len(x_grid), 3))
             for x_idx, x in enumerate(x_grid):
-                sgen = mc.generator("shuffle", s_idx * len(x_grid) + x_idx, rep)
+                sgen = mc.generator("shuffle", s_idx, x_idx, rep)
                 sigma = sample_subset_shuffle(n, seeds_arr, min(n - s, x), sgen)
                 b_sh = apply_permutation(b, sigma)
                 res = sgm_match(a, b_sh, seeds=seeds)
@@ -220,13 +206,9 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
                               paired_z(a, apply_permutation(b_sh, res.permutation)))
             return out
 
-        stats = np.array(mc.replicates(s_idx, one_rep))
-        for x_idx, x in enumerate(x_grid):
-            for col, (variant, crit) in enumerate((("paired", crit_paired),
-                                                   ("pooled", crit_pooled),
-                                                   ("matched", crit_matched[s]))):
-                rows.append(_power_row(mc, {"experiment": "power-er", "s": s, "x": x,
-                                            "variant": variant}, stats[:, x_idx, col], crit))
+        rows += mc.power_table({"experiment": "power-er", "s": s}, "x", x_grid,
+                               ("paired", "pooled", "matched"), mc.replicates(s_idx, one_rep),
+                               (crit_paired, crit_pooled, crit_matched[s_idx]))
     return rows
 
 
@@ -249,25 +231,23 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     independent-pair null; their power is computed once per replicate
     and is constant across the x grid by construction.
     """
-    x_grid = [int(x) for x in x_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"x_grid": x_grid}, 1, alpha=alpha,
                     n_null=n_null, null_cells=len(x_grid) + 1, shuffles=(mc_reps, len(x_grid)))
-    check_range("x_grid", x_grid, 0, n)
-    check_range("num_anomalous", (num_anomalous,), 0, n)
+    x_grid = check_counts("x_grid", x_grid, n)
+    check_count("num_anomalous", num_anomalous, n, low=0)
     check_count("d", d, 2 * n)  # the omnibus matrix is 2n x 2n
-    lat_gen = mc.generator("latent")
+    lat_gen = mc.generator("latent", 0)
     x_latent = sample_dirichlet_positions(n, lat_gen)
     y_latent = anomaly_perturb(x_latent, num_anomalous, mix_w, lat_gen)
 
-    def probs_from(lat_x, lat_y):
+    def spec_from(lat_x, lat_y) -> HeterogeneousPair:
         pm = lat_x @ lat_x.T
         qm = lat_y @ lat_y.T
         np.fill_diagonal(pm, 0.0)
         np.fill_diagonal(qm, 0.0)
-        return pm, qm, max_feasible_correlation(pm, qm)
+        return HeterogeneousPair(pm, qm, max_feasible_correlation(pm, qm))
 
-    p_mat, q_mat, rho_mat = probs_from(x_latent, y_latent)
-    alt_spec = HeterogeneousPair(p_mat, q_mat, rho_mat)
+    alt_spec = spec_from(x_latent, y_latent)
 
     def omni_stats(a: np.ndarray, b: np.ndarray, x: int, gen: np.random.Generator):
         """T2 of a against b with x random unseeded vertices of b shuffled,
@@ -281,37 +261,31 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
 
     # omnibus nulls: anomaly-free pair is an exact copy, then shuffled
     def null_stats(x: int, gen: np.random.Generator) -> tuple[float, float]:
-        a = _sample_symmetric_bernoulli(p_mat, gen)
+        a = _sample_symmetric_bernoulli(alt_spec.p_matrix, gen)
         return omni_stats(a, a, x, gen)
 
     inv_kinds = ("max_degree", "triangles", "spectral")
 
     def invariant_null(gen: np.random.Generator) -> tuple[float, float, float]:
-        a = _sample_symmetric_bernoulli(p_mat, gen)
-        b = _sample_symmetric_bernoulli(p_mat, gen)
+        a = _sample_symmetric_bernoulli(alt_spec.p_matrix, gen)
+        b = _sample_symmetric_bernoulli(alt_spec.p_matrix, gen)
         return tuple(invariant_stat(a, b, kind) for kind in inv_kinds)
 
     crit_inv = tuple(mc.null_critical(len(x_grid), invariant_null))
-    crit = {x: tuple(mc.null_critical(x_idx, partial(null_stats, x))) + crit_inv
-            for x_idx, x in enumerate(x_grid)}
+    crit = [tuple(mc.null_critical(x_idx, partial(null_stats, x))) + crit_inv
+            for x_idx, x in enumerate(x_grid)]
 
-    def one_rep(rep: int, gen: np.random.Generator) -> dict:
+    def one_rep(rep: int, gen: np.random.Generator) -> list:
+        spec = alt_spec
         if redraw_latents:
-            # latent stream 0 is the shared draw above
             lg = mc.generator("latent", 1 + rep)
             lx = sample_dirichlet_positions(n, lg)
-            ly = anomaly_perturb(lx, num_anomalous, mix_w, lg)
-            pm, qm, rm = probs_from(lx, ly)
-            spec = HeterogeneousPair(pm, qm, rm)
-        else:
-            spec = alt_spec
+            spec = spec_from(lx, anomaly_perturb(lx, num_anomalous, mix_w, lg))
         a, b = sample_correlated_heterogeneous(spec, gen)
         inv_stats = tuple(invariant_stat(a, b, kind) for kind in inv_kinds)
-        return {x: omni_stats(a, b, x, mc.generator("shuffle", rep, x_idx)) + inv_stats
-                for x_idx, x in enumerate(x_grid)}
+        return [omni_stats(a, b, x, mc.generator("shuffle", rep, x_idx)) + inv_stats
+                for x_idx, x in enumerate(x_grid)]
 
-    results = mc.replicates(0, one_rep)
-    variants = ("omni_shuffled", "omni_matched") + inv_kinds
-    return [_power_row(mc, {"experiment": "power-omni", "x": x, "variant": variant},
-                       np.array([r[x][i] for r in results]), crit[x][i])
-            for x in x_grid for i, variant in enumerate(variants)]
+    return mc.power_table({"experiment": "power-omni"}, "x", x_grid,
+                          ("omni_shuffled", "omni_matched") + inv_kinds,
+                          mc.replicates(0, one_rep), crit)

@@ -54,12 +54,9 @@ def solve_lap(cost) -> tuple[np.ndarray, float]:
         raise ValueError(f"cost must be square, got shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("cost entries must be finite")
-    n = c.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), 0.0
     _, cols = linear_sum_assignment(c)
     perm = np.asarray(cols, dtype=np.int64)
-    return perm, float(c[np.arange(n), perm].sum())
+    return perm, float(c[np.arange(c.shape[0]), perm].sum())
 
 
 @dataclass(frozen=True)

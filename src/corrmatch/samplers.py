@@ -17,7 +17,7 @@ Y | X=1 ~ Bern(p + rho*(1-p)) and Y | X=0 ~ Bern(p*(1-rho)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,11 +87,15 @@ def er_params(n: int, p: float) -> SbmParams:
 
 @dataclass(frozen=True)
 class HeterogeneousPair:
-    """Edge-probability matrices (P, Q) with an entrywise correlation matrix."""
+    """Edge-probability matrices (P, Q) with an entrywise correlation matrix;
+    ``given_edge`` and ``given_non_edge`` are the probabilities of G2's cells
+    where G1 has an edge and where it has none."""
 
     p_matrix: np.ndarray
     q_matrix: np.ndarray
     rho_matrix: np.ndarray
+    given_edge: np.ndarray = field(init=False, repr=False, compare=False)
+    given_non_edge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = np.asarray(self.p_matrix, dtype=np.float64)
@@ -111,9 +115,20 @@ class HeterogeneousPair:
         bound = max_feasible_correlation(p, q)
         if np.any(r > bound + 1e-12):
             raise ValueError("rho exceeds the feasible correlation bound somewhere")
-        object.__setattr__(self, "p_matrix", p)
-        object.__setattr__(self, "q_matrix", q)
-        object.__setattr__(self, "rho_matrix", r)
+        p11 = p * q + r * np.sqrt(p * (1 - p) * q * (1 - q))
+        if (np.any(p11 > np.minimum(p, q) + 1e-12) or np.any(p11 < -1e-12)
+                or np.any(1 - p - q + p11 < -1e-12)):
+            raise ValueError("infeasible correlation entry: joint table not a distribution")
+        # Y | X=1 ~ Bern(p11/p), Y | X=0 ~ Bern((q - p11)/(1 - p)). The draw
+        # u < x with u in [0, 1) reads any x >= 1 as 1 and any x <= 0 as 0, so
+        # rounding past [0, 1] needs no clip; the NaN and inf entries arise only
+        # at p = 0, where G1 has no edge, and at p = 1, where it has one, so the
+        # draw never selects them.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            given_edge, given_non_edge = p11 / p, (q - p11) / (1 - p)
+        for name, m in (("p_matrix", p), ("q_matrix", q), ("rho_matrix", r),
+                        ("given_edge", given_edge), ("given_non_edge", given_non_edge)):
+            object.__setattr__(self, name, m)
 
     @property
     def n(self) -> int:
@@ -133,7 +148,7 @@ def max_feasible_correlation(p, q):
     ps = np.where(degenerate, 0.5, p)
     qs = np.where(degenerate, 0.5, q)
     ratio = (ps * (1 - qs)) / (qs * (1 - ps))
-    out = np.sqrt(np.minimum(ratio, 1.0 / ratio))
+    out = np.sqrt(np.minimum(ratio, 1.0 / np.maximum(ratio, 1.0)))
     out = np.where(degenerate, 0.0, out)
     if out.ndim == 0:
         return float(out)
@@ -172,34 +187,17 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
 
 
 def sample_correlated_heterogeneous(spec: HeterogeneousPair, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Heterogeneous correlated pair from cellwise bivariate Bernoulli tables.
-
-    Cell {u,v} uses marginals (p_uv, q_uv) and correlation rho_uv via
-    P(1,1) = pq + rho*sqrt(pq(1-p)(1-q)); cells are independent.
-    """
-    gen = _as_generator(rng)
-    p = spec.p_matrix
-    q = spec.q_matrix
-    rho = spec.rho_matrix
-    p11 = p * q + rho * np.sqrt(p * (1 - p) * q * (1 - q))
-    if (np.any(p11 > np.minimum(p, q) + 1e-12) or np.any(p11 < -1e-12)
-            or np.any(1 - p - q + p11 < -1e-12)):
-        raise ValueError("infeasible correlation entry: joint table not a distribution")
-    # Y | X=1 ~ Bern(p11/p), Y | X=0 ~ Bern((q - p11)/(1 - p)). The draw
-    # u < x with u in [0, 1) reads any x >= 1 as 1 and any x <= 0 as 0, so
-    # rounding past [0, 1] needs no clip; the NaN and inf entries arise only
-    # at p = 0, where G1 has no edge, and at p = 1, where it has one, so the
-    # draw never selects them.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        given_edge, given_non_edge = p11 / p, (q - p11) / (1 - p)
-    return _correlated_pair(p, given_edge, given_non_edge, gen)
+    """Heterogeneous correlated pair from the cellwise bivariate Bernoulli
+    tables of ``spec``; cells are independent."""
+    return _correlated_pair(spec.p_matrix, spec.given_edge, spec.given_non_edge,
+                            _as_generator(rng))
 
 
-def sample_dirichlet_positions(n: int, rng, dim: int = 3) -> np.ndarray:
-    """n latent positions drawn i.i.d. Dirichlet(1, ..., 1) on the simplex."""
+def sample_dirichlet_positions(n: int, rng) -> np.ndarray:
+    """n latent positions drawn i.i.d. Dirichlet(1, 1, 1) on the 2-simplex."""
     check_count("n", n)
     gen = _as_generator(rng)
-    return gen.dirichlet(np.ones(dim), size=n)
+    return gen.dirichlet(np.ones(3), size=n)
 
 
 def anomaly_perturb(x: np.ndarray, m: int, w: float, rng) -> np.ndarray:

@@ -74,6 +74,21 @@ class TestSampleCommand:
         sigma = read_permutation(out_p)
         assert gm_objective(a, b, invert_permutation(sigma)) == 0
 
+    def test_block_shuffle_keeps_blocks(self, tmp_path, capsys):
+        cfg = tmp_path / "sbm.json"
+        cfg.write_text(json.dumps(dict(SBM_8_8, rho=1.0)))
+        out_a, out_b, out_p = (str(tmp_path / f) for f in ("a.edg", "b.edg", "sigma.txt"))
+        code, _, err = run_cli(capsys, "sample", "--config", str(cfg), "--seed", "4",
+                               "--shuffle", "block", "--out-a", out_a, "--out-b", out_b,
+                               "--out-perm", out_p)
+        assert code == 0, err
+        sigma = read_permutation(out_p)
+        membership = np.repeat([0, 1], 8)
+        assert np.array_equal(membership[sigma], membership)
+        assert not np.array_equal(sigma, np.arange(16))
+        assert gm_objective(read_edgelist(out_a), read_edgelist(out_b),
+                            invert_permutation(sigma)) == 0
+
     def test_rejects_flag_of_another_command(self, tmp_path, capsys, er_config):
         # --bits belongs to mi; sample must not accept and ignore it
         out_a = tmp_path / "a.edg"
@@ -122,6 +137,15 @@ class TestMatchCommand:
         assert code == 0
         report = json.loads(open(rep).read())
         assert report["disagreements_after"] == 0
+
+    def test_report_to_stdout(self, tmp_path, capsys):
+        path = str(tmp_path / "g.edg")
+        write_edgelist(path, 1 - np.eye(5, dtype=np.int8))
+        code, out, err = run_cli(capsys, "match", "--a", path, "--b", path,
+                                 "--out-perm", str(tmp_path / "perm.txt"))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["objective"] == 0 and report["seeds"] == 0
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.edg")
@@ -467,9 +491,18 @@ REJECTED = {
     "cluster-real no --d or --scree": (("cluster-real", "--a", "a.edg", "--b", "b.edg",
                                         "--labels", "lab.txt", "--k", "2", "-o", "out"),
                                        "--d --scree"),
+    "sample invalid JSON config": (("sample", "--config", "notjson.json", "--out-a", "out",
+                                    "--out-b", "out_b"), "notjson.json is not valid JSON"),
+    "sample rho-er without n and p": (("sample", "--model", "rho-er", "--config", "sbm.json",
+                                       "--out-a", "out", "--out-b", "out_b"),
+                                      "rho-er needs n and p"),
+    "mi without rho": (("mi", "--n", "5", "--p", "0.3"), "mi needs rho"),
+    # mi draws nothing, so it takes no --seed
+    "mi --seed": (("mi", "--n", "3", "--p", "0.5", "--rho", "1.0", "--seed", "3"), "--seed"),
     "sample --subset-size -3": (("sample", "--model", "rho-er", "--config", "er.json",
                                  "--shuffle", "subset", "--subset-size", "-3", "--out-a", "out",
-                                 "--out-b", "out_b", "--out-perm", "out_perm"), "k value -3"),
+                                 "--out-b", "out_b", "--out-perm", "out_perm"),
+                                "--subset-size value -3 is outside [0, 20]"),
 }
 # sample reads --subset-size and --protect-file only with --shuffle subset,
 # even when the protect file does not exist
@@ -490,6 +523,7 @@ def test_rejected_input(input_dir, capsys, name):
                       ("badrho.json", {"n": 5, "p": 0.3, "rho": [0.5]}),
                       ("er.json", {"n": 20, "p": 0.4, "rho": 0.6})):
         (input_dir / file).write_text(json.dumps(cfg))
+    (input_dir / "notjson.json").write_text('{"n": 5,')
     try:
         code = main(list(argv))
     except SystemExit as exc:

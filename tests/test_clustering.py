@@ -379,6 +379,13 @@ class TestClusterExperiments:
             ("cluster-shuffle", {"s_grid": (-1,)}, "s_grid"),
             ("cluster-real", {"s_grid": (13,)}, "s_grid"),
             ("cluster-real", {"s_grid": (-2,)}, "s_grid"),
+            # count grids hold integers: no cast to a count no one asked for
+            ("power-er", {"s_grid": (0, 2.5)}, "s_grid must be an integer, got 2.5"),
+            ("power-er", {"x_grid": (0, 6.9)}, "x_grid must be an integer, got 6.9"),
+            ("power-omni", {"x_grid": (0, 6.0)}, "x_grid must be an integer, got 6.0"),
+            ("power-omni", {"num_anomalous": 4.0}, "num_anomalous must be an integer"),
+            ("cluster-shuffle", {"s_grid": (True, 3.7)}, "s_grid must be an integer, got True"),
+            ("cluster-real", {"s_grid": (np.float64(4.0),)}, "s_grid must be an integer"),
             # stream ids past their block: six s values x 2e6 replicates
             # would reach the null block
             ("power-er", {"mc_reps": 2_000_000, "s_grid": range(0, 12, 2)}, "replicate block"),

@@ -78,9 +78,12 @@ class TestApplyPermutation:
             back = apply_permutation(apply_permutation(g, phi), invert_permutation(phi))
             assert np.array_equal(back, g)
 
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_permutation(PATH3, np.array([0, 1]))
+    @pytest.mark.parametrize("phi, match", [([0, 1], "length 2 != n 3"),
+                                            ([0, 0, 1], "not a bijection"),
+                                            ([0, 1, 3], "not a bijection")])
+    def test_rejects_bad_permutation(self, phi, match):
+        with pytest.raises(ValueError, match=match):
+            apply_permutation(PATH3, np.array(phi))
 
 
 class TestObjectives:
@@ -149,6 +152,11 @@ class TestSampleEdgeCorrelation:
         a = graph_from_edges(3, [(0, 1)])
         b = graph_from_edges(3, [(0, 1), (1, 2)])
         assert sample_edge_correlation(a, b) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_needs_two_vertices(self, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            sample_edge_correlation(empty_graph(n), empty_graph(n))
 
     def test_zero_variance_convention(self):
         assert sample_edge_correlation(empty_graph(4), PATH3.copy() if False else graph_from_edges(4, [(0, 1)])) == 0.0
@@ -327,6 +335,8 @@ class TestValidation:
         assert np.array_equal(comp, phi[tau])
         assert np.array_equal(compose_permutations(invert_permutation(phi), phi),
                               identity_permutation(9))
+        with pytest.raises(ValueError, match="length mismatch"):
+            compose_permutations(phi, tau[:8])
 
 
 class TestFileFormats:

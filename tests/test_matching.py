@@ -192,6 +192,11 @@ class TestSolveLap:
             _, best_val = brute_force_lap(cost)
             assert total == best_val
 
+    def test_empty(self):
+        perm, total = solve_lap(np.zeros((0, 0)))
+        assert perm.dtype == np.int64 and perm.shape == (0,)
+        assert total == 0.0 and isinstance(total, float)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             solve_lap(np.zeros((2, 3)))
@@ -290,12 +295,15 @@ class TestSgmMatch:
         for v in (2, 11, 17):
             assert res.permutation[v] == v
 
-    def test_conflicting_seeds_rejected(self):
+    @pytest.mark.parametrize("seeds, match", [([(0, 1), (0, 2)], "conflicting"),
+                                              ([(0, 1), (2, 1)], "conflicting"),
+                                              ([0, 1], "pairs"), ([(0, 1, 2)], "pairs"),
+                                              ([(0, 4)], "out of range"),
+                                              ([(-1, 0)], "out of range")])
+    def test_conflicting_seeds_rejected(self, seeds, match):
         a = graph_from_edges(4, [(0, 1)])
-        with pytest.raises(ValueError):
-            sgm_match(a, a, seeds=[(0, 1), (0, 2)])
-        with pytest.raises(ValueError):
-            sgm_match(a, a, seeds=[(0, 1), (2, 1)])
+        with pytest.raises(ValueError, match=match):
+            sgm_match(a, a, seeds=seeds)
 
     def test_permutation_init_with_seeds(self):
         gen = RngStream(40).generator()

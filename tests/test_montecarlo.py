@@ -1,5 +1,6 @@
 """The six Monte Carlo experiments at tiny sizes: pinned tables, the
-stream-id blocks and the one critical-value routine."""
+stream-id blocks and shapes, the power table and the one critical-value
+routine."""
 
 import hashlib
 import math
@@ -21,7 +22,7 @@ from corrmatch import (
     sample_rho_sbm,
     shuffle_cluster_experiment,
 )
-from corrmatch._parallel import critical_rank, critical_value
+from corrmatch._parallel import MonteCarlo, critical_rank, critical_value
 
 SMALL_SBM = SbmParams(BlockPartition((8, 8)), np.array([[0.6, 0.1], [0.1, 0.6]]))
 REAL_PAIR = sample_rho_sbm(SMALL_SBM, 0.6, RngStream(11).generator())
@@ -82,11 +83,49 @@ def test_tables_pinned(name):
 
 
 def test_stream_block_capacity_is_inclusive():
-    from corrmatch._parallel import MonteCarlo
-
     MonteCarlo(0, 10_000_000, {}, 1)
     with pytest.raises(ValueError, match="replicate block"):
         MonteCarlo(0, 10_000_001, {}, 1)
+
+
+def _same_stream(gen, stream_id, master_seed):
+    return np.array_equal(gen.integers(2 ** 62, size=4),
+                          RngStream(master_seed, stream_id).generator().integers(2 ** 62, size=4))
+
+
+def test_stream_ids_are_row_major_in_each_block():
+    mc = MonteCarlo(5, 4, {}, 3, alpha=0.1, n_null=10, null_cells=2, shuffles=(2, 3, 4))
+    for role, index, stream_id in (("replicate", (2, 3), 2 * 4 + 3),
+                                   ("null", (1, 9), 10 ** 7 + 1 * 10 + 9),
+                                   ("shuffle", (1, 2, 3), 2 * 10 ** 7 + (1 * 3 + 2) * 4 + 3),
+                                   ("latent", (0,), 9 * 10 ** 7),
+                                   ("latent", (4,), 9 * 10 ** 7 + 4)):
+        assert _same_stream(mc.generator(role, *index), stream_id, 5), (role, index)
+
+
+@pytest.mark.parametrize("role, index", [
+    # unchecked, these two named the streams of (1, 0) in their roles
+    ("shuffle", (0, 3)), ("replicate", (0, 4)),
+    ("shuffle", (2, 0)), ("replicate", (1, 0)), ("null", (0, 0)), ("latent", (5,)),
+    ("shuffle", (0, -1)), ("shuffle", (0,)), ("shuffle", (0, 0, 0)),
+])
+def test_stream_index_outside_its_shape_rejected(role, index):
+    mc = MonteCarlo(0, 4, {}, 1, shuffles=(2, 3))
+    with pytest.raises(ValueError, match=f"{role} stream index"):
+        mc.generator(role, *index)
+
+
+def test_power_table_rows():
+    mc = MonteCarlo(9, 4, {}, 1)
+    stats = np.array([[[0.5, 3.0], [1.0, 3.0]]] * 3 + [[[2.0, 0.0], [0.0, 3.0]]])
+    rows = mc.power_table({"experiment": "e", "s": 1}, "x", (10, 20), ("u", "v"), stats,
+                          (1.0, 2.5))  # strictly above: 1.0 > 1.0 does not reject
+    assert [list(r) for r in rows] == [["experiment", "s", "x", "variant", "power",
+                                        "std_err", "mc_reps", "master_seed"]] * 4
+    assert [(r["x"], r["variant"], r["power"]) for r in rows] == [
+        (10, "u", 0.25), (10, "v", 0.75), (20, "u", 0.0), (20, "v", 1.0)]
+    assert rows[0]["std_err"] == math.sqrt(0.25 * 0.75 / 4)
+    assert rows[0]["mc_reps"] == 4 and rows[0]["master_seed"] == 9
 
 
 class TestCriticalValue:

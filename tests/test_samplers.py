@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,6 +31,17 @@ from corrmatch.samplers import _as_generator
 def sbm_draw(params, rng):
     """The first graph of a pair, which is one SBM draw."""
     return sample_rho_sbm(params, 0.0, rng)[0]
+
+
+@pytest.mark.parametrize("sizes, lam, match", [
+    ((3,), [[0.5, 0.1]], "lambda must be 1x1"),
+    ((2, 2), [[0.5, 0.1], [0.2, 0.5]], "lambda must be symmetric"),
+    ((2, 2), [[0.5, 0.1], [0.1, 1.5]], r"lambda entries must lie in \[0, 1\]"),
+    ((2, 2), [[0.5, -0.1], [-0.1, 0.5]], r"lambda entries must lie in \[0, 1\]"),
+])
+def test_sbm_params_rejected(sizes, lam, match):
+    with pytest.raises(ValueError, match=match):
+        SbmParams(BlockPartition(sizes), np.array(lam))
 
 
 class TestSbmSampler:
@@ -137,6 +149,12 @@ class TestMaxFeasibleCorrelation:
         assert max_feasible_correlation(0.5, 0.0) == 0.0
         assert max_feasible_correlation(1.0, 0.5) == 0.0
 
+    @pytest.mark.parametrize("p, q", [(1e-300, 1 - 1e-16), (5e-324, 0.5), (0.5, 0.5 + 1e-16)])
+    def test_extreme_marginals_do_not_warn(self, p, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert 0.0 <= max_feasible_correlation(p, q) <= 1.0
+
     def test_symmetry_and_array(self):
         p = np.array([[0.0, 0.2], [0.2, 0.0]])
         q = np.array([[0.0, 0.5], [0.5, 0.0]])
@@ -198,6 +216,32 @@ class TestHeterogeneous:
         with pytest.raises(ValueError):
             HeterogeneousPair(0.4 * off, 0.375 * off, 0.99 * off)
 
+    @pytest.mark.parametrize("p, q, rho, match", [
+        (np.full((2, 3), 0.5), np.full((2, 3), 0.5), np.zeros((2, 3)), "square"),
+        (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(2)), np.zeros((3, 3)), "equal shape"),
+        (np.triu(np.full((3, 3), 0.5), 1), 0.5 * (1 - np.eye(3)), np.zeros((3, 3)),
+         "p matrix must be symmetric"),
+        (0.5 * (1 - np.eye(3)), 1.5 * (1 - np.eye(3)), np.zeros((3, 3)),
+         r"q entries must lie in \[0,1\]"),
+        (np.full((3, 3), 0.5), 0.5 * (1 - np.eye(3)), np.zeros((3, 3)),
+         "p must have zero diagonal"),
+        (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(3)), np.triu(np.full((3, 3), 0.2), 1),
+         "rho matrix must be symmetric"),
+        # rho below the bound but so negative that P(0,0) < 0
+        (0.9 * (1 - np.eye(3)), 0.9 * (1 - np.eye(3)), -0.99 * (1 - np.eye(3)),
+         "joint table not a distribution"),
+    ])
+    def test_spec_rejected_when_built(self, p, q, rho, match):
+        with pytest.raises(ValueError, match=match):
+            HeterogeneousPair(p, q, rho)
+
+    def test_conditional_tables_stored(self):
+        spec = self._const_pair(4, 0.4, 0.375, 0.7)
+        p11 = 0.15 + 0.7 * math.sqrt(0.4 * 0.6 * 0.375 * 0.625)
+        off = ~np.eye(4, dtype=bool)
+        assert np.allclose(spec.given_edge[off], p11 / 0.4)
+        assert np.allclose(spec.given_non_edge[off], (0.375 - p11) / 0.6)
+
     def test_draws_pinned(self):
         # cells at p = 0 and p = 1, q != p, rho at the feasible bound on
         # half the cells and rho = -0.2 on the other half
@@ -253,11 +297,13 @@ class TestLatentPositions:
         with pytest.raises(ValueError, match="n "):
             sample_dirichlet_positions(n, RngStream(35))
 
-    @pytest.mark.parametrize("m", [-1, 11, 2.5, True])
-    def test_anomaly_perturb_count(self, m):
+    @pytest.mark.parametrize("m, w, match", [(-1, 0.5, "m "), (11, 0.5, "m "), (2.5, 0.5, "m "),
+                                             (True, 0.5, "m "), (2, -0.1, "w must"),
+                                             (2, 1.5, "w must")])
+    def test_anomaly_perturb_arguments(self, m, w, match):
         x = sample_dirichlet_positions(10, RngStream(36))
-        with pytest.raises(ValueError, match="m "):
-            anomaly_perturb(x, m, 0.5, RngStream(37))
+        with pytest.raises(ValueError, match=match):
+            anomaly_perturb(x, m, w, RngStream(37))
 
 
 class TestPermutationSamplers:
@@ -281,9 +327,12 @@ class TestPermutationSamplers:
             phi = sample_subset_shuffle(10, [], 4, RngStream(28, i))
             assert int((phi != np.arange(10)).sum()) <= 4
 
-    def test_subset_too_large(self):
-        with pytest.raises(ValueError):
-            sample_subset_shuffle(5, [0, 1], 4, RngStream(29))
+    @pytest.mark.parametrize("seeds, k, match", [([0, 1], 4, "cannot shuffle 4 of 3"),
+                                                 ([0, 5], 1, "seed vertex out of range"),
+                                                 ([-1], 1, "seed vertex out of range")])
+    def test_subset_shuffle_rejected(self, seeds, k, match):
+        with pytest.raises(ValueError, match=match):
+            sample_subset_shuffle(5, seeds, k, RngStream(29))
 
     @pytest.mark.parametrize("k", [-3, -1, True, 2.5, np.float64(2.0)])
     def test_subset_size_not_a_count(self, k):
