@@ -160,10 +160,10 @@ def _cmd_sample(args) -> int:
         sigma = sample_block_permutation(params.partition, sgen)
     elif args.shuffle == "subset":
         protect = read_labels(args.protect_file) if args.protect_file else []
-        k = params.n - len(protect)
+        k = params.n - len(set(protect))  # repeated protect lines count once
         if args.subset_size is not None:
+            check_range("--subset-size", (args.subset_size,), 0, k)
             k = args.subset_size
-            check_range("--subset-size", (k,), 0, params.n - len(set(protect)))
         sigma = sample_subset_shuffle(params.n, protect, k, sgen)
 
     write_edgelist(args.out_a, a)

@@ -96,6 +96,18 @@ def invert_permutation(phi: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _complement(vertices: np.ndarray, n: int) -> np.ndarray:
+    """Sorted vertices of [n] not in ``vertices``, as int64."""
+    keep = np.ones(n, dtype=bool)
+    keep[vertices] = False
+    return np.flatnonzero(keep).astype(np.int64, copy=False)
+
+
+def _gather(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """g[np.ix_(idx, idx)] as two single-axis takes, in C order like np.ix_."""
+    return g.take(idx, 0).take(idx, 1)
+
+
 def compose_permutations(phi: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Composition (phi o tau): i -> phi[tau[i]]."""
     phi = np.asarray(phi, dtype=np.int64)
@@ -155,8 +167,7 @@ def apply_permutation(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
         raise ValueError(f"permutation length {phi.shape[0]} != n {g.shape[0]}")
     if not is_permutation(phi):
         raise ValueError("phi is not a bijection of [n]")
-    inv = invert_permutation(phi)
-    return g[np.ix_(inv, inv)]
+    return _gather(g, invert_permutation(phi))
 
 
 # -- matching objectives ----------------------------------------------------

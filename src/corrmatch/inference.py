@@ -26,6 +26,7 @@ from ._parallel import MonteCarlo
 from .embedding import t2_omni
 from .graphs import (
     _check_same_size,
+    _complement,
     apply_permutation,
     check_count,
     check_counts,
@@ -253,7 +254,7 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
         """T2 of a against b with x random unseeded vertices of b shuffled,
         before and after seeded matching."""
         unseeded = np.sort(gen.choice(n, size=x, replace=False))
-        seeds = np.setdiff1d(np.arange(n), unseeded, assume_unique=True)
+        seeds = _complement(unseeded, n)
         b_sh = apply_permutation(b, sample_subset_shuffle(n, seeds, x, gen))
         t_shuffled = t2_omni(a, b_sh, d)
         res = sgm_match(a, b_sh, seeds=identity_seeds(seeds))

@@ -6,12 +6,18 @@ Frank-Wolfe ascent on the Birkhoff polytope: at each step the gradient
 is 2*A*D*B (symmetric adjacencies), the ascent direction is the
 permutation Q maximizing the linearized objective (a linear assignment
 problem), and the step size solves the 1-d quadratic in R = Q - D
-exactly. The final doubly stochastic iterate is projected to the
-nearest permutation with one more assignment solve.
+exactly. A final fractional iterate is projected to the nearest
+permutation with one more assignment solve.
 
-Each dense product is formed once: one A*D*B per iterate scores it and
-gives the next gradient, and one A*R*B per step gives both line-search
-coefficients. The result is relabelled once, for trace(A P B P^T); the
+A step from a fractional iterate forms A*R*B once for both line-search
+coefficients and, when the iterate moves, one A*D*B that scores it and
+gives the next gradient: 4 dense matmuls. While D is a permutation
+matrix (the identity and permutation inits, and after every step of
+length exactly t = 1, which lands exactly on Q), every product with D
+or R is an exact integer matrix. Such a step forms A*Q*B as one matmul
+of the column-gathered A with B, takes A*R*B = A*Q*B - A*D*B, scores by
+O(m) gathers, and needs no final projection. Both ways give the same
+bits. The result is relabelled once, for trace(A P B P^T); the
 objective follows as ||A||^2 + ||B||^2 - 2 trace(A P B P^T).
 
 Seeded matching reorders both graphs so the seed pairs occupy a leading
@@ -34,6 +40,8 @@ from scipy.optimize import linear_sum_assignment
 from .graphs import (
     BlockPartition,
     _check_same_size,
+    _complement,
+    _gather,
     _read_int_lines,
     _write_int_lines,
     as_adjacency,
@@ -115,48 +123,83 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     s = seed_arr.shape[0]
     m = n - s
 
-    free_a = np.setdiff1d(np.arange(n, dtype=np.int64), seed_arr[:, 0], assume_unique=False)
-    free_b = np.setdiff1d(np.arange(n, dtype=np.int64), seed_arr[:, 1], assume_unique=False)
+    free_a = _complement(seed_arr[:, 0], n)
+    free_b = _complement(seed_arr[:, 1], n)
     ra = np.concatenate([seed_arr[:, 0], free_a])
     rb = np.concatenate([seed_arr[:, 1], free_b])
 
-    af = a[np.ix_(ra, ra)].astype(np.float64)
-    bf = b[np.ix_(rb, rb)].astype(np.float64)
+    af = _gather(a, ra).astype(np.float64)
+    bf = _gather(b, rb).astype(np.float64)
     a21 = af[s:, :s]
     b21 = bf[s:, :s]
     a22 = af[s:, s:]
     b22 = bf[s:, s:]
     lin = a21 @ b21.T  # gradient contribution of the seed blocks
     const = float((af[:s, :s] * bf[:s, :s]).sum())
+    rows = np.arange(m)
 
-    d = _initial_iterate(init, m, n, ra, rb, s)
-    adb = a22 @ d @ b22  # scores d; 2*adb + 2*lin is the next gradient
-    trace_vals = [const + 2.0 * float((lin * d).sum()) + float((adb * d).sum())]
+    # While D is exactly a permutation matrix, perm holds its columns and d
+    # is None; otherwise perm is None and d holds D. A t == 1 step lands
+    # exactly on Q: x + (1 - x) == 1 and x + (0 - x) == +0 for x in [0, 1].
+    perm, d = _initial_iterate(init, m, n, ra, rb, s)
+
+    def permuted_product(cols: np.ndarray) -> np.ndarray:
+        """A*P*B for the permutation matrix P with a 1 at (i, cols[i]): exact."""
+        return a22[:, invert_permutation(cols)] @ b22
+
+    def score() -> float:
+        """Relaxed objective of the current iterate."""
+        if perm is None:
+            return const + 2.0 * float((lin * d).sum()) + float((adb * d).sum())
+        return const + 2.0 * float(lin[rows, perm].sum()) + float(adb[rows, perm].sum())
+
+    # adb scores the iterate; 2*adb + 2*lin is the next gradient
+    adb = a22 @ d @ b22 if perm is None else permuted_product(perm)
+    trace_vals = [score()]
     iterations = 0
     converged = m == 0
     for _ in range(max_iters if m > 0 else 0):
         iterations += 1
         q, _ = solve_lap(-(2.0 * adb + 2.0 * lin))
-        r = np.zeros((m, m))
-        r[np.arange(m), q] = 1.0
-        r -= d  # R = Q - D
-        arb = a22 @ r @ b22
-        c2 = float((arb * r).sum())
-        c1 = 2.0 * float((arb * d).sum()) + 2.0 * float((lin * r).sum())
-        del arb
-        t = _quadratic_step(c2, c1)
-        if t > 0.0:
+        if perm is not None:
+            arb = permuted_product(q)
+            arb -= adb  # A*R*B = A*Q*B - A*D*B
+            arb_d = float(arb[rows, perm].sum())
+            c2 = float(arb[rows, q].sum()) - arb_d
+            c1 = 2.0 * arb_d + 2.0 * (float(lin[rows, q].sum()) - float(lin[rows, perm].sum()))
+            t = _quadratic_step(c2, c1)
+            if t == 1.0:
+                adb += arb  # A*Q*B
+            del arb
+            if 0.0 < t < 1.0:
+                d = _permutation_matrix(perm)
+                r = _permutation_matrix(q) - d
+        else:
+            r = _permutation_matrix(q)
+            r -= d  # R = Q - D
+            arb = a22 @ r @ b22
+            c2 = float((arb * r).sum())
+            c1 = 2.0 * float((arb * d).sum()) + 2.0 * float((lin * r).sum())
+            del arb
+            t = _quadratic_step(c2, c1)
+            if t == 1.0:  # D + R is exactly Q
+                adb = permuted_product(q)
+        if t == 1.0:
+            perm, d = q, None
+        elif t > 0.0:
             d += t * r
             adb = a22 @ d @ b22
-        del r
-        new_obj = const + 2.0 * float((lin * d).sum()) + float((adb * d).sum())
+            perm = None
+        r = None
+        new_obj = score()
         prev_obj = trace_vals[-1]
         trace_vals.append(new_obj)
         if abs(new_obj - prev_obj) <= tol * max(1.0, abs(prev_obj)):
             converged = True
             break
     del adb
-    proj, _ = solve_lap(-d)
+    # a permutation matrix D is the unique optimum of the assignment on -D
+    proj = perm if perm is not None else solve_lap(-d)[0]
 
     # canonical full assignment: seeds identity, then projected block
     match = np.empty(n, dtype=np.int64)  # a-vertex -> b-vertex
@@ -174,14 +217,24 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     )
 
 
-def _initial_iterate(init, m: int, n: int, ra: np.ndarray, rb: np.ndarray, s: int) -> np.ndarray:
+def _permutation_matrix(cols: np.ndarray) -> np.ndarray:
+    """Float permutation matrix with a 1 at (i, cols[i])."""
+    mat = np.zeros((cols.shape[0], cols.shape[0]))
+    mat[np.arange(cols.shape[0]), cols] = 1.0
+    return mat
+
+
+def _initial_iterate(init, m: int, n: int, ra: np.ndarray, rb: np.ndarray,
+                     s: int) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """(perm, d): the columns of a permutation init and None, or None and
+    the dense barycenter."""
     if m == 0:
-        return np.zeros((0, 0))
+        return np.zeros(0, dtype=np.int64), None
     if isinstance(init, str):
         if init == "barycenter":
-            return np.full((m, m), 1.0 / m)
+            return None, np.full((m, m), 1.0 / m)
         if init == "identity":
-            return np.eye(m)
+            return np.arange(m), None
         raise ValueError(f"unknown init {init!r}")
     arr = np.asarray(init, dtype=np.float64)
     if arr.ndim == 1:
@@ -192,9 +245,7 @@ def _initial_iterate(init, m: int, n: int, ra: np.ndarray, rb: np.ndarray, s: in
         cols = pos_b[invert_permutation(arr)[ra[s:]]]
         if (cols < 0).any():
             raise ValueError("init permutation must map non-seeds to non-seed targets")
-        d = np.zeros((m, m))
-        d[np.arange(m), cols] = 1.0
-        return d
+        return cols, None
     raise ValueError(f"init must be 'barycenter', 'identity' or a permutation, got shape {arr.shape}")
 
 

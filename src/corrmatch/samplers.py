@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import ADJ_DTYPE, BlockPartition, check_count, identity_permutation
+from .graphs import ADJ_DTYPE, BlockPartition, _complement, check_count, identity_permutation
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,13 @@ def max_feasible_correlation(p, q):
     degenerate = (p <= 0) | (p >= 1) | (q <= 0) | (q >= 1)
     ps = np.where(degenerate, 0.5, p)
     qs = np.where(degenerate, 0.5, q)
-    ratio = (ps * (1 - qs)) / (qs * (1 - ps))
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = (ps * (1 - qs)) / (qs * (1 - ps))
     out = np.sqrt(np.minimum(ratio, 1.0 / np.maximum(ratio, 1.0)))
+    over = np.isinf(ratio)
+    if over.any():  # the minimum is 1 / ratio there: form it without overflow
+        recip = np.divide(qs * (1 - ps), ps * (1 - qs), out=np.ones_like(ratio), where=over)
+        out = np.where(over, np.sqrt(recip), out)
     out = np.where(degenerate, 0.0, out)
     if out.ndim == 0:
         return float(out)
@@ -244,7 +249,7 @@ def sample_subset_shuffle(n: int, seed_set, k: int, rng) -> np.ndarray:
     seeds = np.asarray(sorted(set(int(s) for s in seed_set)), dtype=np.int64)
     if seeds.size and (seeds.min() < 0 or seeds.max() >= n):
         raise ValueError("seed vertex out of range")
-    free = np.setdiff1d(np.arange(n, dtype=np.int64), seeds, assume_unique=True)
+    free = _complement(seeds, n)
     if k > free.shape[0]:
         raise ValueError(f"cannot shuffle {k} of {free.shape[0]} non-seed vertices")
     phi = identity_permutation(n)

@@ -89,6 +89,21 @@ class TestSampleCommand:
         assert gm_objective(read_edgelist(out_a), read_edgelist(out_b),
                             invert_permutation(sigma)) == 0
 
+    def test_repeated_protect_lines_count_once(self, tmp_path, capsys, er_config):
+        # the default --subset-size shuffles every unprotected vertex
+        sigmas = []
+        for lines in ("0\n0\n1\n1\n", "0\n1\n"):
+            (tmp_path / "protect.txt").write_text(lines)
+            out_p = tmp_path / "sigma.txt"
+            code, _, err = run_cli(capsys, "sample", "--model", "rho-er", "--config", er_config,
+                                   "--seed", "7", "--shuffle", "subset",
+                                   "--protect-file", str(tmp_path / "protect.txt"),
+                                   "--out-a", str(tmp_path / "a.edg"),
+                                   "--out-b", str(tmp_path / "b.edg"), "--out-perm", str(out_p))
+            assert code == 0, err
+            sigmas.append(out_p.read_bytes())
+        assert sigmas[0] == sigmas[1]
+
     def test_rejects_flag_of_another_command(self, tmp_path, capsys, er_config):
         # --bits belongs to mi; sample must not accept and ignore it
         out_a = tmp_path / "a.edg"

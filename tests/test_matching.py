@@ -1,7 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from corrmatch import (
     apply_permutation,
@@ -25,6 +28,7 @@ from corrmatch import (
     write_permutation,
     write_seeds,
 )
+from corrmatch import matching
 from corrmatch.graphs import BlockPartition, complete_graph, empty_graph, graph_from_edges
 from corrmatch.matching import MatchResult, _quadratic_step, _validate_seeds
 from corrmatch.samplers import RngStream
@@ -151,6 +155,97 @@ def test_sgm_match_reproduces_reference_bit_for_bit():
         assert got.objective_trace == want.objective_trace
         count += 1
     assert count == 765  # 17 (n, s) pairs x 5 graph pairs x 3 inits x 3 caps
+
+
+@given(st.floats(min_value=0.0, max_value=1.0))
+@example(0.0)
+@example(5e-324)
+@example(1.0 / 3.0)
+@example(1.0)
+def test_full_step_lands_exactly_on_the_vertex(x):
+    """A t = 1 step d += 1.0 * (q - d) turns every iterate entry x into
+    exactly q's entry, with a positive zero, so sgm_match may treat the
+    iterate as the permutation q from then on."""
+    one = x + 1.0 * (1.0 - x)
+    zero = x + 1.0 * (0.0 - x)
+    assert one == 1.0
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
+
+
+def _step_recorder(monkeypatch):
+    """Record every step size sgm_match takes, one list per call."""
+    calls = []
+    step = matching._quadratic_step
+
+    def recording(c2, c1):
+        t = step(c2, c1)
+        calls[-1].append(t)
+        return t
+    monkeypatch.setattr(matching, "_quadratic_step", recording)
+    return calls
+
+
+def _shuffled_er_pairs():
+    """(a, b, seeds, inits): correlated ER pairs with the non-seeds of b
+    shuffled, at n in {60, 120}, p = 0.1 and rho in {0.3, 0.6}."""
+    gen = RngStream(60).generator()
+    for n in (60, 120):
+        for rho in (0.3, 0.6):
+            a, b = sample_rho_sbm(er_params(n, 0.1), rho, gen)
+            s = n // 10
+            b = apply_permutation(b, sample_subset_shuffle(n, np.arange(s), n - s, gen))
+            phi = np.arange(n)
+            phi[s:] = s + gen.permutation(n - s)
+            yield a, b, identity_seeds(np.arange(s)), ("barycenter", "identity", phi)
+
+
+def test_sgm_match_switches_regimes_bit_for_bit(monkeypatch):
+    """Seeded matchings whose steps move between permutation iterates
+    (t = 1) and fractional ones (0 < t < 1), both ways, match the
+    oracle bit for bit."""
+    calls = _step_recorder(monkeypatch)
+    for a, b, seeds, inits in _shuffled_er_pairs():
+        for init in inits:
+            for max_iters in (3, 100):
+                calls.append([])
+                got = sgm_match(a, b, seeds=seeds, init=init, max_iters=max_iters)
+                want = reference_sgm_match(a, b, seeds=seeds, init=init, max_iters=max_iters)
+                assert np.array_equal(got.permutation, want.permutation)
+                assert (got.objective, got.iterations, got.converged) == \
+                    (want.objective, want.iterations, want.converged)
+                assert [math.copysign(1.0, v) for v in got.objective_trace] == \
+                    [math.copysign(1.0, v) for v in want.objective_trace]
+                assert got.objective_trace == want.objective_trace
+    kinds = ["".join("1" if t == 1.0 else "f" if t > 0.0 else "0" for t in ts)
+             for ts in calls if ts]
+    assert any("1f" in k for k in kinds)  # permutation -> fractional
+    assert any("f1" in k for k in kinds)  # fractional -> permutation
+
+
+def test_no_projection_lap_after_a_full_step(monkeypatch):
+    """One LAP per iteration, plus the final projection only when the
+    last iterate is fractional."""
+    laps = []
+    solve = matching.solve_lap
+
+    def counting(cost):
+        laps.append(1)
+        return solve(cost)
+    monkeypatch.setattr(matching, "solve_lap", counting)
+    calls = _step_recorder(monkeypatch)
+
+    a = random_graph(30, 0.3, np.random.default_rng(61))
+    calls.append([])
+    res = faq_match(a, a, init="identity")
+    assert res.objective == 0 and calls[-1] == [1.0]
+    assert len(laps) == res.iterations == 1
+
+    a, b, seeds, _ = next(_shuffled_er_pairs())
+    laps.clear()
+    calls.append([])
+    res = sgm_match(a, b, seeds=seeds, max_iters=2)
+    assert 0.0 < calls[-1][-1] < 1.0  # ends on a fractional iterate
+    assert len(laps) == res.iterations + 1 == 3
 
 
 class TestSolveLap:

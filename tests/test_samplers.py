@@ -149,11 +149,14 @@ class TestMaxFeasibleCorrelation:
         assert max_feasible_correlation(0.5, 0.0) == 0.0
         assert max_feasible_correlation(1.0, 0.5) == 0.0
 
-    @pytest.mark.parametrize("p, q", [(1e-300, 1 - 1e-16), (5e-324, 0.5), (0.5, 0.5 + 1e-16)])
+    @pytest.mark.parametrize("p, q", [(1e-300, 1 - 1e-16), (1 - 1e-16, 1e-300), (5e-324, 0.5),
+                                      (0.5, 5e-324), (0.5, 0.5 + 1e-16)])
     def test_extreme_marginals_do_not_warn(self, p, q):
+        # an overflowing or infinite ratio gives the mirror call's value exactly
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert 0.0 <= max_feasible_correlation(p, q) <= 1.0
+            assert max_feasible_correlation(p, q) == max_feasible_correlation(q, p)
 
     def test_symmetry_and_array(self):
         p = np.array([[0.0, 0.2], [0.2, 0.0]])
