@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from corrmatch import (
     RngStream,
@@ -13,6 +14,7 @@ from corrmatch import (
     t1_semipar,
     t2_omni,
 )
+from corrmatch import embedding
 from corrmatch.graphs import apply_permutation
 from corrmatch.samplers import er_params, sample_rho_sbm, sample_uniform_permutation
 
@@ -91,6 +93,171 @@ class TestAse:
         a[2, 5] += 1e-3
         with pytest.raises(ValueError, match="symmetric"):
             ase(a, 2)
+
+
+NON_FINITE = {
+    "nan": np.full((4, 4), np.nan),
+    "all-inf": np.full((4, 4), np.inf),
+    "inf-diagonal": np.diag([np.inf, 1.0, 1.0, 1.0]),
+    "one-nan-edge": np.where(np.eye(4, k=1) + np.eye(4, k=-1) > 0, np.nan, 0.0),
+}
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_ase_rejects(self, case):
+        with pytest.raises(ValueError, match="finite"):
+            ase(NON_FINITE[case], 2)
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_statistics_reject(self, case):
+        m = NON_FINITE[case]
+        other = complete_graph(4).astype(np.float64)
+        for a, b in ((m, m), (m, other), (other, m)):
+            with pytest.raises(ValueError, match="finite"):
+                t2_omni(a, b, 2)
+            with pytest.raises(ValueError, match="finite"):
+                t1_semipar(a, b, 2)
+
+    def test_large_inputs_never_reach_arpack(self, monkeypatch):
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(embedding, "eigsh", no_eigsh)
+        m = np.ones((200, 200))
+        m[3, 3] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            ase(m, 2)
+
+
+def oracle_ase(m, d, eigh=np.linalg.eigh):
+    """ase by the full decomposition: the rule every path must reproduce."""
+    a = np.asarray(m, dtype=np.float64)
+    w, v = eigh(a)
+    order = np.argsort(-np.abs(w), kind="stable")[:d]
+    vecs = v[:, order]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    vecs *= np.where(vecs[lead, np.arange(d)] < 0, -1.0, 1.0)
+    return vecs * np.sqrt(np.abs(w[order]))[None, :], np.abs(w[order])
+
+
+def block_expectation(sizes, diag, off):
+    z = np.repeat(np.arange(len(sizes)), sizes)
+    b = np.full((len(sizes), len(sizes)), off) + (diag - off) * np.eye(len(sizes))
+    return b[z][:, z]
+
+
+def complete_bipartite(m):
+    a = np.zeros((2 * m, 2 * m))
+    a[:m, m:] = 1.0
+    a[m:, :m] = 1.0
+    return a
+
+
+def lanczos_cases():
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(240, 240))
+    lat = rng.normal(size=(200, 3))
+    # (name, matrix, d, path): "lanczos" uses eigsh's pairs, "tie" calls
+    # eigsh and falls back to eigh, "eigh" never calls eigsh
+    cases = []
+    for n in (160, 240):
+        sym = x[:n, :n] + x[:n, :n].T
+        graph = random_graph(n, 0.2, rng)
+        for d in (1, 3, n // 25 - 1):
+            cases += [(f"symmetric-{n}", sym, d, "lanczos"), (f"graph-{n}", graph, d, "lanczos")]
+        cases += [(f"graph-{n}-wide", graph, n // 25, "eigh"),
+                  (f"graph-{n}-all-but-one", graph, n - 1, "eigh"),
+                  (f"graph-{n}-all", graph, n, "eigh")]
+    cases.append(("graph-below-crossover", random_graph(159, 0.2, rng), 2, "eigh"))
+    # a constant start vector is orthogonal to the block contrast here
+    sbm = block_expectation((100, 100), 0.5, 0.2)
+    cases += [("equal-block-sbm", sbm, 1, "lanczos"), ("equal-block-sbm", sbm, 2, "lanczos"),
+              ("equal-block-sbm-rank-cut", sbm, 3, "tie"),
+              ("three-equal-blocks-repeated", block_expectation((60, 60, 60), 0.5, 0.2), 2, "tie")]
+    k200 = complete_graph(200)
+    cases += [("complete", k200, 1, "lanczos"), ("complete-repeated-minus-one", k200, 2, "tie")]
+    kmm = complete_bipartite(100)
+    cases += [("bipartite-plus-minus", kmm, 1, "tie"), ("bipartite-plus-minus", kmm, 2, "tie"),
+              ("bipartite-zero-cut", kmm, 3, "tie")]
+    psd = lat @ lat.T
+    cases += [("rank-3-psd", psd, 2, "lanczos"), ("rank-3-psd", psd, 3, "lanczos"),
+              ("rank-3-psd-zero-cut", psd, 4, "tie"), ("zero", np.zeros((200, 200)), 3, "tie")]
+    return cases
+
+
+LANCZOS_CASES = lanczos_cases()
+
+
+@pytest.fixture
+def spied(monkeypatch):
+    """Record every eigsh and eigh call that ase makes; the oracle keeps
+    the unwrapped eigh."""
+    real_eigsh, real_eigh = embedding.eigsh, np.linalg.eigh
+    calls = []
+
+    def eigsh(*args, **kwargs):
+        calls.append(("eigsh", kwargs))
+        return real_eigsh(*args, **kwargs)
+
+    def eigh(a):
+        calls.append(("eigh", {}))
+        return real_eigh(a)
+
+    monkeypatch.setattr(embedding, "eigsh", eigsh)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls, real_eigh
+
+
+class TestLanczosPath:
+    @pytest.mark.parametrize("name,m,d,path", LANCZOS_CASES,
+                             ids=[f"{c[0]}-d{c[2]}" for c in LANCZOS_CASES])
+    def test_matches_full_eigh(self, spied, name, m, d, path):
+        calls, real_eigh = spied
+        z = ase(m, d)
+        expected, mags = oracle_ase(m, d, real_eigh)
+        ran = [kind for kind, _ in calls]
+        assert ran == {"lanczos": ["eigsh"], "tie": ["eigsh", "eigh"], "eigh": ["eigh"]}[path]
+        if path != "lanczos":
+            assert np.array_equal(z, expected)
+            return
+        assert calls[0][1]["k"] == d + 1
+        # the same |eigenvalue| ranking: column norms are sqrt(|lambda|)
+        norms = np.sum(z * z, axis=0)
+        assert np.all(np.diff(norms) <= 1e-9 * mags[0])
+        np.testing.assert_allclose(norms, mags, rtol=0, atol=1e-9 * max(mags[0], 1.0))
+        signs = np.where(np.sum(z * expected, axis=0) < 0, -1.0, 1.0)
+        assert np.max(np.abs(z - expected * signs)) <= 1e-10
+        assert np.max(np.abs(z @ z.T - expected @ expected.T)) <= 1e-9
+
+    def test_start_vector_fixed_and_not_constant(self, spied):
+        calls, _ = spied
+        rng = np.random.default_rng(21)
+        for _ in range(2):
+            ase(random_graph(200, 0.2, rng), 2)
+        (_, first), (_, second) = calls
+        assert np.array_equal(first["v0"], second["v0"])
+        assert np.ptp(first["v0"]) > 0.5
+
+    def test_deterministic(self, spied):
+        # Lanczos exhausts the Krylov space of this rank-2 matrix, so
+        # ARPACK restarts from random vectors: they come from the fixed
+        # generator too. The memory order of the input changes nothing.
+        calls, _ = spied
+        sbm = block_expectation((100, 100), 0.5, 0.2)
+        first = ase(sbm, 2)
+        for m in (sbm, np.ascontiguousarray(sbm), np.asfortranarray(sbm), sbm.T):
+            assert np.array_equal(ase(m, 2), first)
+        assert [kind for kind, _ in calls] == ["eigsh"] * 5
+
+    def test_arpack_failure_falls_back_to_eigh(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((200, 0)))
+
+        rng = np.random.default_rng(23)
+        g = random_graph(200, 0.2, rng)
+        monkeypatch.setattr(embedding, "eigsh", failing)
+        assert np.array_equal(ase(g, 3), oracle_ase(g, 3)[0])
 
 
 class TestOmnibus:

@@ -191,6 +191,22 @@ class TestPowerOmniExperiment:
                               mc_reps=4, n_null=19, master_seed=8)
         assert halves_equal and not any(halves_equal)
 
+    def test_each_distinct_pair_embedded_once(self, monkeypatch):
+        # x = 0 leaves b as it is, and matching may restore it: both reuse
+        # the replicate's one T2(a, b) instead of embedding (a, b) again
+        from corrmatch import embedding
+        real_ase = embedding.ase
+        seen = []
+
+        def recording_ase(m, d):
+            seen.append(np.asarray(m).tobytes())
+            return real_ase(m, d)
+
+        monkeypatch.setattr(embedding, "ase", recording_ase)
+        power_omni_experiment(n=20, d=3, num_anomalous=5, x_grid=(0, 4), alpha=0.1,
+                              mc_reps=4, n_null=19, master_seed=8)
+        assert seen and len(seen) == len(set(seen))
+
     def test_exact_copy_null_rejects_nothing(self):
         # num_anomalous=0: every replicate pair is a graph and its exact copy
         rows = power_omni_experiment(n=40, num_anomalous=0, x_grid=(0, 10, 20, 30),
