@@ -9,13 +9,8 @@ matrix square root. Eigenvector signs are fixed by making each
 vector's largest-magnitude entry positive, so embeddings are
 deterministic functions of their input.
 
-Only the d leading eigenpairs are used. From n = 160 on, with d + 1 at
-most n / 25, they come from the d + 1 leading Lanczos eigenpairs (ARPACK
-through ``scipy.sparse.linalg.eigsh``, from a fixed start vector);
-otherwise, and whenever Lanczos cannot settle the ranking exactly as
-the full ``np.linalg.eigh`` would, from the full decomposition. The two
-agree to rounding, up to each column's sign when its largest entry is
-tied in magnitude.
+Only the d leading eigenpairs are used; they come from Lanczos or the
+full ``np.linalg.eigh``, see ``_leading_eigenpairs``.
 """
 
 from __future__ import annotations
@@ -85,11 +80,8 @@ def ase(m: np.ndarray, d: int) -> np.ndarray:
     """Adjacency spectral embedding: n x d matrix U_d * diag(|lambda|_d)^(1/2).
 
     Eigenpairs are ranked by |eigenvalue| descending (ties by position
-    in the ascending-eigenvalue decomposition). For n >= 160 and d + 1
-    at most n / 25 they come from d + 1 Lanczos eigenpairs started
-    from a fixed random vector; a tie anywhere among those d + 1
-    |eigenvalues|, an ARPACK failure, or any other n and d takes the
-    full ``np.linalg.eigh`` instead (see ``_leading_eigenpairs``).
+    in the ascending-eigenvalue decomposition); the eigenpairs come from
+    Lanczos or the full ``np.linalg.eigh``, see ``_leading_eigenpairs``.
     Rejects a non-square, non-finite or non-symmetric ``m``.
     """
     a = np.asarray(m, dtype=np.float64)

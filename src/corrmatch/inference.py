@@ -251,13 +251,15 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     alt_spec = spec_from(x_latent, y_latent)
 
     def omni_stats(a: np.ndarray, b: np.ndarray, x: int, gen: np.random.Generator,
-                   t_ab) -> tuple[float, float]:
+                   t_ab=None) -> tuple[float, float]:
         """T2 of a against b with x random unseeded vertices of b shuffled,
-        before and after seeded matching. ``t_ab()`` is T2(a, b), computed
-        at most once per pair and reused for a graph that equals b exactly
-        (x = 0, or matching restored b)."""
+        before and after seeded matching. ``t_ab()``, when given, is
+        T2(a, b), computed at most once per pair and reused for a graph
+        that equals b exactly (x = 0, or matching restored b)."""
         def t2(g: np.ndarray) -> float:
-            return t_ab() if np.array_equal(g, b) else t2_omni(a, g, d)
+            if t_ab is not None and np.array_equal(g, b):
+                return t_ab()
+            return t2_omni(a, g, d)
 
         unseeded = np.sort(gen.choice(n, size=x, replace=False))
         seeds = _complement(unseeded, n)
@@ -266,13 +268,11 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
         res = sgm_match(a, b_sh, seeds=identity_seeds(seeds))
         return t_shuffled, t2(apply_permutation(b_sh, res.permutation))
 
-    def pair_t2(a: np.ndarray, b: np.ndarray):
-        return cache(partial(t2_omni, a, b, d))
-
-    # omnibus nulls: anomaly-free pair is an exact copy, then shuffled
+    # omnibus nulls: anomaly-free pair is an exact copy, then shuffled; a
+    # graph equal to the copy scores 0 through t2_omni's identical-pair rule
     def null_stats(x: int, gen: np.random.Generator) -> tuple[float, float]:
         a = _sample_symmetric_bernoulli(alt_spec.p_matrix, gen)
-        return omni_stats(a, a, x, gen, pair_t2(a, a))
+        return omni_stats(a, a, x, gen)
 
     inv_kinds = ("max_degree", "triangles", "spectral")
 
@@ -293,7 +293,7 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
             spec = spec_from(lx, anomaly_perturb(lx, num_anomalous, mix_w, lg))
         a, b = sample_correlated_heterogeneous(spec, gen)
         inv_stats = tuple(invariant_stat(a, b, kind) for kind in inv_kinds)
-        t_ab = pair_t2(a, b)
+        t_ab = cache(partial(t2_omni, a, b, d))
         return [omni_stats(a, b, x, mc.generator("shuffle", rep, x_idx), t_ab) + inv_stats
                 for x_idx, x in enumerate(x_grid)]
 

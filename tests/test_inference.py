@@ -191,21 +191,31 @@ class TestPowerOmniExperiment:
                               mc_reps=4, n_null=19, master_seed=8)
         assert halves_equal and not any(halves_equal)
 
-    def test_each_distinct_pair_embedded_once(self, monkeypatch):
+    def test_graph_equal_to_b_reuses_t2(self, monkeypatch):
         # x = 0 leaves b as it is, and matching may restore it: both reuse
         # the replicate's one T2(a, b) instead of embedding (a, b) again
-        from corrmatch import embedding
+        from corrmatch import embedding, inference
         real_ase = embedding.ase
-        seen = []
+        real_sample = inference.sample_correlated_heterogeneous
+        seen, pairs = [], []
 
         def recording_ase(m, d):
             seen.append(np.asarray(m).tobytes())
             return real_ase(m, d)
 
+        def recording_sample(spec, gen):
+            a, b = real_sample(spec, gen)
+            pairs.append(embedding.omnibus(a, b).tobytes())
+            return a, b
+
         monkeypatch.setattr(embedding, "ase", recording_ase)
+        monkeypatch.setattr(inference, "sample_correlated_heterogeneous", recording_sample)
         power_omni_experiment(n=20, d=3, num_anomalous=5, x_grid=(0, 4), alpha=0.1,
                               mc_reps=4, n_null=19, master_seed=8)
-        assert seen and len(seen) == len(set(seen))
+        assert len(pairs) == 4
+        # no replicate embeds its (a, b) twice (a pair with a == b is never embedded)
+        counts = [seen.count(p) for p in pairs]
+        assert max(counts) == 1, counts
 
     def test_exact_copy_null_rejects_nothing(self):
         # num_anomalous=0: every replicate pair is a graph and its exact copy
