@@ -5,8 +5,6 @@ from .graphs import (
     BlockPartition,
     apply_permutation,
     as_adjacency,
-    complete_graph,
-    compose_permutations,
     edge_disagreements,
     empty_graph,
     fixed_error_counts,
@@ -15,7 +13,6 @@ from .graphs import (
     identity_permutation,
     invert_permutation,
     max_degree,
-    permutation_matrix,
     read_edgelist,
     read_labels,
     sample_edge_correlation,
@@ -60,7 +57,6 @@ from .matching import (
     solve_lap,
     transposition_sweep,
     write_permutation,
-    write_seeds,
 )
 from .embedding import (
     ase,

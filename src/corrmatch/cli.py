@@ -107,11 +107,11 @@ def _sbm_from_config(cfg: dict) -> SbmParams:
     model = sorted({"sizes", "lambda", "n", "p"} & set(cfg))
     try:
         if model == ["lambda", "sizes"]:
-            return SbmParams(BlockPartition(tuple(int(s) for s in cfg["sizes"])),
+            return SbmParams(BlockPartition(cfg["sizes"]),
                              np.asarray(cfg["lambda"], dtype=np.float64))
         if model == ["n", "p"]:
-            return er_params(int(cfg["n"]), float(cfg["p"]))
-    except (TypeError, OverflowError) as exc:
+            return er_params(cfg["n"], float(cfg["p"]))
+    except (TypeError, OverflowError, ValueError) as exc:
         raise ValueError(f"config model fields are malformed: {exc}") from None
     raise ValueError(f"config and flags must give one model, {{sizes, lambda}} or {{n, p}}, "
                      f"got {model}")
@@ -206,11 +206,11 @@ def _cmd_mi(args) -> int:
     rho = _config_rho(cfg)
     mi = rho_sbm_mi(params, rho)
     ent = sbm_entropy(params)
+    ratio = f"{mi_small_rho_ratio(params, rho):.6f}" if rho > 0.0 else "undefined"
     scale = 1.0 / math.log(2.0) if args.bits else 1.0
     unit = "bits" if args.bits else "nats"
     print(f"I = {mi * scale:.6f}")
     print(f"H = {ent * scale:.6f}")
-    ratio = f"{mi_small_rho_ratio(params, rho):.6f}" if rho > 0.0 else "undefined"
     print(f"small_rho_ratio = {ratio}")
     print(f"units = {unit}")
     return 0

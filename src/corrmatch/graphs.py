@@ -45,12 +45,6 @@ def empty_graph(n: int) -> np.ndarray:
     return np.zeros((n, n), dtype=ADJ_DTYPE)
 
 
-def complete_graph(n: int) -> np.ndarray:
-    a = np.ones((n, n), dtype=ADJ_DTYPE)
-    np.fill_diagonal(a, 0)
-    return a
-
-
 def graph_from_edges(n: int, edges) -> np.ndarray:
     """Adjacency from an (m, 2) array or a sequence of (u, v) pairs."""
     u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
@@ -106,24 +100,6 @@ def _complement(vertices: np.ndarray, n: int) -> np.ndarray:
 def _gather(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """g[np.ix_(idx, idx)] as two single-axis takes, in C order like np.ix_."""
     return g.take(idx, 0).take(idx, 1)
-
-
-def compose_permutations(phi: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Composition (phi o tau): i -> phi[tau[i]]."""
-    phi = np.asarray(phi, dtype=np.int64)
-    tau = np.asarray(tau, dtype=np.int64)
-    if phi.shape != tau.shape:
-        raise ValueError("permutation length mismatch")
-    return phi[tau]
-
-
-def permutation_matrix(phi: np.ndarray) -> np.ndarray:
-    """P with P[phi[i], i] = 1, so that P A P^T shuffles labels by phi."""
-    phi = np.asarray(phi, dtype=np.int64)
-    n = phi.shape[0]
-    p = np.zeros((n, n), dtype=np.int64)
-    p[phi, np.arange(n)] = 1
-    return p
 
 
 def transposition(n: int, i: int, j: int) -> np.ndarray:
@@ -293,10 +269,8 @@ class BlockPartition:
     membership: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(check_count("block size", s) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        if any(s <= 0 for s in sizes):
-            raise ValueError("block sizes must be positive")
         object.__setattr__(self, "membership", np.repeat(np.arange(len(sizes)), sizes))
 
     @property

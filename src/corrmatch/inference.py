@@ -20,7 +20,7 @@ import math
 from functools import cache, partial
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from ._parallel import MonteCarlo
 from .embedding import t2_omni
@@ -70,6 +70,8 @@ def three_block_params() -> SbmParams:
 def _edge_fractions(a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
     _check_same_size(a, b)
     n = a.shape[0]
+    if n < 2:
+        raise ValueError(f"edge densities need n >= 2 vertices, got n={n}")
     m = n * (n - 1) // 2
     p1 = int(a.sum()) // 2 / m
     p2 = int(b.sum()) // 2 / m
@@ -164,6 +166,7 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid, "x_grid": x_grid},
                     len(s_grid), alpha=alpha, n_null=n_null, null_cells=len(s_grid) + 1,
                     shuffles=(len(s_grid), len(x_grid), mc_reps))
+    n = check_count("n", n, low=2)
     s_grid = check_counts("s_grid", s_grid, n)
     x_grid = check_counts("x_grid", x_grid)  # x > n - s shuffles all n - s unseeded vertices
     if max_feasible_correlation(p, q) < rho:
@@ -183,7 +186,7 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
         return paired_z(a, apply_permutation(b, res.permutation))
 
     crit_paired = mc.null_critical(0, paired_null)
-    crit_pooled = float(norm.ppf(1.0 - alpha / 2.0))
+    crit_pooled = float(ndtri(1.0 - alpha / 2.0))
     crit_matched = [mc.null_critical(s_idx + 1, partial(matched_null, identity_seeds(np.arange(s))))
                     for s_idx, s in enumerate(s_grid)]
 

@@ -96,6 +96,8 @@ def mi_small_rho_ratio(params: SbmParams, rho: float) -> float:
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must lie in (0, 1]; the ratio is undefined at 0")
     n = params.n
+    if n < 2:
+        raise ValueError(f"the ratio needs n >= 2 vertices, got n={n}")
     denom = rho * rho * (n * (n - 1) / 2.0) / 2.0
     return rho_sbm_mi(params, rho) / denom
 

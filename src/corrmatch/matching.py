@@ -302,11 +302,6 @@ def read_permutation(path) -> np.ndarray:
     return phi
 
 
-def write_seeds(path, seeds: np.ndarray) -> None:
-    """Write a seed file: one 'u v' line per seed pair."""
-    _write_int_lines(path, seeds, 2)
-
-
 def read_seeds(path) -> np.ndarray:
     return _read_int_lines(path, 2)[0]
 

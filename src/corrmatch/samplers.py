@@ -62,6 +62,8 @@ class SbmParams:
         k = self.partition.num_blocks
         if lam.shape != (k, k):
             raise ValueError(f"lambda must be {k}x{k}, got {lam.shape}")
+        if not np.isfinite(lam).all():
+            raise ValueError("lambda entries must be finite")
         if not np.allclose(lam, lam.T):
             raise ValueError("lambda must be symmetric")
         if lam.min() < 0.0 or lam.max() > 1.0:
@@ -82,7 +84,7 @@ class SbmParams:
 
 def er_params(n: int, p: float) -> SbmParams:
     """One-block SBM, i.e. Erdos-Renyi(n, p)."""
-    return SbmParams(BlockPartition((n,)), np.array([[p]]))
+    return SbmParams(BlockPartition((check_count("n", n),)), np.array([[p]]))
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,9 @@ class HeterogeneousPair:
         r = np.asarray(self.rho_matrix, dtype=np.float64)
         if not (p.shape == q.shape == r.shape) or p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("p, q, rho must be square matrices of equal shape")
+        for name, m in (("p", p), ("q", q), ("rho", r)):
+            if not np.isfinite(m).all():
+                raise ValueError(f"{name} entries must be finite")
         for name, m in (("p", p), ("q", q)):
             if not np.allclose(m, m.T):
                 raise ValueError(f"{name} matrix must be symmetric")

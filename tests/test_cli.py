@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,9 @@ from corrmatch import (
     write_labels,
 )
 from corrmatch.cli import _write_rows, main
-from corrmatch.matching import read_permutation, write_seeds
+from corrmatch.matching import read_permutation
 from corrmatch.samplers import RngStream
+from helpers import write_seeds
 
 
 def run_cli(capsys, *argv):
@@ -442,6 +447,23 @@ def test_outputs_pinned(input_dir, capsys, name):
     assert digests == PINNED_BYTES[name]
 
 
+def test_outputs_independent_of_blas_threads(tmp_path):
+    # the default 150-vertex model: its matching matmuls are large enough
+    # for OpenBLAS to split them across threads
+    name = "phase-transition-default"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "corrmatch.cli", *PINNED_RUNS[name], "--seed", "7",
+                        "-o", str(out)], env=env, check=True, timeout=300)
+        digests.append(tuple(hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
+                             for suffix in ("", ".meta.json")))
+    assert digests == [PINNED_BYTES[name]] * 2
+
+
 @pytest.mark.parametrize("name", sorted(n for n in PINNED_RUNS if PINNED_RUNS[n][0] == "exp"))
 def test_sidecar_replays_table(input_dir, capsys, name):
     # the sidecar config plus master_seed is the library call: replaying
@@ -518,6 +540,19 @@ REJECTED = {
                                  "--shuffle", "subset", "--subset-size", "-3", "--out-a", "out",
                                  "--out-b", "out_b", "--out-perm", "out_perm"),
                                 "--subset-size value -3 is outside [0, 20]"),
+    # config counts are integers, not truncated floats or bools
+    "mi n float": (("mi", "--config", "n_float.json"), "n must be an integer, got 10.7"),
+    "mi n bool": (("mi", "--config", "n_bool.json"), "n must be an integer, got True"),
+    "mi sizes float": (("mi", "--config", "sizes_float.json"),
+                       "block size must be an integer, got 2.5"),
+    "sample sizes float": (("sample", "--config", "sizes_float.json", "--out-a", "out",
+                            "--out-b", "out_b"), "block size must be an integer, got 2.5"),
+    # the small-correlation ratio needs a vertex pair; so does power-er
+    "mi one vertex": (("mi", "--config", "one_vertex.json"), "n >= 2"),
+    "power-er --n 1": (("exp", "power-er", "--n", "1", "--s-grid", "0", "--x-grid", "0",
+                        "--mc", "2", "--n-null", "20", "-o", "out"), "n value 1 is outside"),
+    # NaN != NaN: finiteness is checked before symmetry
+    "mi p NaN": (("mi", "--config", "p_nan.json"), "lambda entries must be finite"),
 }
 # sample reads --subset-size and --protect-file only with --shuffle subset,
 # even when the protect file does not exist
@@ -536,7 +571,12 @@ def test_rejected_input(input_dir, capsys, name):
                       ("empty.json", {}), ("list.json", [1, 2]),
                       ("badn.json", {"n": [5], "p": 0.3}),
                       ("badrho.json", {"n": 5, "p": 0.3, "rho": [0.5]}),
-                      ("er.json", {"n": 20, "p": 0.4, "rho": 0.6})):
+                      ("er.json", {"n": 20, "p": 0.4, "rho": 0.6}),
+                      ("n_float.json", {"n": 10.7, "p": 0.1, "rho": 0.5}),
+                      ("n_bool.json", {"n": True, "p": 0.1, "rho": 0.5}),
+                      ("sizes_float.json", dict(SBM_8_8, sizes=[2.5, 3], rho=0.5)),
+                      ("one_vertex.json", {"n": 1, "p": 0.1, "rho": 0.5}),
+                      ("p_nan.json", {"n": 5, "p": float("nan"), "rho": 0.5})):
         (input_dir / file).write_text(json.dumps(cfg))
     (input_dir / "notjson.json").write_text('{"n": 5,')
     try:

@@ -371,6 +371,9 @@ class TestClusterExperiments:
             ("power-er", {"s_grid": (0, 50)}, "s_grid"),
             ("power-er", {"s_grid": (-1,)}, "s_grid"),
             ("power-er", {"x_grid": (0, -5)}, "x_grid"),
+            # edge densities need a vertex pair
+            ("power-er", {"n": 1, "s_grid": (0,), "x_grid": (0,)}, "n value 1 is outside"),
+            ("power-er", {"n": 12.0}, "n must be an integer, got 12.0"),
             ("power-omni", {"x_grid": (0, 13)}, "x_grid"),
             ("power-omni", {"x_grid": (-1,)}, "x_grid"),
             ("power-omni", {"num_anomalous": 13}, "num_anomalous"),

@@ -5,7 +5,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from corrmatch import (
     RngStream,
     ase,
-    complete_graph,
     empty_graph,
     omnibus,
     procrustes_align,
@@ -17,12 +16,7 @@ from corrmatch import (
 from corrmatch import embedding
 from corrmatch.graphs import apply_permutation
 from corrmatch.samplers import er_params, sample_rho_sbm, sample_uniform_permutation
-
-
-def random_graph(n, p, rng):
-    u = rng.random((n, n))
-    a = np.triu((u < p).astype(np.int8), k=1)
-    return a + a.T
+from helpers import complete_graph, random_graph
 
 
 def random_orthogonal(d, rng):

@@ -8,8 +8,6 @@ from corrmatch import (
     BlockPartition,
     apply_permutation,
     as_adjacency,
-    complete_graph,
-    compose_permutations,
     edge_disagreements,
     empty_graph,
     fixed_error_counts,
@@ -18,7 +16,6 @@ from corrmatch import (
     identity_permutation,
     invert_permutation,
     max_degree,
-    permutation_matrix,
     read_edgelist,
     read_labels,
     read_permutation,
@@ -32,15 +29,9 @@ from corrmatch import (
     write_edgelist,
     write_labels,
     write_permutation,
-    write_seeds,
 )
 from corrmatch.graphs import upper_triangle
-
-
-def random_graph(n, p, rng):
-    u = rng.random((n, n))
-    a = np.triu((u < p).astype(np.int8), k=1)
-    return a + a.T
+from helpers import complete_graph, permutation_matrix, random_graph
 
 
 PATH3 = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -291,6 +282,11 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             BlockPartition((0, 3))
 
+    @pytest.mark.parametrize("sizes", [(2.5, 3), (3, True), (np.float64(2.0),)])
+    def test_non_integer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="block size must be an integer"):
+            BlockPartition(sizes)
+
 
 class TestValidation:
     def test_as_adjacency_rejects_asymmetric(self):
@@ -326,17 +322,6 @@ class TestValidation:
         m = np.eye(3, dtype=int)
         with pytest.raises(ValueError):
             as_adjacency(m)
-
-    def test_compose_and_invert(self):
-        rng = np.random.default_rng(16)
-        phi = rng.permutation(9)
-        tau = rng.permutation(9)
-        comp = compose_permutations(phi, tau)
-        assert np.array_equal(comp, phi[tau])
-        assert np.array_equal(compose_permutations(invert_permutation(phi), phi),
-                              identity_permutation(9))
-        with pytest.raises(ValueError, match="length mismatch"):
-            compose_permutations(phi, tau[:8])
 
 
 class TestFileFormats:
@@ -389,9 +374,7 @@ class TestFileFormats:
         for write, value, text in ((write_edgelist, PATH3, "# n=3\n0 1\n1 2\n"),
                                    (write_edgelist, empty_graph(2), "# n=2\n"),
                                    (write_labels, [3, 1], "3\n1\n"),
-                                   (write_permutation, np.array([1, 0]), "1\n0\n"),
-                                   (write_seeds, [[0, 1], [2, 2]], "0 1\n2 2\n"),
-                                   (write_seeds, np.zeros((0, 2)), "")):
+                                   (write_permutation, np.array([1, 0]), "1\n0\n")):
             write(path, value)
             assert path.read_bytes() == text.encode()
 

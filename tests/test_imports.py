@@ -2,10 +2,15 @@
 demo uses each name it imports; ``__init__.py`` only re-exports, and
 ``from __future__`` imports are directives, so both are exempt. Every
 name a demo imports from corrmatch exists, since the suite does not run
-the demos. perfbench's tracer binds every function it wraps."""
+the demos. Every name the package re-exports has a use outside the unit
+tests, and importing it leaves scipy.stats unloaded. perfbench's tracer
+binds every function it wraps."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -16,6 +21,12 @@ SRC = TESTS.parent / "src" / "corrmatch"
 DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
 CHECKED = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")) + DEMOS)
+# Code that is not a unit test: the package, the demos, the acceptance
+# criteria and the benchmark.
+USERS = (sorted(SRC.glob("*.py")) + DEMOS + [TESTS / "test_acceptance.py"]
+         + sorted((TESTS.parent / "perfbench").glob("*.py")))
+# Computes the paper's fixed addition/occlusion counts; an oracle tests it.
+UNUSED_EXPORTS_KEPT = {"fixed_error_counts"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,6 +49,57 @@ def test_guard_flags_unused_names():
 @pytest.mark.parametrize("path", CHECKED, ids=[p.name for p in CHECKED])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def used_names(source: str) -> set[str]:
+    """Names read as a Name, an Attribute or a whole string constant (the
+    benchmark names functions as strings), except inside the function or
+    class that defines them."""
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return used
+
+
+def test_guard_skips_a_name_inside_its_own_definition():
+    source = "def f(n):\n    return f(n - 1)\n\ndef g():\n    return h.f, 'k'\n"
+    assert used_names(source) == {"n", "f", "h", "k"}
+    assert "f" not in used_names("def f(n):\n    return f(n - 1)\n")
+
+
+def test_every_export_used_outside_unit_tests():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set().union(*(used_names(path.read_text()) for path in USERS))
+    assert UNUSED_EXPORTS_KEPT <= exported
+    assert sorted(exported - used) == sorted(UNUSED_EXPORTS_KEPT)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter: this one has loaded scipy.stats for the tests
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    code = ("import sys, corrmatch, corrmatch.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])

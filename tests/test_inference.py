@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from corrmatch import (
     apply_permutation,
-    complete_graph,
     empty_graph,
     invariant_stat,
     paired_z,
@@ -17,12 +20,7 @@ from corrmatch import (
 )
 from corrmatch.graphs import BlockPartition, graph_from_edges
 from corrmatch.samplers import SbmParams
-
-
-def random_graph(n, p, rng):
-    u = rng.random((n, n))
-    a = np.triu((u < p).astype(np.int8), k=1)
-    return a + a.T
+from helpers import complete_graph, random_graph
 
 
 class TestPooledZ:
@@ -48,6 +46,28 @@ class TestPooledZ:
     def test_degenerate_density(self):
         assert pooled_z(empty_graph(4), empty_graph(4)) == 0.0
         assert pooled_z(complete_graph(4), complete_graph(4)) == 0.0
+
+    @pytest.mark.parametrize("stat", [pooled_z, paired_z])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_rejected(self, stat, n):
+        with pytest.raises(ValueError, match="n >= 2"):
+            stat(empty_graph(n), empty_graph(n))
+
+
+# The pooled test's critical value is ndtri(1 - alpha/2); scipy.stats is the oracle.
+def assert_ndtri_is_norm_ppf(alpha):
+    q = 1.0 - alpha / 2.0
+    assert float(ndtri(q)).hex() == float(norm.ppf(q)).hex()
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 1e-12, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.9, 0.999])
+def test_normal_critical_value_grid(alpha):
+    assert_ndtri_is_norm_ppf(alpha)
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_normal_critical_value_bitwise(alpha):
+    assert_ndtri_is_norm_ppf(alpha)
 
 
 class TestPairedZ:

@@ -192,6 +192,11 @@ class TestSmallRhoRatio:
         with pytest.raises(ValueError):
             mi_small_rho_ratio(er_params(10, 0.5), 0.0)
 
+    def test_one_vertex_rejected(self):
+        # C(1, 2) = 0 vertex pairs: the ratio has no denominator
+        with pytest.raises(ValueError, match="n >= 2"):
+            mi_small_rho_ratio(er_params(1, 0.5), 0.5)
+
 
 class TestDataProcessingBound:
     def test_mi_below_entropy(self):

@@ -26,18 +26,12 @@ from corrmatch import (
     transposition_sweep,
     trace_objective,
     write_permutation,
-    write_seeds,
 )
 from corrmatch import matching
-from corrmatch.graphs import BlockPartition, complete_graph, empty_graph, graph_from_edges
+from corrmatch.graphs import BlockPartition, empty_graph, graph_from_edges
 from corrmatch.matching import MatchResult, _quadratic_step, _validate_seeds
 from corrmatch.samplers import RngStream
-
-
-def random_graph(n, p, rng):
-    u = rng.random((n, n))
-    a = np.triu((u < p).astype(np.int8), k=1)
-    return a + a.T
+from helpers import complete_graph, random_graph, write_seeds
 
 
 def brute_force_lap(cost):

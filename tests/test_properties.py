@@ -16,7 +16,6 @@ from corrmatch import (
     apply_permutation,
     ari,
     ase,
-    compose_permutations,
     gm_objective,
     identity_permutation,
     invert_permutation,
@@ -59,12 +58,12 @@ def test_permutation_round_trips(n, data):
     phi, tau = data.draw(permutation(n)), data.draw(permutation(n))
     g = data.draw(graph(n))
     ident = identity_permutation(n)
-    assert np.array_equal(compose_permutations(phi, invert_permutation(phi)), ident)
-    assert np.array_equal(compose_permutations(invert_permutation(phi), phi), ident)
+    assert np.array_equal(phi[invert_permutation(phi)], ident)
+    assert np.array_equal(invert_permutation(phi)[phi], ident)
     assert np.array_equal(invert_permutation(invert_permutation(phi)), phi)
     assert np.array_equal(apply_permutation(apply_permutation(g, phi), invert_permutation(phi)), g)
     assert np.array_equal(apply_permutation(apply_permutation(g, tau), phi),
-                          apply_permutation(g, compose_permutations(phi, tau)))
+                          apply_permutation(g, phi[tau]))
 
 
 @given(st.integers(2, 12), st.data())

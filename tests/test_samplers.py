@@ -38,10 +38,19 @@ def sbm_draw(params, rng):
     ((2, 2), [[0.5, 0.1], [0.2, 0.5]], "lambda must be symmetric"),
     ((2, 2), [[0.5, 0.1], [0.1, 1.5]], r"lambda entries must lie in \[0, 1\]"),
     ((2, 2), [[0.5, -0.1], [-0.1, 0.5]], r"lambda entries must lie in \[0, 1\]"),
+    # NaN != NaN, so finiteness is checked before symmetry
+    ((2, 2), [[0.5, 0.1], [0.1, np.nan]], "lambda entries must be finite"),
+    ((2, 2), [[0.5, np.inf], [np.inf, 0.5]], "lambda entries must be finite"),
 ])
 def test_sbm_params_rejected(sizes, lam, match):
     with pytest.raises(ValueError, match=match):
         SbmParams(BlockPartition(sizes), np.array(lam))
+
+
+@pytest.mark.parametrize("n", [10.7, True])
+def test_er_params_rejects_non_integer_n(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        er_params(n, 0.5)
 
 
 class TestSbmSampler:
@@ -230,6 +239,12 @@ class TestHeterogeneous:
          "p must have zero diagonal"),
         (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(3)), np.triu(np.full((3, 3), 0.2), 1),
          "rho matrix must be symmetric"),
+        (np.where(np.eye(3) == 1, 0.0, np.nan), 0.5 * (1 - np.eye(3)), np.zeros((3, 3)),
+         "p entries must be finite"),
+        (0.5 * (1 - np.eye(3)), np.where(np.eye(3) == 1, 0.0, np.inf), np.zeros((3, 3)),
+         "q entries must be finite"),
+        (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(3)), np.full((3, 3), np.nan),
+         "rho entries must be finite"),
         # rho below the bound but so negative that P(0,0) < 0
         (0.9 * (1 - np.eye(3)), 0.9 * (1 - np.eye(3)), -0.99 * (1 - np.eye(3)),
          "joint table not a distribution"),
