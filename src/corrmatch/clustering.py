@@ -101,6 +101,8 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     if not np.isfinite(x).all():
         raise ValueError("points must be finite (no NaN or inf)")
     n, d = x.shape
+    if n < 2:
+        raise ValueError(f"need at least 2 points to fit a covariance, got n={n}")
     check_count("k", k)
     if k > n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -108,6 +110,12 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     check_count("max_iters", max_iters)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"need a finite tol >= 0, got {tol}")
+    with np.errstate(over="ignore"):
+        # bounds every squared distance sum of k-means++ and of the EM updates
+        spread = n * float((np.ptp(x, axis=0) ** 2).sum())
+    if not math.isfinite(spread):
+        raise ValueError("points are too spread out: their squared distances overflow "
+                         "float64; rescale them")
     gen = _as_generator(rng)
     eps = 1e-6 * float(np.var(x, axis=0).mean())
     if eps <= 0.0:
@@ -140,7 +148,7 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     diff = x - means[:, :, None, :]
     for it in range(max_iters):
         chol = np.linalg.cholesky(covs)
-        sol = np.linalg.solve(chol, np.swapaxes(diff, -1, -2))
+        sol = np.linalg.inv(chol) @ np.swapaxes(diff, -1, -2)
         maha = (sol ** 2).sum(axis=-2)
         logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
         log_gauss = -0.5 * ((d_log_2pi + logdet)[..., None] + maha)
@@ -244,6 +252,7 @@ def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
     against the true block labels."""
     rho_grid = [float(rho) for rho in rho_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
+    check_count("n", params.n, low=2)  # fit_gmm needs two points
     check_count("d", d, params.n)
     check_count("restarts", restarts)
     truth = params.partition.membership
@@ -269,13 +278,13 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     nothing shuffled) produce identical scores.
     """
     mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid}, len(s_grid))
-    s_grid = check_counts("s_grid", s_grid, truth.shape[0])
-    check_count("d", d, truth.shape[0])
+    n = check_count("n", truth.shape[0], low=2)  # fit_gmm needs two points
+    s_grid = check_counts("s_grid", s_grid, n)
+    check_count("d", d, n)
     check_count("restarts", restarts)
 
     def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:
         a, b = draw_pair(gen)
-        n = a.shape[0]
         seed_vertices = np.sort(gen.choice(n, size=s, replace=False))
         sigma = sample_subset_shuffle(n, seed_vertices, n - s, gen)
         b_sh = apply_permutation(b, sigma)

@@ -285,8 +285,10 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
         return tuple(invariant_stat(a, b, kind) for kind in inv_kinds)
 
     crit_inv = tuple(mc.null_critical(len(x_grid), invariant_null))
-    crit = [tuple(mc.null_critical(x_idx, partial(null_stats, x))) + crit_inv
-            for x_idx, x in enumerate(x_grid)]
+    # at x = 0 every null graph is its own unshuffled copy, scored 0 before
+    # and after matching, so that cell's critical value needs no draws
+    crit = [(tuple(mc.null_critical(x_idx, partial(null_stats, x))) if x else (0.0, 0.0))
+            + crit_inv for x_idx, x in enumerate(x_grid)]
 
     def one_rep(rep: int, gen: np.random.Generator) -> list:
         spec = alt_spec

@@ -30,20 +30,27 @@ TWO_BLOCK_STRONG = SbmParams(BlockPartition((50, 50)),
                              np.array([[0.9, 0.05], [0.05, 0.9]]))
 
 
-def _log_gaussian(points, mean, cov):
+def _inv_whiten(chol, rhs):
+    return np.linalg.inv(chol) @ rhs
+
+
+def _log_gaussian(points, mean, cov, whiten=_inv_whiten):
+    """Log-density of N(mean, cov) at each row of points; ``whiten(chol,
+    rhs)`` solves chol @ sol = rhs."""
     d = points.shape[1]
     chol = np.linalg.cholesky(cov)
     diff = points - mean
-    sol = np.linalg.solve(chol, diff.T)
+    sol = whiten(chol, diff.T)
     maha = (sol ** 2).sum(axis=0)
     logdet = 2.0 * np.log(np.diag(chol)).sum()
     return -0.5 * (d * np.log(2.0 * np.pi) + logdet + maha)
 
 
-def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6):
+def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6,
+                      whiten=_inv_whiten):
     """Per-component EM with scipy's logsumexp, one restart after
-    another: the oracle for fit_gmm, which must reproduce it bit for bit.
-    Also returns every restart's trace."""
+    another: the oracle for fit_gmm, which must reproduce it bit for bit
+    with the default ``whiten``. Also returns every restart's trace."""
     x = np.asarray(points, dtype=np.float64)
     n, d = x.shape
     gen = _as_generator(rng)
@@ -73,7 +80,8 @@ def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6):
         trace = []
         for it in range(max_iters):
             log_prob = np.stack(
-                [np.log(weights[j]) + _log_gaussian(x, means[j], covs[j]) for j in range(k)],
+                [np.log(weights[j]) + _log_gaussian(x, means[j], covs[j], whiten)
+                 for j in range(k)],
                 axis=1,
             )
             norm = logsumexp(log_prob, axis=1)
@@ -93,6 +101,28 @@ def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6):
         if best is None or trace[-1] > best[4][-1]:
             best = (labels, weights.copy(), means.copy(), covs.copy(), tuple(trace))
     return best + (traces,)
+
+
+def assert_independent_oracles(x, k, rng, restarts, max_iters, model, labels, rtol=1e-12):
+    """Oracles that share none of fit_gmm's whitening. The LU solve it
+    replaced rounds differently: equal labels and stopping iterations,
+    traces within ``rtol``. A fit that stopped on tol keeps the
+    parameters of its last E-step, so its log-likelihood is the mixture
+    density of the returned model under scipy.stats."""
+    from scipy.stats import multivariate_normal
+
+    ref_labels, _, means, covs, trace, _ = reference_fit_gmm(
+        x, k, rng, restarts=restarts, max_iters=max_iters, whiten=np.linalg.solve)
+    assert np.array_equal(labels, ref_labels)
+    assert len(model.loglik_trace) == len(trace)
+    np.testing.assert_allclose(model.loglik_trace, trace, rtol=rtol, atol=0)
+    np.testing.assert_allclose(model.means, means, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(model.covariances, covs, rtol=1e-9, atol=1e-12)
+    if len(trace) < max_iters:
+        dens = [np.log(w) + multivariate_normal.logpdf(x, m, c).reshape(-1)
+                for w, m, c in zip(model.weights, model.means, model.covariances)]
+        assert model.loglik == pytest.approx(float(logsumexp(dens, axis=0).sum()),
+                                             rel=1e-12, abs=1e-9)
 
 
 class TestFitGmm:
@@ -152,6 +182,21 @@ class TestFitGmm:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             fit_gmm(x, **{"k": 2, "rng": RngStream(18), **kwargs})
 
+    def test_rejects_fewer_than_two_points(self):
+        # np.cov of one point is NaN: the fit came back with a NaN loglik
+        with pytest.raises(ValueError, match="at least 2 points"):
+            fit_gmm(np.array([[1.0, 2.0]]), 1, RngStream(21))
+
+    @pytest.mark.parametrize("x, k", [
+        (np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]]), 1),  # NaN loglik
+        (np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]]), 2),  # "contain NaN"
+        # the variance is finite, k-means++'s total squared distance is not
+        (np.tile([[1e153, 0.0], [-1e153, 0.0], [0.0, 1.0]], (200, 1)), 2),
+    ])
+    def test_rejects_points_whose_squares_overflow(self, x, k):
+        with pytest.raises(ValueError, match="too spread out.*rescale"):
+            fit_gmm(x, k, RngStream(22))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_points(self, bad):
         x = np.random.default_rng(19).normal(size=(20, 2))
@@ -162,7 +207,8 @@ class TestFitGmm:
 
 class TestFitGmmOracle:
     """The vectorised EM, with its restarts in lockstep, equals the
-    per-component, per-restart loop exactly."""
+    per-component, per-restart loop exactly, and the independent oracles
+    within their tolerances."""
 
     @pytest.mark.parametrize("d, k", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3),
                                       (2, 4), (4, 2), (5, 3), (3, 5), (6, 2)])
@@ -179,6 +225,7 @@ class TestFitGmmOracle:
             assert np.array_equal(model.means, means)
             assert np.array_equal(model.covariances, covs)
             assert np.array_equal(model.weights, weights)
+            assert_independent_oracles(x, k, RngStream(rep), 3, 200, model, labels)
 
     @staticmethod
     def _assert_matches_oracle(x, k, seed, restarts, max_iters):
@@ -194,6 +241,12 @@ class TestFitGmmOracle:
         # callers share one generator between fits, so draw order is
         # part of the contract
         assert gen.bit_generator.state == ref_gen.bit_generator.state
+        # a component collapsing onto the duplicates passes through
+        # covariances of condition number up to ~6e3 (one eigenvalue at the
+        # ridge eps), where the two whitenings differ by about cond * 2**-52:
+        # traces move by up to 2.7e-11 relative; distinct points, < 1e-15
+        assert_independent_oracles(x, k, np.random.default_rng(seed), restarts, max_iters,
+                                   model, labels, rtol=1e-10)
         return traces
 
     @pytest.mark.parametrize("restarts", [1, 2, 5])
@@ -229,6 +282,7 @@ class TestFitGmmOracle:
             assert model.loglik_trace == trace
             assert np.array_equal(model.means, means)
             assert np.array_equal(model.covariances, covs)
+            assert_independent_oracles(z, 2, RngStream(rep), 3, 200, model, labels)
 
     def test_logsumexp_matches_scipy_bitwise(self):
         rng = np.random.default_rng(21)
@@ -305,6 +359,7 @@ class TestJointCluster:
 
 _SMALL_SBM = SbmParams(BlockPartition((6, 6)), np.array([[0.6, 0.1], [0.1, 0.6]]))
 _EMPTY_12 = np.zeros((12, 12), dtype=np.int8)
+_ONE_VERTEX = SbmParams(BlockPartition((1,)), np.array([[0.5]]))
 # experiment -> (entry point, tiny arguments that pass every check, its grid argument)
 _SMALL_RUNS = {
     "phase-transition": (phase_transition_experiment,
@@ -405,6 +460,15 @@ class TestClusterExperiments:
                            (True, "d must be an integer"),
                            # 12 vertices; power-omni embeds the 24 x 24 omnibus matrix
                            (25 if name == "power-omni" else 13, "d value .* is outside"))
+    ] + [
+        # fit_gmm needs two points: a 1-vertex graph is rejected up front
+        pytest.param(name, bad, "n value 1 is outside", id=f"{name}-one-vertex")
+        for name, bad in (
+            ("cluster-gain", {"params": _ONE_VERTEX, "d": 1, "k": 1}),
+            ("cluster-shuffle", {"params": _ONE_VERTEX, "d": 1, "k": 1}),
+            ("cluster-real", {"a": _EMPTY_12[:1, :1], "b": _EMPTY_12[:1, :1],
+                              "labels": [0], "d": 1, "k": 1}),
+        )
     ] + [
         pytest.param(name, {"restarts": bad}, "restarts", id=f"{name}-restarts-{bad}")
         for name in ("cluster-gain", "cluster-shuffle", "cluster-real")

@@ -177,6 +177,23 @@ class TestPowerErExperiment:
                       alpha=0.1, mc_reps=6, n_null=19, master_seed=6)
         assert power_er_experiment(**kwargs) == power_er_experiment(**kwargs)
 
+    def test_level_held_at_the_null(self):
+        # p = q: every row is a rejection rate under the null. The paired and
+        # matched tests are calibrated on n_null draws, so their level carries
+        # the critical value's own noise, Beta(n_null + 1 - rank, rank), on top
+        # of the replicates'; the pooled test's normal critical value has none
+        alpha, mc_reps, n_null = 0.05, 400, 199
+        rows = power_er_experiment(p=0.4, q=0.4, n=20, rho=0.7, s_grid=(0, 10),
+                                   x_grid=(0, 10, 20), alpha=alpha, mc_reps=mc_reps,
+                                   n_null=n_null, master_seed=3)
+        var = alpha * (1.0 - alpha)
+        replicate_only = alpha + 3.0 * math.sqrt(var / mc_reps)
+        with_null = alpha + 3.0 * math.sqrt(var / mc_reps + var / (n_null + 2))
+        assert len(rows) == 2 * 3 * 3
+        for r in rows:
+            bound = replicate_only if r["variant"] == "pooled" else with_null
+            assert r["power"] <= bound, (r, bound)
+
 
 class TestPowerOmniExperiment:
     def test_tiny_run_invariants_constant_in_x(self):
@@ -236,6 +253,26 @@ class TestPowerOmniExperiment:
         # no replicate embeds its (a, b) twice (a pair with a == b is never embedded)
         counts = [seen.count(p) for p in pairs]
         assert max(counts) == 1, counts
+
+    @pytest.mark.parametrize("x_grid, drawn", [((0, 10), {1, 2}), ((10, 0), {0, 2})])
+    def test_x_zero_null_cell_draws_nothing(self, monkeypatch, x_grid, drawn):
+        # x = 0 shuffles nothing: its critical value is (0, 0) without a draw,
+        # while the other x cell and the invariants' last cell draw n_null each
+        from corrmatch._parallel import MonteCarlo
+        real_generator = MonteCarlo.generator
+        null_cells = []
+
+        def spy(self, role, *index):
+            if role == "null":
+                null_cells.append(index[0])
+            return real_generator(self, role, *index)
+
+        monkeypatch.setattr(MonteCarlo, "generator", spy)
+        rows = power_omni_experiment(n=20, d=3, num_anomalous=5, x_grid=x_grid, alpha=0.1,
+                                     mc_reps=3, n_null=19, master_seed=8)
+        assert set(null_cells) == drawn
+        assert all(null_cells.count(cell) == 19 for cell in drawn)
+        assert len(rows) == 2 * 5
 
     def test_exact_copy_null_rejects_nothing(self):
         # num_anomalous=0: every replicate pair is a graph and its exact copy
