@@ -7,9 +7,9 @@ seeding, and ridge regularization eps*I on every covariance update
 restarts are seeded first; their EM iterations then run in lockstep on
 (a, k, n, d) and (a, k, d, d) stacks over the a restarts still
 running, with no Python loop over restarts or components. Each restart
-keeps its own stopping rule, and the log-sum-exp follows
-scipy.special.logsumexp's formula, so fits equal those of a
-per-component loop run one restart at a time, bit for bit. The
+keeps its own stopping rule, so fits equal those of a per-component
+loop run one restart at a time, bit for bit, when that loop takes the
+same max-shifted log-sum-exp over the same (k, n) layout. The
 per-iteration log-likelihood trace is kept on the model so monotonicity
 is checkable.
 """
@@ -59,25 +59,6 @@ def _kmeanspp_centers(points: np.ndarray, k: int, gen: np.random.Generator) -> n
     return centers
 
 
-def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp over axis -2 of a finite (..., k, n) array.
-
-    Equals ``scipy.special.logsumexp(a[i].T, axis=1)`` (scipy 1.17) for
-    every (k, n) slice ``a[i]``, bit for bit: the entries equal to the
-    column maximum are taken out of the shifted sum and counted, and the
-    rest is summed along the last axis of the C-ordered (..., n, k)
-    transpose, in scipy's order. The max and the count are exact in any
-    order, so they reduce over the long axis.
-    """
-    amax = a.max(axis=-2, keepdims=True)
-    at_max = a == amax
-    count = at_max.sum(axis=-2)
-    shifted = np.exp(a - amax)
-    shifted[at_max] = 0.0
-    rest = np.ascontiguousarray(np.swapaxes(shifted, -1, -2)).sum(axis=-1)
-    return np.log1p(rest / count) + np.log(count) + amax[..., 0, :]
-
-
 def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
             max_iters: int = 200, tol: float = 1e-6) -> tuple[GmmModel, np.ndarray]:
     """EM fit of a full-covariance k-component Gaussian mixture.
@@ -93,7 +74,8 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     of that E-step and leaves the stack; one still running after
     ``max_iters`` iterations keeps its last M-step's parameters. Either
     way its labels come from its last E-step, so each restart ends as a
-    fit run on its own would.
+    fit run on its own would. The E-step normalises over components with
+    the max-shifted log-sum-exp, log(sum(exp(l - max l))) + max l.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -153,11 +135,10 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
         logdet = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
         log_gauss = -0.5 * ((d_log_2pi + logdet)[..., None] + maha)
         log_prob = np.log(weights)[..., None] + log_gauss
-        norm = _logsumexp_cols(log_prob)
+        top = log_prob.max(axis=-2)
+        norm = np.log(np.exp(log_prob - top[:, None, :]).sum(axis=-2)) + top
         ll = norm.sum(axis=-1)
-        # C-ordered (a, n, k): the sum over n for nk depends on this
-        # layout in the last bits
-        log_resp = np.ascontiguousarray(np.swapaxes(log_prob - norm[:, None, :], -1, -2))
+        log_resp = log_prob - norm[:, None, :]
         for r, value in zip(active.tolist(), ll.tolist()):
             traces[r].append(value)
         if it > 0:
@@ -171,12 +152,11 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
                 active, ll, log_resp = active[keep], ll[keep], log_resp[keep]
         prev_ll = ll
         resp = np.exp(log_resp)
-        nk = np.maximum(resp.sum(axis=-2), 1e-300)
+        nk = np.maximum(resp.sum(axis=-1), 1e-300)
         weights = nk / n
-        resp_t = np.swapaxes(resp, -1, -2)
-        means = (resp_t @ x) / nk[..., None]
+        means = (resp @ x) / nk[..., None]
         diff = x - means[:, :, None, :]
-        weighted = resp_t[..., None] * diff
+        weighted = resp[..., None] * diff
         covs = np.matmul(np.swapaxes(weighted, -1, -2), diff) / nk[..., None, None] + reg
     else:
         for i, r in enumerate(active.tolist()):
@@ -188,7 +168,7 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     model = GmmModel(k=k, weights=weights.copy(), means=means.copy(),
                      covariances=covs.copy(), loglik=traces[best][-1],
                      loglik_trace=tuple(traces[best]))
-    return model, np.argmax(log_resp, axis=1).astype(np.int64)
+    return model, np.argmax(log_resp, axis=0).astype(np.int64)
 
 
 def ari(labels_a, labels_b) -> float:
@@ -289,17 +269,16 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
         sigma = sample_subset_shuffle(n, seed_vertices, n - s, gen)
         b_sh = apply_permutation(b, sigma)
         cluster_seed = int(gen.integers(2 ** 62))
-
-        def cluster_gen() -> np.random.Generator:
-            return np.random.Generator(np.random.PCG64(cluster_seed))
-
-        joint_a, _ = joint_cluster(a, b_sh, d, k, cluster_gen(), restarts=restarts)
+        joint_a, _ = joint_cluster(a, b_sh, d, k, np.random.default_rng(cluster_seed),
+                                   restarts=restarts)
         score_shuffled = ari(joint_a, truth)
-        score_single = ari(single_cluster(a, d, k, cluster_gen(), restarts=restarts), truth)
+        score_single = ari(single_cluster(a, d, k, np.random.default_rng(cluster_seed),
+                                          restarts=restarts), truth)
 
         res = sgm_match(a, b_sh, seeds=identity_seeds(seed_vertices))
         b_aligned = apply_permutation(b_sh, res.permutation)
-        joint_m, _ = joint_cluster(a, b_aligned, d, k, cluster_gen(), restarts=restarts)
+        joint_m, _ = joint_cluster(a, b_aligned, d, k, np.random.default_rng(cluster_seed),
+                                   restarts=restarts)
         return score_shuffled, score_single, ari(joint_m, truth)
 
     return mc.mean_table(experiment, "s", s_grid, ("omni_shuffled", "single", "omni_matched"),

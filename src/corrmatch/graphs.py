@@ -269,7 +269,8 @@ class BlockPartition:
     membership: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        sizes = tuple(check_count("block size", s) for s in self.sizes)
+        # numpy counts vertices in int64
+        sizes = tuple(check_count("block size", s, np.iinfo(np.int64).max) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "membership", np.repeat(np.arange(len(sizes)), sizes))
 

@@ -30,6 +30,7 @@ from .graphs import (
     apply_permutation,
     check_count,
     check_counts,
+    check_range,
     edge_disagreements,
     max_degree,
     sample_edge_correlation,
@@ -169,6 +170,9 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     n = check_count("n", n, low=2)
     s_grid = check_counts("s_grid", s_grid, n)
     x_grid = check_counts("x_grid", x_grid)  # x > n - s shuffles all n - s unseeded vertices
+    for name, value in (("p", p), ("q", q), ("rho", rho), ("null_edge_p", null_edge_p)):
+        if value is not None:
+            check_range(name, (value,), 0, 1)  # NaN fails every comparison
     if max_feasible_correlation(p, q) < rho:
         raise ValueError(f"rho={rho} infeasible for marginals ({p}, {q})")
     p0 = (p + q) / 2.0 if null_edge_p is None else float(null_edge_p)

@@ -45,6 +45,7 @@ from .graphs import (
     _read_int_lines,
     _write_int_lines,
     as_adjacency,
+    check_count,
     invert_permutation,
     is_permutation,
     trace_objective,
@@ -113,11 +114,14 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     b; seed pairs are fixed in the output.
     ``init`` is one of "barycenter", "identity", or a full-length
     permutation (apply_permutation convention, mapping non-seeds to
-    non-seeds).
+    non-seeds). ``max_iters`` may be 0, which projects the init.
     """
     a = as_adjacency(a)
     b = as_adjacency(b)
     _check_same_size(a, b)
+    check_count("max_iters", max_iters, low=0)
+    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
+        raise ValueError(f"need a finite tol >= 0, got {tol}")
     n = a.shape[0]
     seed_arr = _validate_seeds(seeds, n)
     s = seed_arr.shape[0]

@@ -553,7 +553,20 @@ REJECTED = {
                         "--mc", "2", "--n-null", "20", "-o", "out"), "n value 1 is outside"),
     # NaN != NaN: finiteness is checked before symmetry
     "mi p NaN": (("mi", "--config", "p_nan.json"), "lambda entries must be finite"),
+    # Frank-Wolfe's iteration cap and tolerance
+    "match --max-iters -5": (("match", "--a", "a.edg", "--b", "b.edg", "--max-iters", "-5",
+                              "--out-perm", "out"), "max_iters value -5 is outside"),
+    "match --tol nan": (("match", "--a", "a.edg", "--b", "b.edg", "--tol", "nan",
+                         "--out-perm", "out"), "finite tol >= 0, got nan"),
+    "match --tol -1": (("match", "--a", "a.edg", "--b", "b.edg", "--tol", "-1",
+                        "--out-perm", "out"), "finite tol >= 0, got -1"),
 }
+# power-er names the probability or correlation that is NaN or outside [0, 1]
+for _flag, _name in (("--p", "p"), ("--q", "q"), ("--rho", "rho"), ("--null-p", "null_edge_p")):
+    for _value in ("nan", "1.5"):
+        REJECTED[f"power-er {_flag} {_value}"] = (
+            ("exp", "power-er", _flag, _value, "--n", "6", "--s-grid", "0", "--x-grid", "0",
+             "--mc", "2", "--n-null", "20", "-o", "out"), f"{_name} value {_value} is outside")
 # sample reads --subset-size and --protect-file only with --shuffle subset,
 # even when the protect file does not exist
 for _shuffle in ("none", "uniform", "block"):

@@ -172,6 +172,14 @@ class TestPowerErExperiment:
                                 s_grid=(0,), x_grid=(0,),
                                 mc_reps=2, n_null=19, alpha=0.1)
 
+    @pytest.mark.parametrize("name", ["p", "q", "rho", "null_edge_p"])
+    @pytest.mark.parametrize("value", [math.nan, 1.5, -0.1, math.inf])
+    def test_probabilities_checked_first(self, name, value):
+        # before the feasibility check, and naming the argument
+        with pytest.raises(ValueError, match=f"^{name} value {value} is outside"):
+            power_er_experiment(n=6, s_grid=(0,), x_grid=(0,), mc_reps=2, n_null=20,
+                                **{name: value})
+
     def test_determinism(self):
         kwargs = dict(p=0.5, q=0.3, n=12, rho=0.4, s_grid=(0,), x_grid=(6,),
                       alpha=0.1, mc_reps=6, n_null=19, master_seed=6)

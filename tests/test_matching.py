@@ -410,6 +410,27 @@ class TestSgmMatch:
         with pytest.raises(ValueError):
             sgm_match(a, b, seeds=identity_seeds([0]), init=bad)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        pytest.param({"max_iters": -5}, "max_iters value -5", id="max_iters-negative"),
+        pytest.param({"max_iters": True}, "max_iters must be an integer", id="max_iters-bool"),
+        pytest.param({"max_iters": 2.5}, "max_iters must be an integer", id="max_iters-float"),
+        pytest.param({"tol": float("nan")}, "finite tol", id="tol-nan"),
+        pytest.param({"tol": float("inf")}, "finite tol", id="tol-inf"),
+        pytest.param({"tol": -1.0}, "finite tol", id="tol-negative"),
+    ])
+    def test_rejects_bad_iteration_controls(self, kwargs, match):
+        a = graph_from_edges(4, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=match):
+            sgm_match(a, a, **kwargs)
+
+    def test_zero_iterations_project_the_init(self):
+        a = graph_from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        b = apply_permutation(a, np.array([1, 0, 2, 4, 3]))
+        res = sgm_match(a, b, init="identity", max_iters=0)
+        assert res.iterations == 0 and not res.converged
+        assert np.array_equal(res.permutation, np.arange(5))
+        assert res.objective == gm_objective(a, b, np.arange(5))
+
     @pytest.mark.parametrize("bad, match", [
         pytest.param([[0, 1], [0, 0]], "symmetric", id="asymmetric"),
         pytest.param([[0, 2], [2, 0]], "0 or 1", id="entry-2"),
