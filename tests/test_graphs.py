@@ -282,6 +282,10 @@ class TestBlockPartition:
         with pytest.raises(ValueError):
             BlockPartition((0, 3))
 
+    def test_size_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="block size value 10+ is outside"):
+            BlockPartition((10 ** 30,))
+
     @pytest.mark.parametrize("sizes", [(2.5, 3), (3, True), (np.float64(2.0),)])
     def test_non_integer_sizes(self, sizes):
         with pytest.raises(ValueError, match="block size must be an integer"):

@@ -414,6 +414,7 @@ class TestSgmMatch:
         pytest.param({"max_iters": -5}, "max_iters value -5", id="max_iters-negative"),
         pytest.param({"max_iters": True}, "max_iters must be an integer", id="max_iters-bool"),
         pytest.param({"max_iters": 2.5}, "max_iters must be an integer", id="max_iters-float"),
+        pytest.param({"max_iters": math.nan}, "max_iters must be an integer", id="max_iters-nan"),
         pytest.param({"tol": float("nan")}, "finite tol", id="tol-nan"),
         pytest.param({"tol": float("inf")}, "finite tol", id="tol-inf"),
         pytest.param({"tol": -1.0}, "finite tol", id="tol-negative"),
