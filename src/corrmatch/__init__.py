@@ -77,9 +77,7 @@ from .clustering import (
     single_cluster,
 )
 from .inference import (
-    THREE_BLOCK_LAMBDA,
     PHASE_RHO_GRID,
-    THREE_BLOCK_SIZES,
     three_block_params,
     invariant_stat,
     paired_z,

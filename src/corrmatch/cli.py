@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from .embedding import omnibus, scree_elbow
 from .graphs import (
     BlockPartition,
     apply_permutation,
+    check_count,
     check_range,
     edge_disagreements,
     read_edgelist,
@@ -255,6 +257,7 @@ def _cmd_cluster_real(args) -> int:
     b = read_edgelist(args.b)
     labels = read_labels(args.labels)
     if args.scree:
+        check_count("n", a.shape[0], low=2)  # as cluster_real_experiment would, before the scree
         evals = np.linalg.eigvalsh(omnibus(a, b))
         ranked = evals[np.argsort(-np.abs(evals), kind="stable")]
         d = scree_elbow(ranked)
@@ -275,6 +278,12 @@ def _cmd_cluster_real(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Argument errors print one `error:` line and exit 2, like every
     other bad input; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a token this matches is a value, not a flag: any negative number or
+        # grid such as -1e-3, -inf or -1,0 (argparse's own knows -1 and -.5)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

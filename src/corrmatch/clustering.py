@@ -23,7 +23,7 @@ import numpy as np
 
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import _check_same_size, apply_permutation, check_count, check_counts
+from .graphs import _check_same_size, apply_permutation, check_count, check_counts, check_range
 from .samplers import (
     SbmParams,
     _as_generator,
@@ -85,13 +85,10 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 points to fit a covariance, got n={n}")
-    check_count("k", k)
-    if k > n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_count("k", k, n)
     check_count("restarts", restarts)
     check_count("max_iters", max_iters)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"need a finite tol >= 0, got {tol}")
+    check_range("tol", (tol,), 0)
     with np.errstate(over="ignore"):
         # bounds every squared distance sum of k-means++ and of the EM updates
         spread = n * float((np.ptp(x, axis=0) ** 2).sum())

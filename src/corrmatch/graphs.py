@@ -47,7 +47,7 @@ def empty_graph(n: int) -> np.ndarray:
 
 def graph_from_edges(n: int, edges) -> np.ndarray:
     """Adjacency from an (m, 2) array or a sequence of (u, v) pairs."""
-    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    u, v = as_vertex_ids("edges", edges, n).reshape(-1, 2).T
     if (u == v).any():
         raise ValueError(f"self-loop {u[u == v][0]}")
     a = empty_graph(n)
@@ -109,10 +109,11 @@ def transposition(n: int, i: int, j: int) -> np.ndarray:
 
 
 def check_range(name: str, values, low: int, high: float = math.inf) -> None:
-    """Reject the first of ``values`` outside [low, high]."""
+    """Reject the first of ``values`` outside [low, high], NaN, or +inf."""
     for v in values:
-        if not low <= v <= high:
-            raise ValueError(f"{name} value {v} is outside [{low}, {high}]")
+        if not low <= v <= high or v == math.inf:  # math.isinf overflows on 10**400
+            raise ValueError(f"{name} value {v} is outside [{low}, {high}"
+                             + ("]" if high < math.inf else ")"))
 
 
 def check_count(name: str, value, high: float = math.inf, *, low: int = 1) -> int:
@@ -121,6 +122,22 @@ def check_count(name: str, value, high: float = math.inf, *, low: int = 1) -> in
         raise ValueError(f"{name} must be an integer, got {value!r}")
     check_range(name, (value,), low, high)
     return int(value)
+
+
+def as_vertex_ids(name: str, values, n: int | None = None) -> np.ndarray:
+    """``values`` as int64 ids, in [0, n) if n is given, rejecting scalars,
+    bools and non-integers like check_count: an array by its dtype, other
+    input item by item too, as numpy reads [True, 2] as integers."""
+    bools = False
+    if not isinstance(values, np.ndarray) and np.iterable(values):
+        values = list(values)
+        bools = any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+    arr = np.asarray(values)
+    if bools or arr.ndim == 0 or arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be a sequence of integer vertex ids, without bools")
+    if n is not None and arr.size:
+        check_range(name, (arr.min(), arr.max()), 0, n - 1)
+    return arr.astype(np.int64, copy=False)
 
 
 def check_counts(name: str, values, high: float = math.inf) -> list[int]:
@@ -138,7 +155,7 @@ def apply_permutation(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Equals P_phi G P_phi^T for the permutation matrix of phi.
     """
-    phi = np.asarray(phi, dtype=np.int64)
+    phi = as_vertex_ids("phi", phi)
     if phi.shape[0] != g.shape[0]:
         raise ValueError(f"permutation length {phi.shape[0]} != n {g.shape[0]}")
     if not is_permutation(phi):
@@ -149,14 +166,9 @@ def apply_permutation(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
 # -- matching objectives ----------------------------------------------------
 
 def gm_objective(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> int:
-    """Squared Frobenius matching objective ||A - P B P^T||_F^2.
-
-    Each disagreeing unordered pair contributes 2.
-    """
-    _check_same_size(a, b)
-    bp = apply_permutation(b, phi)
-    d = a.astype(np.int64) - bp.astype(np.int64)
-    return int((d * d).sum())
+    """Squared Frobenius matching objective ||A - P B P^T||_F^2: each
+    disagreeing unordered pair contributes 2."""
+    return 2 * edge_disagreements(a, apply_permutation(b, phi))
 
 
 def trace_objective(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> int:

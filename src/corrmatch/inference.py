@@ -53,17 +53,13 @@ from .samplers import (
     _sample_symmetric_bernoulli,
 )
 
-THREE_BLOCK_SIZES = (50, 50, 50)
-THREE_BLOCK_LAMBDA = np.array([
-    [0.5, 0.3, 0.2],
-    [0.3, 0.5, 0.3],
-    [0.2, 0.3, 0.5],
-])
 PHASE_RHO_GRID = (0.0, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1.0)
 
 
 def three_block_params() -> SbmParams:
-    return SbmParams(BlockPartition(THREE_BLOCK_SIZES), THREE_BLOCK_LAMBDA)
+    """The phase-transition model: three blocks of 50 vertices."""
+    return SbmParams(BlockPartition((50, 50, 50)),
+                     np.array([[0.5, 0.3, 0.2], [0.3, 0.5, 0.3], [0.2, 0.3, 0.5]]))
 
 
 # -- statistics --------------------------------------------------------------

@@ -27,13 +27,13 @@ import math
 
 import numpy as np
 
+from .graphs import check_range
 from .samplers import SbmParams
 
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p log p - (1-p) log(1-p) in nats, with 0 log 0 = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    check_range("p", (p,), 0, 1)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
@@ -41,10 +41,8 @@ def binary_entropy(p: float) -> float:
 
 def bernoulli_pair_mi(p: float, rho: float) -> float:
     """Mutual information of a correlated Bernoulli(p) pair, in nats."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    check_range("p", (p,), 0, 1)
+    check_range("rho", (rho,), 0, 1)
     if p == 0.0 or p == 1.0 or rho == 0.0:
         return 0.0
     if rho == 1.0:
@@ -119,8 +117,7 @@ def brute_force_pair_mi(params: SbmParams, rho: float) -> float:
     evaluates sum P(x,y) log(P(x,y) / (P(x) P(y))) directly. Test oracle
     only; requires m <= 12.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    check_range("rho", (rho,), 0, 1)
     n = params.n
     m = n * (n - 1) // 2
     if m > 12:

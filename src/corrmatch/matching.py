@@ -45,7 +45,9 @@ from .graphs import (
     _read_int_lines,
     _write_int_lines,
     as_adjacency,
+    as_vertex_ids,
     check_count,
+    check_range,
     invert_permutation,
     is_permutation,
     trace_objective,
@@ -82,13 +84,11 @@ class MatchResult:
 
 
 def _validate_seeds(seeds, n: int) -> np.ndarray:
-    arr = np.asarray(() if seeds is None else seeds, dtype=np.int64)
+    arr = as_vertex_ids("seeds", () if seeds is None else seeds, n)
     if arr.size == 0:
         return arr.reshape(0, 2)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError("seeds must be an array of (u, v) pairs")
-    if arr.min() < 0 or arr.max() >= n:
-        raise ValueError("seed vertex out of range")
     if len(set(arr[:, 0].tolist())) != arr.shape[0] or len(set(arr[:, 1].tolist())) != arr.shape[0]:
         raise ValueError("conflicting seeds: correspondence must be injective on both sides")
     return arr
@@ -120,8 +120,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     b = as_adjacency(b)
     _check_same_size(a, b)
     check_count("max_iters", max_iters, low=0)
-    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
-        raise ValueError(f"need a finite tol >= 0, got {tol}")
+    check_range("tol", (tol,), 0)
     n = a.shape[0]
     seed_arr = _validate_seeds(seeds, n)
     s = seed_arr.shape[0]
@@ -312,5 +311,5 @@ def read_seeds(path) -> np.ndarray:
 
 def identity_seeds(vertices) -> np.ndarray:
     """Seed pairs (u, u) for each u, i.e. known identity correspondences."""
-    v = np.asarray(vertices, dtype=np.int64)
+    v = as_vertex_ids("vertices", vertices)
     return np.stack([v, v], axis=1)

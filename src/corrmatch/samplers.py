@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import ADJ_DTYPE, BlockPartition, _complement, check_count, identity_permutation
+from .graphs import (ADJ_DTYPE, BlockPartition, _complement, as_vertex_ids, check_count,
+                     check_range, identity_permutation)
 
 
 @dataclass(frozen=True)
@@ -143,26 +144,22 @@ class HeterogeneousPair:
 def max_feasible_correlation(p, q):
     """Largest correlation admitting a valid bivariate Bernoulli(p, q) table.
 
-    min(sqrt(p(1-q)/(q(1-p))), sqrt(q(1-p)/(p(1-q)))). Degenerate
-    marginals (0 or 1) give 0; equal non-degenerate marginals give 1.
-    Accepts scalars or arrays (elementwise).
+    min(sqrt(p(1-q)/(q(1-p))), sqrt(q(1-p)/(p(1-q)))), formed as
+    sqrt(min(a, b) / max(a, b)) for a = p(1-q) and b = q(1-p): the ratio is
+    at most 1, so it cannot overflow, and swapping p and q gives the same
+    bits. Degenerate marginals (0 or 1) give 0; equal non-degenerate
+    marginals give 1. Accepts scalars or arrays (elementwise).
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     degenerate = (p <= 0) | (p >= 1) | (q <= 0) | (q >= 1)
     ps = np.where(degenerate, 0.5, p)
     qs = np.where(degenerate, 0.5, q)
-    with np.errstate(over="ignore", divide="ignore"):
-        ratio = (ps * (1 - qs)) / (qs * (1 - ps))
-    out = np.sqrt(np.minimum(ratio, 1.0 / np.maximum(ratio, 1.0)))
-    over = np.isinf(ratio)
-    if over.any():  # the minimum is 1 / ratio there: form it without overflow
-        recip = np.divide(qs * (1 - ps), ps * (1 - qs), out=np.ones_like(ratio), where=over)
-        out = np.where(over, np.sqrt(recip), out)
-    out = np.where(degenerate, 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    a, b = ps * (1 - qs), qs * (1 - ps)
+    out = np.zeros(a.shape)  # filled in place: np.where made later big arrays page-fault
+    np.divide(np.minimum(a, b), np.maximum(a, b), out=out, where=~degenerate)
+    np.sqrt(out, out=out)
+    return float(out) if out.ndim == 0 else out
 
 
 def _sample_symmetric_bernoulli(prob: np.ndarray, gen: np.random.Generator) -> np.ndarray:
@@ -189,8 +186,7 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
     (lam + rho*(1-lam)); conditional on a non-edge it is Bernoulli
     (lam*(1-rho)). Cells are independent across vertex pairs.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("rho must lie in [0, 1]")
+    check_range("rho", (rho,), 0, 1)
     gen = _as_generator(rng)
     p = params.edge_probability_matrix()
     return _correlated_pair(p, p + rho * (1.0 - p), p * (1.0 - rho), gen)
@@ -212,8 +208,7 @@ def sample_dirichlet_positions(n: int, rng) -> np.ndarray:
 
 def anomaly_perturb(x: np.ndarray, m: int, w: float, rng) -> np.ndarray:
     """Mix the first m rows of x with fresh Dirichlet rows: (1-w)*x + w*D."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("w must lie in [0, 1]")
+    check_range("w", (w,), 0, 1)
     check_count("m", m, x.shape[0], low=0)
     gen = _as_generator(rng)
     y = np.array(x, dtype=np.float64, copy=True)
@@ -249,14 +244,9 @@ def sample_subset_shuffle(n: int, seed_set, k: int, rng) -> np.ndarray:
     itself fix points, *at most* k vertices move.
     """
     check_count("n", n, low=0)
-    check_count("k", k, low=0)
     gen = _as_generator(rng)
-    seeds = np.asarray(sorted(set(int(s) for s in seed_set)), dtype=np.int64)
-    if seeds.size and (seeds.min() < 0 or seeds.max() >= n):
-        raise ValueError("seed vertex out of range")
-    free = _complement(seeds, n)
-    if k > free.shape[0]:
-        raise ValueError(f"cannot shuffle {k} of {free.shape[0]} non-seed vertices")
+    free = _complement(as_vertex_ids("seed_set", seed_set, n), n)
+    check_count("k", k, free.shape[0], low=0)  # at most the non-seed vertices
     phi = identity_permutation(n)
     if k >= 2:
         chosen = gen.choice(free, size=k, replace=False)

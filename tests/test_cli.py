@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +25,7 @@ from corrmatch import (
     write_edgelist,
     write_labels,
 )
-from corrmatch.cli import _write_rows, main
+from corrmatch.cli import _write_rows, build_parser, main
 from corrmatch.matching import read_permutation
 from corrmatch.samplers import RngStream
 from helpers import write_seeds
@@ -557,9 +559,20 @@ REJECTED = {
     "match --max-iters -5": (("match", "--a", "a.edg", "--b", "b.edg", "--max-iters", "-5",
                               "--out-perm", "out"), "max_iters value -5 is outside"),
     "match --tol nan": (("match", "--a", "a.edg", "--b", "b.edg", "--tol", "nan",
-                         "--out-perm", "out"), "finite tol >= 0, got nan"),
+                         "--out-perm", "out"), "tol value nan is outside [0, inf)"),
     "match --tol -1": (("match", "--a", "a.edg", "--b", "b.edg", "--tol", "-1",
-                        "--out-perm", "out"), "finite tol >= 0, got -1"),
+                        "--out-perm", "out"), "tol value -1.0 is outside [0, inf)"),
+    # a negative number or grid is a value, not a flag
+    "match --tol -inf": (("match", "--a", "a.edg", "--b", "b.edg", "--tol", "-inf",
+                          "--out-perm", "out"), "tol value -inf is outside [0, inf)"),
+    "power-omni --w -1e-3": (("exp", "power-omni", "--w", "-1e-3", "-o", "out"),
+                             "w value -0.001 is outside [0, 1]"),
+    "power-er --s-grid -1,0": (("exp", "power-er", "--s-grid", "-1,0", "-o", "out"),
+                               "s_grid value -1 is outside [0, 50]"),
+    # the scree checks the vertex count as the experiment does
+    "cluster-real --scree n=0": (("cluster-real", "--a", "empty.edg", "--b", "empty.edg",
+                                  "--labels", "empty.txt", "--scree", "--k", "1", "-o", "out"),
+                                 "n value 0 is outside [2, inf)"),
 }
 # power-er names the probability or correlation that is NaN or outside [0, 1]
 for _flag, _name in (("--p", "p"), ("--q", "q"), ("--rho", "rho"), ("--null-p", "null_edge_p")):
@@ -592,6 +605,8 @@ def test_rejected_input(input_dir, capsys, name):
                       ("p_nan.json", {"n": 5, "p": float("nan"), "rho": 0.5})):
         (input_dir / file).write_text(json.dumps(cfg))
     (input_dir / "notjson.json").write_text('{"n": 5,')
+    (input_dir / "empty.edg").write_text("# n=0\n")
+    (input_dir / "empty.txt").write_text("")
     try:
         code = main(list(argv))
     except SystemExit as exc:
@@ -602,6 +617,16 @@ def test_rejected_input(input_dir, capsys, name):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert word in captured.err
     assert not any(input_dir.glob("out*"))
+
+
+def test_parser_reads_number_grids_as_values():
+    # _Parser replaces argparse's private _negative_number_matcher; if a
+    # Python release stops reading that attribute, this fails here
+    assert "_negative_number_matcher" in vars(argparse.ArgumentParser())
+    args = build_parser().parse_args(["exp", "power-er", "--s-grid", "-1,0", "--null-p",
+                                      "-1e-3", "--rho", "-inf", "-o", "-2"])
+    assert (args.s_grid, args.null_edge_p, args.rho, args.output) == ((-1, 0), -1e-3,
+                                                                       -math.inf, "-2")
 
 
 # SHA-256 of the files that `sample` and then `match` write at --seed 7

@@ -184,7 +184,8 @@ class TestFitGmm:
                                         {"max_iters": 0}, {"max_iters": -3},
                                         {"k": 2.0}, {"k": True}, {"restarts": 2.5},
                                         {"restarts": True}, {"max_iters": 3.5},
-                                        {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf}])
+                                        {"tol": np.nan}, {"tol": -1.0}, {"tol": np.inf},
+                                        {"k": 21}, {"k": np.nan}])
     def test_rejects_nonpositive_counts(self, kwargs):
         x = np.random.default_rng(17).normal(size=(20, 2))
         with pytest.raises(ValueError, match=next(iter(kwargs))):

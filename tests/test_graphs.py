@@ -71,10 +71,22 @@ class TestApplyPermutation:
 
     @pytest.mark.parametrize("phi, match", [([0, 1], "length 2 != n 3"),
                                             ([0, 0, 1], "not a bijection"),
-                                            ([0, 1, 3], "not a bijection")])
+                                            ([0, 1, 3], "not a bijection"),
+                                            ([0.5, 1, 2], "phi must be a sequence"),
+                                            ([True, False, True], "phi must be a sequence")])
     def test_rejects_bad_permutation(self, phi, match):
         with pytest.raises(ValueError, match=match):
             apply_permutation(PATH3, np.array(phi))
+
+
+@pytest.mark.parametrize("edges, match", [([(0.5, 2)], "edges must be a sequence"),
+                                          ([(True, 2)], "edges must be a sequence"),
+                                          (np.array([[0.0, 2.0]]), "edges must be a sequence"),
+                                          ([(-1, 0)], r"edges value -1 is outside \[0, 2\]"),
+                                          ([(0, 3)], r"edges value 3 is outside \[0, 2\]")])
+def test_graph_from_edges_rejects_non_vertices(edges, match):
+    with pytest.raises(ValueError, match=match):
+        graph_from_edges(3, edges)
 
 
 class TestObjectives:

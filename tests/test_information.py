@@ -104,10 +104,16 @@ class TestBernoulliPairMi:
         assert all(v2 >= v1 - 1e-15 for v1, v2 in zip(vals, vals[1:]))
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
-            bernoulli_pair_mi(-0.1, 0.5)
-        with pytest.raises(ValueError):
-            bernoulli_pair_mi(0.5, 1.5)
+        for call, value in ((lambda: binary_entropy(math.nan), "p value nan"),
+                            (lambda: binary_entropy(1.5), "p value 1.5"),
+                            (lambda: bernoulli_pair_mi(-0.1, 0.5), "p value -0.1"),
+                            (lambda: bernoulli_pair_mi(math.nan, 0.5), "p value nan"),
+                            (lambda: bernoulli_pair_mi(0.5, 1.5), "rho value 1.5"),
+                            (lambda: bernoulli_pair_mi(0.5, math.nan), "rho value nan"),
+                            (lambda: brute_force_pair_mi(er_params(3, 0.5), math.nan),
+                             "rho value nan")):
+            with pytest.raises(ValueError, match=value + r" is outside \[0, 1\]"):
+                call()
 
 
 class TestRhoSbmMi:

@@ -387,8 +387,10 @@ class TestSgmMatch:
     @pytest.mark.parametrize("seeds, match", [([(0, 1), (0, 2)], "conflicting"),
                                               ([(0, 1), (2, 1)], "conflicting"),
                                               ([0, 1], "pairs"), ([(0, 1, 2)], "pairs"),
-                                              ([(0, 4)], "out of range"),
-                                              ([(-1, 0)], "out of range")])
+                                              ([(0, 4)], r"seeds value 4 is outside \[0, 3\]"),
+                                              ([(-1, 0)], r"seeds value -1 is outside \[0, 3\]"),
+                                              ([(0.5, 0.5)], "seeds must be a sequence"),
+                                              ([(True, 2)], "seeds must be a sequence")])
     def test_conflicting_seeds_rejected(self, seeds, match):
         a = graph_from_edges(4, [(0, 1)])
         with pytest.raises(ValueError, match=match):
@@ -415,9 +417,9 @@ class TestSgmMatch:
         pytest.param({"max_iters": True}, "max_iters must be an integer", id="max_iters-bool"),
         pytest.param({"max_iters": 2.5}, "max_iters must be an integer", id="max_iters-float"),
         pytest.param({"max_iters": math.nan}, "max_iters must be an integer", id="max_iters-nan"),
-        pytest.param({"tol": float("nan")}, "finite tol", id="tol-nan"),
-        pytest.param({"tol": float("inf")}, "finite tol", id="tol-inf"),
-        pytest.param({"tol": -1.0}, "finite tol", id="tol-negative"),
+        pytest.param({"tol": float("nan")}, r"tol value nan is outside \[0, inf\)", id="tol-nan"),
+        pytest.param({"tol": float("inf")}, r"tol value inf is outside \[0, inf\)", id="tol-inf"),
+        pytest.param({"tol": -1.0}, r"tol value -1.0 is outside \[0, inf\)", id="tol-negative"),
     ])
     def test_rejects_bad_iteration_controls(self, kwargs, match):
         a = graph_from_edges(4, [(0, 1), (1, 2)])
@@ -512,3 +514,16 @@ class TestMatchingFiles:
         path = tmp_path / "seeds.txt"
         write_seeds(path, seeds)
         assert np.array_equal(read_seeds(path), seeds)
+
+
+class TestIdentitySeeds:
+    @pytest.mark.parametrize("vertices", [[1.7], [True], np.array([0.5, 1.0]), 3])
+    def test_non_integer_vertices_rejected(self, vertices):
+        with pytest.raises(ValueError, match="vertices must be a sequence"):
+            identity_seeds(vertices)
+
+    def test_empty_seed_list_stays_legal(self):
+        a = graph_from_edges(4, [(0, 1), (1, 2)])
+        assert identity_seeds([]).shape == (0, 2)
+        assert sgm_match(a, a, seeds=[]).objective == 0
+        assert sgm_match(a, a, seeds=identity_seeds([])).objective == 0

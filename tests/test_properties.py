@@ -19,6 +19,7 @@ from corrmatch import (
     gm_objective,
     identity_permutation,
     invert_permutation,
+    max_feasible_correlation,
     rho_sbm_mi,
     sgm_match,
     trace_objective,
@@ -121,6 +122,17 @@ def test_rho_sbm_mi_monotone_in_rho(lam, rhos):
 
     assert mi_lo >= -slack(lo)
     assert mi_hi >= mi_lo - slack(hi)
+
+
+UNIT = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.0 ** -1022,
+                                              1.0 - 2.0 ** -53])
+
+
+@given(UNIT, UNIT)
+@example(0.1, 0.2)  # 1 / (a / b) and b / a differ in the last bit
+@example(1e-300, 1.0 - 1e-16)  # a / b overflows
+def test_max_feasible_correlation_symmetric_bit_for_bit(p, q):
+    assert max_feasible_correlation(p, q).hex() == max_feasible_correlation(q, p).hex()
 
 
 @given(st.integers(0, 12).flatmap(graph))

@@ -138,8 +138,9 @@ class TestRhoSbm:
         assert abs(np.mean(dens) - 0.3) < 4 * sd_mean
 
     def test_rho_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_rho_sbm(er_params(5, 0.5), 1.5, RngStream(0))
+        for rho in (1.5, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=rf"rho value {rho} is outside \[0, 1\]"):
+                sample_rho_sbm(er_params(5, 0.5), rho, RngStream(0))
 
 
 class TestMaxFeasibleCorrelation:
@@ -161,11 +162,18 @@ class TestMaxFeasibleCorrelation:
     @pytest.mark.parametrize("p, q", [(1e-300, 1 - 1e-16), (1 - 1e-16, 1e-300), (5e-324, 0.5),
                                       (0.5, 5e-324), (0.5, 0.5 + 1e-16)])
     def test_extreme_marginals_do_not_warn(self, p, q):
-        # an overflowing or infinite ratio gives the mirror call's value exactly
+        # min(a, b) / max(a, b) is at most 1: no overflow, and the mirror's bits
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert 0.0 <= max_feasible_correlation(p, q) <= 1.0
             assert max_feasible_correlation(p, q) == max_feasible_correlation(q, p)
+
+    @pytest.mark.parametrize("p, q, expected", [(0.5, 1e-310, 1.0000000000000232e-155),
+                                                (1e-310, 0.5, 1.0000000000000232e-155),
+                                                (0.5, 5e-324, 0.0),
+                                                (0.4, 0.375, 0.9486832980505138)])
+    def test_pinned_values(self, p, q, expected):
+        assert max_feasible_correlation(p, q) == expected
 
     def test_symmetry_and_array(self):
         p = np.array([[0.0, 0.2], [0.2, 0.0]])
@@ -316,8 +324,10 @@ class TestLatentPositions:
             sample_dirichlet_positions(n, RngStream(35))
 
     @pytest.mark.parametrize("m, w, match", [(-1, 0.5, "m "), (11, 0.5, "m "), (2.5, 0.5, "m "),
-                                             (True, 0.5, "m "), (2, -0.1, "w must"),
-                                             (2, 1.5, "w must")])
+                                             (True, 0.5, "m "),
+                                             (2, -0.1, r"w value -0.1 is outside \[0, 1\]"),
+                                             (2, 1.5, r"w value 1.5 is outside \[0, 1\]"),
+                                             (2, math.nan, r"w value nan is outside \[0, 1\]")])
     def test_anomaly_perturb_arguments(self, m, w, match):
         x = sample_dirichlet_positions(10, RngStream(36))
         with pytest.raises(ValueError, match=match):
@@ -345,9 +355,12 @@ class TestPermutationSamplers:
             phi = sample_subset_shuffle(10, [], 4, RngStream(28, i))
             assert int((phi != np.arange(10)).sum()) <= 4
 
-    @pytest.mark.parametrize("seeds, k, match", [([0, 1], 4, "cannot shuffle 4 of 3"),
-                                                 ([0, 5], 1, "seed vertex out of range"),
-                                                 ([-1], 1, "seed vertex out of range")])
+    @pytest.mark.parametrize("seeds, k, match", [([0, 1], 4, r"k value 4 is outside \[0, 3\]"),
+                                                 ([0, 0, 1], 4, r"k value 4 is outside \[0, 3\]"),
+                                                 ([0, 5], 1, r"seed_set value 5 is outside \[0, 4\]"),
+                                                 ([-1], 1, r"seed_set value -1 is outside \[0, 4\]"),
+                                                 ([2.5], 1, "seed_set must be a sequence"),
+                                                 ([True], 1, "seed_set must be a sequence")])
     def test_subset_shuffle_rejected(self, seeds, k, match):
         with pytest.raises(ValueError, match=match):
             sample_subset_shuffle(5, seeds, k, RngStream(29))
