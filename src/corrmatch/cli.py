@@ -109,21 +109,13 @@ def _sbm_from_config(cfg: dict) -> SbmParams:
     model = sorted({"sizes", "lambda", "n", "p"} & set(cfg))
     try:
         if model == ["lambda", "sizes"]:
-            return SbmParams(BlockPartition(cfg["sizes"]),
-                             np.asarray(cfg["lambda"], dtype=np.float64))
+            return SbmParams(BlockPartition(cfg["sizes"]), cfg["lambda"])
         if model == ["n", "p"]:
-            return er_params(cfg["n"], float(cfg["p"]))
+            return er_params(cfg["n"], cfg["p"])
     except (TypeError, OverflowError, ValueError) as exc:
         raise ValueError(f"config model fields are malformed: {exc}") from None
     raise ValueError(f"config and flags must give one model, {{sizes, lambda}} or {{n, p}}, "
                      f"got {model}")
-
-
-def _config_rho(cfg: dict) -> float:
-    try:
-        return float(cfg["rho"])
-    except TypeError:
-        raise ValueError(f"config rho must be a number, got {cfg['rho']!r}") from None
 
 
 def _exp_model(path: str) -> SbmParams:
@@ -148,9 +140,9 @@ def _cmd_sample(args) -> int:
                 raise ValueError(f"sample reads {flag} only with --shuffle subset")
     cfg = _load_config(args.config, rho=args.rho)
     if args.model == "rho-er" and not {"n", "p"} <= cfg.keys():
-        raise ValueError("rho-er needs n and p (config or flags)")
+        raise ValueError("rho-er needs n and p in the --config file")
     params = _sbm_from_config(cfg)
-    rho = _config_rho(cfg) if "rho" in cfg else 0.0
+    rho = cfg.get("rho", 0.0)
     gen = RngStream(args.master_seed, 0).generator()
     a, b = sample_rho_sbm(params, rho, gen)
 
@@ -161,7 +153,7 @@ def _cmd_sample(args) -> int:
     elif args.shuffle == "block":
         sigma = sample_block_permutation(params.partition, sgen)
     elif args.shuffle == "subset":
-        protect = read_labels(args.protect_file) if args.protect_file else []
+        protect = read_labels(args.protect_file, params.n) if args.protect_file else []
         k = params.n - len(set(protect))  # repeated protect lines count once
         if args.subset_size is not None:
             check_range("--subset-size", (args.subset_size,), 0, k)
@@ -178,7 +170,7 @@ def _cmd_sample(args) -> int:
 def _cmd_match(args) -> int:
     a = read_edgelist(args.a)
     b = read_edgelist(args.b)
-    seeds = read_seeds(args.seeds) if args.seeds else None
+    seeds = read_seeds(args.seeds, a.shape[0]) if args.seeds else None
     init = args.init if args.init in ("identity", "barycenter") else read_permutation(args.init)
     res = sgm_match(a, b, seeds=seeds, init=init, max_iters=args.max_iters, tol=args.tol)
     write_permutation(args.out_perm, res.permutation)
@@ -205,7 +197,7 @@ def _cmd_mi(args) -> int:
     if "rho" not in cfg:
         raise ValueError("mi needs rho (config or --rho)")
     params = _sbm_from_config(cfg)
-    rho = _config_rho(cfg)
+    rho = cfg["rho"]
     mi = rho_sbm_mi(params, rho)
     ent = sbm_entropy(params)
     ratio = f"{mi_small_rho_ratio(params, rho):.6f}" if rho > 0.0 else "undefined"

@@ -23,7 +23,8 @@ import numpy as np
 
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import _check_same_size, apply_permutation, check_count, check_counts, check_range
+from .graphs import (_check_same_size, apply_permutation, as_finite, check_count, check_counts,
+                     check_range)
 from .samplers import (
     SbmParams,
     _as_generator,
@@ -77,11 +78,9 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     fit run on its own would. The E-step normalises over components with
     the max-shifted log-sum-exp, log(sum(exp(l - max l))) + max l.
     """
-    x = np.asarray(points, dtype=np.float64)
+    x = as_finite("points", points)
     if x.ndim != 2:
         raise ValueError("points must be an n x d matrix")
-    if not np.isfinite(x).all():
-        raise ValueError("points must be finite (no NaN or inf)")
     n, d = x.shape
     if n < 2:
         raise ValueError(f"need at least 2 points to fit a covariance, got n={n}")

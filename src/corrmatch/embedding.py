@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
-from .graphs import _check_same_size, check_count
+from .graphs import _check_same_size, as_finite, as_symmetric, check_count
 
 # Lanczos for the k = d + 1 leading eigenpairs beats a full eigh from
 # about n = 160 while k is at most n / 25. Measured (2-core VM, OpenBLAS,
@@ -34,17 +34,6 @@ _LANCZOS_N_PER_K = 25
 # tie, whose order only the full decomposition's position order decides.
 _TIE_RTOL = 1e-9
 _LANCZOS_SEED = 0  # fixed start vector and restarts: draws from no experiment stream
-
-
-def _check_symmetric(a: np.ndarray) -> None:
-    """Reject a float64 matrix that is not square, has a NaN or infinite
-    entry, or is not symmetric to 1e-12."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"input must be square, got {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("input must be finite, got a NaN or infinite entry")
-    if not (np.array_equal(a, a.T) or np.allclose(a, a.T, atol=1e-12)):
-        raise ValueError("input must be symmetric")
 
 
 def _leading_eigenpairs(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -82,10 +71,9 @@ def ase(m: np.ndarray, d: int) -> np.ndarray:
     Eigenpairs are ranked by |eigenvalue| descending (ties by position
     in the ascending-eigenvalue decomposition); the eigenpairs come from
     Lanczos or the full ``np.linalg.eigh``, see ``_leading_eigenpairs``.
-    Rejects a non-square, non-finite or non-symmetric ``m``.
+    ``m`` must pass ``as_symmetric``.
     """
-    a = np.asarray(m, dtype=np.float64)
-    _check_symmetric(a)
+    a = as_symmetric("m", m)
     n = a.shape[0]
     check_count("d", d, n)
     w, v = _leading_eigenpairs(a, d)
@@ -97,12 +85,16 @@ def ase(m: np.ndarray, d: int) -> np.ndarray:
 
 
 def omnibus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2n x 2n omnibus matrix [[A, (A+B)/2], [(A+B)/2, B]]."""
-    _check_same_size(a, b)
-    af = np.asarray(a, dtype=np.float64)
-    bf = np.asarray(b, dtype=np.float64)
-    avg = (af + bf) / 2.0
-    return np.block([[af, avg], [avg, bf]])
+    """2n x 2n omnibus matrix [[A, (A+B)/2], [(A+B)/2, B]], written into
+    one array (``np.block`` would allocate two n x 2n rows first)."""
+    af, bf = as_finite("a", a), as_finite("b", b)
+    _check_same_size(af, bf)
+    n = af.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = af
+    out[n:, n:] = bf
+    out[:n, n:] = out[n:, :n] = (af + bf) / 2.0
+    return out
 
 
 def procrustes_align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -112,18 +104,17 @@ def procrustes_align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     minimizer is not unique; the returned W is the one induced by the
     SVD, not a canonical representative.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x, y = as_finite("x", x), as_finite("y", y)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     u, _, vt = np.linalg.svd(x.T @ y)
     w = u @ vt
-    residual = float(np.linalg.norm(x @ w - y))
-    return w, residual
+    return w, float(np.linalg.norm(x @ w - y))
 
 
 def t1_semipar(a: np.ndarray, b: np.ndarray, d: int) -> float:
     """Semiparametric statistic: Procrustes distance of the two ASEs."""
+    a, b = as_symmetric("a", a), as_symmetric("b", b)
     _check_same_size(a, b)
     return procrustes_align(ase(a, d), ase(b, d))[1]
 
@@ -134,15 +125,14 @@ def t2_omni(a: np.ndarray, b: np.ndarray, d: int) -> float:
     Exactly 0.0 when ``np.array_equal(a, b)``, without an embedding: the
     omnibus matrix of (A, A) is [[1, 1], [1, 1]] kron A, whose
     eigenvectors of nonzero eigenvalue all have the form [u; u], so the
-    two halves of the embedding coincide for every d and every tie. The
-    input checks (sizes, d in [1, 2n], square, symmetric) are the same
-    on both paths.
+    two halves of the embedding coincide for every d and every tie. Both
+    paths check a and b (``as_symmetric``), their sizes and d in [1, 2n].
     """
+    a, b = as_symmetric("a", a), as_symmetric("b", b)
     _check_same_size(a, b)
     n = a.shape[0]
+    check_count("d", d, 2 * n)
     if np.array_equal(a, b):
-        _check_symmetric(np.asarray(a, dtype=np.float64))
-        check_count("d", d, 2 * n)
         return 0.0
     z = ase(omnibus(a, b), d)
     return float(np.linalg.norm(z[:n] - z[n:]))
@@ -154,12 +144,8 @@ def scree_elbow(eigenvalues) -> int:
     ``eigenvalues`` must already be sorted by |value| descending. Ties
     go to the smallest i. Returns the number of values to keep (1-based).
     """
-    vals = np.abs(np.asarray(eigenvalues, dtype=np.float64))
+    vals = np.abs(as_finite("eigenvalues", eigenvalues))
     if vals.size == 0:
         raise ValueError("empty eigenvalue list")
-    if vals.size == 1:
-        return 1
-    gaps = vals[:-1] - vals[1:]
-    limit = max(1, vals.size // 2)
-    gaps = gaps[:limit]
-    return int(np.argmax(gaps)) + 1
+    gaps = (vals[:-1] - vals[1:])[:max(1, vals.size // 2)]
+    return int(np.argmax(gaps)) + 1 if gaps.size else 1

@@ -108,12 +108,44 @@ def transposition(n: int, i: int, j: int) -> np.ndarray:
     return phi
 
 
-def check_range(name: str, values, low: int, high: float = math.inf) -> None:
-    """Reject the first of ``values`` outside [low, high], NaN, or +inf."""
+def check_range(name: str, values, low: float, high: float = math.inf) -> None:
+    """Reject the first of ``values`` that is not a real number (a complex
+    number or a string), or is outside [low, high], NaN, or +inf."""
     for v in values:
-        if not low <= v <= high or v == math.inf:  # math.isinf overflows on 10**400
+        try:
+            inside = low <= v <= high and v != math.inf  # math.isinf overflows on 10**400
+        except TypeError:
+            inside = None
+        if inside is None or isinstance(v, np.complexfloating):  # numpy orders complex numbers
+            raise ValueError(f"{name} must be a real number, got {v!r}")
+        if not inside:
             raise ValueError(f"{name} value {v} is outside [{low}, {high}"
                              + ("]" if high < math.inf else ")"))
+
+
+def as_finite(name: str, values) -> np.ndarray:
+    """``values`` as float64: a bool, integer or float array, all finite."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    with np.errstate(over="ignore"):  # a long double past float64's range becomes inf
+        arr = arr.astype(np.float64, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} entries must be finite, got a NaN or infinite entry")
+    return arr
+
+
+def as_symmetric(name: str, m, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
+    """``m`` as a finite float64 matrix (``as_finite``) that is square,
+    symmetric to 1e-12 absolute, and has entries in [low, high]."""
+    m = as_finite(name, m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not (np.array_equal(m, m.T) or np.allclose(m, m.T, rtol=0.0, atol=1e-12)):
+        raise ValueError(f"{name} must be symmetric to 1e-12")
+    if m.size:
+        check_range(name, (m.min(), m.max()), low, high)
+    return m
 
 
 def check_count(name: str, value, high: float = math.inf, *, low: int = 1) -> int:
@@ -243,9 +275,7 @@ def fixed_error_counts(x: np.ndarray, y: np.ndarray, phi: np.ndarray) -> tuple[i
 # -- invariant statistics ---------------------------------------------------
 
 def max_degree(g: np.ndarray) -> int:
-    if g.shape[0] == 0:
-        return 0
-    return int(g.sum(axis=1).max())
+    return int(g.sum(axis=1).max(initial=0))
 
 
 def triangle_count(g: np.ndarray) -> int:
@@ -261,10 +291,7 @@ def triangle_count(g: np.ndarray) -> int:
 
 def spectral_norm(g: np.ndarray) -> float:
     """Largest |eigenvalue| of the (symmetric) adjacency matrix."""
-    if g.shape[0] == 0:
-        return 0.0
-    w = np.linalg.eigvalsh(g.astype(np.float64))
-    return float(np.abs(w).max())
+    return float(np.abs(np.linalg.eigvalsh(g.astype(np.float64))).max(initial=0.0))
 
 
 # -- block structure --------------------------------------------------------
@@ -327,9 +354,11 @@ def _file_error(path, text: str, width: int, row: int | None = None,
     return ValueError(f"{path}: expected lines of {width} integer(s)")
 
 
-def _read_int_lines(path, width: int) -> tuple[np.ndarray, int | None, str]:
+def _read_int_lines(path, width: int,
+                    vertices: int | None = None) -> tuple[np.ndarray, int | None, str]:
     """The data rows of a file, shape (lines, width), its '# n=' count, and
-    its text, which ``_file_error`` reads (a pipe cannot be read twice)."""
+    its text, which ``_file_error`` reads (a pipe cannot be read twice).
+    With ``vertices``, every value must be a vertex id in [0, vertices)."""
     with open(path) as fh:
         text = fh.read()
     n = None
@@ -343,7 +372,15 @@ def _read_int_lines(path, width: int) -> tuple[np.ndarray, int | None, str]:
                           comments="#", ndmin=2)
     except ValueError:
         raise _file_error(path, text, width) from None
-    return rows[:-1], n, text
+    rows = rows[:-1]
+    if vertices is not None:
+        bad = ((rows < 0) | (rows >= vertices)).any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            row = rows[k].tolist()
+            raise _file_error(path, text, width, k, f"vertex out of range "
+                              f"{row[0] if width == 1 else tuple(row)} with n={vertices}")
+    return rows, n, text
 
 
 def _write_int_lines(path, values, width: int, header: str = "") -> None:
@@ -386,5 +423,6 @@ def write_labels(path, labels) -> None:
     _write_int_lines(path, labels, 1)
 
 
-def read_labels(path) -> np.ndarray:
-    return _read_int_lines(path, 1)[0][:, 0]
+def read_labels(path, vertices: int | None = None) -> np.ndarray:
+    """One integer per line; with ``vertices``, each a vertex id in [0, vertices)."""
+    return _read_int_lines(path, 1, vertices)[0][:, 0]

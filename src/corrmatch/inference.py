@@ -169,12 +169,10 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     for name, value in (("p", p), ("q", q), ("rho", rho), ("null_edge_p", null_edge_p)):
         if value is not None:
             check_range(name, (value,), 0, 1)  # NaN fails every comparison
-    if max_feasible_correlation(p, q) < rho:
-        raise ValueError(f"rho={rho} infeasible for marginals ({p}, {q})")
     p0 = (p + q) / 2.0 if null_edge_p is None else float(null_edge_p)
     null_params = er_params(n, p0)
     off = 1.0 - np.eye(n)
-    alt_spec = HeterogeneousPair(p * off, q * off, rho * off)
+    alt_spec = HeterogeneousPair(p * off, q * off, rho * off)  # rejects an infeasible rho
 
     def paired_null(gen: np.random.Generator) -> float:
         a, b = sample_rho_sbm(null_params, rho, gen)

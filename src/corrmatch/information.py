@@ -81,6 +81,7 @@ def _block_sum(params: SbmParams, per_pair) -> float:
 
 def rho_sbm_mi(params: SbmParams, rho: float) -> float:
     """I(G1; G2) in nats for a correlated SBM pair at the latent alignment."""
+    check_range("rho", (rho,), 0, 1)  # also where no block holds a vertex pair
     return _block_sum(params, lambda p: bernoulli_pair_mi(p, rho))
 
 

@@ -45,6 +45,7 @@ from .graphs import (
     _read_int_lines,
     _write_int_lines,
     as_adjacency,
+    as_finite,
     as_vertex_ids,
     check_count,
     check_range,
@@ -60,11 +61,9 @@ def solve_lap(cost) -> tuple[np.ndarray, float]:
     Ties between optimal assignments keep the backend's deterministic
     (but unspecified) tie-break.
     """
-    c = np.asarray(cost, dtype=np.float64)
+    c = as_finite("cost", cost)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cost must be square, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("cost entries must be finite")
     _, cols = linear_sum_assignment(c)
     perm = np.asarray(cols, dtype=np.int64)
     return perm, float(c[np.arange(c.shape[0]), perm].sum())
@@ -305,8 +304,9 @@ def read_permutation(path) -> np.ndarray:
     return phi
 
 
-def read_seeds(path) -> np.ndarray:
-    return _read_int_lines(path, 2)[0]
+def read_seeds(path, vertices: int | None = None) -> np.ndarray:
+    """Lines of 'u v' seed pairs; with ``vertices``, ids in [0, vertices)."""
+    return _read_int_lines(path, 2, vertices)[0]
 
 
 def identity_seeds(vertices) -> np.ndarray:

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (ADJ_DTYPE, BlockPartition, _complement, as_vertex_ids, check_count,
-                     check_range, identity_permutation)
+from .graphs import (ADJ_DTYPE, BlockPartition, _complement, as_finite, as_symmetric,
+                     as_vertex_ids, check_count, check_range, identity_permutation)
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,10 @@ class SbmParams:
     lam: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lam, dtype=np.float64)
         k = self.partition.num_blocks
-        if lam.shape != (k, k):
-            raise ValueError(f"lambda must be {k}x{k}, got {lam.shape}")
-        if not np.isfinite(lam).all():
-            raise ValueError("lambda entries must be finite")
-        if not np.allclose(lam, lam.T):
-            raise ValueError("lambda must be symmetric")
-        if lam.min() < 0.0 or lam.max() > 1.0:
-            raise ValueError("lambda entries must lie in [0, 1]")
-        object.__setattr__(self, "lam", lam)
+        if np.shape(self.lam) != (k, k):
+            raise ValueError(f"lambda must be {k}x{k}, got {np.shape(self.lam)}")
+        object.__setattr__(self, "lam", as_symmetric("lambda", self.lam, 0, 1))
 
     @property
     def n(self) -> int:
@@ -101,26 +94,19 @@ class HeterogeneousPair:
     given_non_edge: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        p = np.asarray(self.p_matrix, dtype=np.float64)
-        q = np.asarray(self.q_matrix, dtype=np.float64)
-        r = np.asarray(self.rho_matrix, dtype=np.float64)
-        if not (p.shape == q.shape == r.shape) or p.ndim != 2 or p.shape[0] != p.shape[1]:
+        p = as_symmetric("p", self.p_matrix, 0, 1)
+        q = as_symmetric("q", self.q_matrix, 0, 1)
+        r = as_symmetric("rho", self.rho_matrix, -1, 1)
+        if not p.shape == q.shape == r.shape:
             raise ValueError("p, q, rho must be square matrices of equal shape")
-        for name, m in (("p", p), ("q", q), ("rho", r)):
-            if not np.isfinite(m).all():
-                raise ValueError(f"{name} entries must be finite")
         for name, m in (("p", p), ("q", q)):
-            if not np.allclose(m, m.T):
-                raise ValueError(f"{name} matrix must be symmetric")
-            if m.min() < 0 or m.max() > 1:
-                raise ValueError(f"{name} entries must lie in [0,1]")
             if np.any(np.diag(m) != 0):
                 raise ValueError(f"{name} must have zero diagonal")
-        if not np.allclose(r, r.T):
-            raise ValueError("rho matrix must be symmetric")
-        bound = max_feasible_correlation(p, q)
-        if np.any(r > bound + 1e-12):
-            raise ValueError("rho exceeds the feasible correlation bound somewhere")
+        over = r > max_feasible_correlation(p, q) + 1e-12
+        if over.any():
+            i, j = np.argwhere(over)[0]
+            raise ValueError(f"rho={r[i, j]} infeasible for marginals ({p[i, j]}, {q[i, j]}) "
+                             f"at cell ({i}, {j})")
         p11 = p * q + r * np.sqrt(p * (1 - p) * q * (1 - q))
         if (np.any(p11 > np.minimum(p, q) + 1e-12) or np.any(p11 < -1e-12)
                 or np.any(1 - p - q + p11 < -1e-12)):
@@ -148,10 +134,9 @@ def max_feasible_correlation(p, q):
     sqrt(min(a, b) / max(a, b)) for a = p(1-q) and b = q(1-p): the ratio is
     at most 1, so it cannot overflow, and swapping p and q gives the same
     bits. Degenerate marginals (0 or 1) give 0; equal non-degenerate
-    marginals give 1. Accepts scalars or arrays (elementwise).
+    marginals give 1. Accepts finite real scalars or arrays (elementwise).
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    p, q = as_finite("p", p), as_finite("q", q)
     degenerate = (p <= 0) | (p >= 1) | (q <= 0) | (q >= 1)
     ps = np.where(degenerate, 0.5, p)
     qs = np.where(degenerate, 0.5, q)

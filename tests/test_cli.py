@@ -62,8 +62,8 @@ class TestSampleCommand:
                 "--seed", "7", "--out-a", paths[0], "--out-b", paths[1])
         run_cli(capsys, "sample", "--model", "rho-er", "--config", er_config,
                 "--seed", "7", "--out-a", paths[2], "--out-b", paths[3])
-        assert open(paths[0], "rb").read() == open(paths[2], "rb").read()
-        assert open(paths[1], "rb").read() == open(paths[3], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[2]).read_bytes()
+        assert Path(paths[1]).read_bytes() == Path(paths[3]).read_bytes()
 
     def test_rho_one_isomorphic_with_witness(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -135,7 +135,7 @@ class TestMatchCommand:
                              "--init", "identity", "--out-perm", out_p,
                              "--report", report_path)
         assert code == 0
-        report = json.loads(open(report_path).read())
+        report = json.loads(Path(report_path).read_text())
         assert report["objective"] == 0
         assert report["disagreements_after"] == 0
         assert read_permutation(out_p).tolist() == list(range(12))
@@ -157,7 +157,7 @@ class TestMatchCommand:
                              "--seeds", seeds_path, "--out-perm", out_p,
                              "--report", rep)
         assert code == 0
-        report = json.loads(open(rep).read())
+        report = json.loads(Path(rep).read_text())
         assert report["disagreements_after"] == 0
 
     def test_report_to_stdout(self, tmp_path, capsys):
@@ -205,10 +205,10 @@ class TestExpCommand:
                              "--mc", "3", "--seed", "1", "--rho-grid", "0,1",
                              "-o", out)
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "experiment,rho,variant,mean,se,mc_reps,master_seed"
         assert len(lines) == 1 + 2 * 4
-        meta = json.loads(open(out + ".meta.json").read())
+        meta = json.loads(Path(out + ".meta.json").read_text())
         assert meta["master_seed"] == 1
 
     def test_rerun_byte_identical(self, tmp_path, capsys):
@@ -218,7 +218,7 @@ class TestExpCommand:
         for out in (out1, out2):
             run_cli(capsys, "exp", "phase-transition", "--config", str(cfg),
                     "--mc", "3", "--seed", "9", "--rho-grid", "0.25", "-o", out)
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_cluster_shuffle_variants(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -229,7 +229,7 @@ class TestExpCommand:
                              "--rho", "0.5", "--seeds-grid", "0,24",
                              "--mc", "2", "--seed", "3", "-o", out)
         assert code == 0
-        body = open(out).read()
+        body = Path(out).read_text()
         for variant in ("omni_shuffled", "single", "omni_matched"):
             assert variant in body
 
@@ -242,7 +242,7 @@ class TestExpCommand:
                              "--rho-grid", "0.3,0.7", "--mc", "2", "--seed", "4",
                              "-o", out)
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "experiment,rho,variant,mean_ari,se,mc_reps,master_seed"
         assert len(lines) == 1 + 2 * 2
 
@@ -254,7 +254,7 @@ class TestExpCommand:
                              "--mc", "2", "--rho-grid", "1", "--format", "json",
                              "-o", out)
         assert code == 0
-        rows = json.loads(open(out).read())
+        rows = json.loads(Path(out).read_text())
         assert rows and rows[0]["experiment"] == "phase-transition"
 
 
@@ -306,7 +306,7 @@ class TestClusterRealCommand:
                              "--seeds-grid", "0,28", "--mc", "2", "--seed", "5",
                              "-o", out)
         assert code == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "experiment,s,variant,mean_ari,se,mc_reps,master_seed"
         assert len(lines) == 1 + 2 * 3
 
@@ -318,7 +318,7 @@ class TestClusterRealCommand:
                              "--seeds-grid", "28", "--mc", "2", "--seed", "5",
                              "-o", out)
         assert code == 0
-        meta = json.loads(open(out + ".meta.json").read())
+        meta = json.loads(Path(out + ".meta.json").read_text())
         assert meta["config"]["scree"] is True
         assert meta["config"]["d"] >= 1
 
@@ -330,7 +330,7 @@ class TestClusterRealCommand:
                 "--seed", "6", "-o", out)
         rows = {
             parts[2]: parts[3]
-            for parts in (line.split(",") for line in open(out).read().splitlines()[1:])
+            for parts in (line.split(",") for line in Path(out).read_text().splitlines()[1:])
         }
         assert rows["omni_shuffled"] == rows["omni_matched"]
 
@@ -555,6 +555,25 @@ REJECTED = {
                         "--mc", "2", "--n-null", "20", "-o", "out"), "n value 1 is outside"),
     # NaN != NaN: finiteness is checked before symmetry
     "mi p NaN": (("mi", "--config", "p_nan.json"), "lambda entries must be finite"),
+    # a model matrix is real and symmetric to 1e-12 absolute, as the library reads it
+    "mi lambda asymmetric by 1e-10": (("mi", "--config", "asym.json"),
+                                      "lambda must be symmetric to 1e-12"),
+    "mi lambda strings": (("mi", "--config", "lam_str.json"),
+                          "lambda must hold real numbers, got dtype <U3"),
+    "mi rho string": (("mi", "--config", "rho_str.json"), "rho must be a real number, got '0.5'"),
+    "power-er --rho 0.99": (("exp", "power-er", "--rho", "0.99", "-o", "out"),
+                            "rho=0.99 infeasible for marginals (0.4, 0.375) at cell (0, 1)"),
+    "sample rho-er without config": (("sample", "--model", "rho-er", "--out-a", "out",
+                                      "--out-b", "out_b"),
+                                     "rho-er needs n and p in the --config file"),
+    # a vertex id outside the graph is reported by file line, blank lines counted
+    "match --seeds out of range": (("match", "--a", "a.edg", "--b", "b.edg", "--seeds",
+                                    "far_seeds.txt", "--out-perm", "out"),
+                                   "far_seeds.txt:4: vertex out of range (25, 1) with n=16"),
+    "sample --protect-file out of range": (("sample", "--config", "er.json", "--shuffle",
+                                            "subset", "--protect-file", "far_protect.txt",
+                                            "--out-a", "out", "--out-b", "out_b"),
+                                           "far_protect.txt:3: vertex out of range -1 with n=20"),
     # Frank-Wolfe's iteration cap and tolerance
     "match --max-iters -5": (("match", "--a", "a.edg", "--b", "b.edg", "--max-iters", "-5",
                               "--out-perm", "out"), "max_iters value -5 is outside"),
@@ -602,8 +621,14 @@ def test_rejected_input(input_dir, capsys, name):
                       ("n_bool.json", {"n": True, "p": 0.1, "rho": 0.5}),
                       ("sizes_float.json", dict(SBM_8_8, sizes=[2.5, 3], rho=0.5)),
                       ("one_vertex.json", {"n": 1, "p": 0.1, "rho": 0.5}),
-                      ("p_nan.json", {"n": 5, "p": float("nan"), "rho": 0.5})):
+                      ("p_nan.json", {"n": 5, "p": float("nan"), "rho": 0.5}),
+                      ("asym.json", {"sizes": [2, 2], "lambda": [[0.3, 0.1], [0.1000000001, 0.3]],
+                                     "rho": 0.5}),
+                      ("lam_str.json", {"sizes": [2], "lambda": [["0.3"]], "rho": 0.5}),
+                      ("rho_str.json", {"n": 5, "p": 0.3, "rho": "0.5"})):
         (input_dir / file).write_text(json.dumps(cfg))
+    (input_dir / "far_seeds.txt").write_text("0 0\n\n# a comment\n25 1\n")
+    (input_dir / "far_protect.txt").write_text("3\n\n-1\n")
     (input_dir / "notjson.json").write_text('{"n": 5,')
     (input_dir / "empty.edg").write_text("# n=0\n")
     (input_dir / "empty.txt").write_text("")

@@ -2,8 +2,8 @@
 
 hypothesis builds flags, configs and input files from valid and
 near-valid values: non-integers, bools, NaN and infinities, huge
-integers, 0-, 1- and 2-vertex graphs, empty grids, and d at and past
-its bound. Each ``cli.main`` call must exit 0, or exit 2 with exactly
+integers, 0-, 1- and 2-vertex graphs, empty grids, d at and past its
+bound, and model matrices that are complex, asymmetric or empty. Each ``cli.main`` call must exit 0, or exit 2 with exactly
 one ``error:`` line on stderr; the library entry points must return a
 result or raise ValueError. Sizes stay tiny, so every run is quick.
 """
@@ -20,6 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corrmatch import (
+    BlockPartition,
+    HeterogeneousPair,
+    SbmParams,
     ase,
     er_params,
     fit_gmm,
@@ -242,6 +245,33 @@ def test_library_solvers(n, max_iters, tol, d, k, restarts):
 def test_library_power_er(p, q, null_p, rho, n, alpha):
     answers(power_er_experiment, p=p, q=q, n=n, rho=rho, s_grid=(0,), x_grid=(0, 2),
             alpha=alpha, mc_reps=1, n_null=20, null_edge_p=null_p)
+
+
+# model entries: valid, out of [0, 1], complex, infinite or NaN
+ENTRIES = numbers(0.0, 0.3, 1.0, odd=[math.nan, math.inf, -math.inf, -0.5, 1.5, 0.3 + 0j, 0.3j])
+
+
+@st.composite
+def matrices(draw, n):
+    """An n x n matrix of ENTRIES with zero diagonal: symmetric four times
+    in six, else asymmetric, or asymmetric by 1e-10 in one entry."""
+    m = np.array(draw(st.lists(ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(m, 0.0)
+    shape = draw(st.sampled_from(["symmetric"] * 4 + ["asymmetric", "nearly"]))
+    if shape != "asymmetric":
+        m = np.triu(m, 1) + np.triu(m, 1).T
+    if shape == "nearly" and n >= 2:
+        m[1, 0] += 1e-10
+    return m
+
+
+@FUZZ
+@given(data=st.data(), n=st.sampled_from([0, 1, 2, 3]), d=numbers(1, 2))
+def test_library_matrices(data, n, d):
+    p, q, rho = (data.draw(matrices(n)) for _ in range(3))
+    answers(SbmParams, BlockPartition((1,) * n), p)
+    answers(HeterogeneousPair, p, q, rho)
+    answers(ase, p, d)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -36,8 +36,8 @@ def sbm_draw(params, rng):
 @pytest.mark.parametrize("sizes, lam, match", [
     ((3,), [[0.5, 0.1]], "lambda must be 1x1"),
     ((2, 2), [[0.5, 0.1], [0.2, 0.5]], "lambda must be symmetric"),
-    ((2, 2), [[0.5, 0.1], [0.1, 1.5]], r"lambda entries must lie in \[0, 1\]"),
-    ((2, 2), [[0.5, -0.1], [-0.1, 0.5]], r"lambda entries must lie in \[0, 1\]"),
+    ((2, 2), [[0.5, 0.1], [0.1, 1.5]], r"lambda value 1.5 is outside \[0, 1\]"),
+    ((2, 2), [[0.5, -0.1], [-0.1, 0.5]], r"lambda value -0.1 is outside \[0, 1\]"),
     # NaN != NaN, so finiteness is checked before symmetry
     ((2, 2), [[0.5, 0.1], [0.1, np.nan]], "lambda entries must be finite"),
     ((2, 2), [[0.5, np.inf], [np.inf, 0.5]], "lambda entries must be finite"),
@@ -240,13 +240,13 @@ class TestHeterogeneous:
         (np.full((2, 3), 0.5), np.full((2, 3), 0.5), np.zeros((2, 3)), "square"),
         (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(2)), np.zeros((3, 3)), "equal shape"),
         (np.triu(np.full((3, 3), 0.5), 1), 0.5 * (1 - np.eye(3)), np.zeros((3, 3)),
-         "p matrix must be symmetric"),
+         "p must be symmetric to 1e-12"),
         (0.5 * (1 - np.eye(3)), 1.5 * (1 - np.eye(3)), np.zeros((3, 3)),
-         r"q entries must lie in \[0,1\]"),
+         r"q value 1.5 is outside \[0, 1\]"),
         (np.full((3, 3), 0.5), 0.5 * (1 - np.eye(3)), np.zeros((3, 3)),
          "p must have zero diagonal"),
         (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(3)), np.triu(np.full((3, 3), 0.2), 1),
-         "rho matrix must be symmetric"),
+         "rho must be symmetric to 1e-12"),
         (np.where(np.eye(3) == 1, 0.0, np.nan), 0.5 * (1 - np.eye(3)), np.zeros((3, 3)),
          "p entries must be finite"),
         (0.5 * (1 - np.eye(3)), np.where(np.eye(3) == 1, 0.0, np.inf), np.zeros((3, 3)),
