@@ -143,7 +143,7 @@ def as_symmetric(name: str, m, low: float = -math.inf, high: float = math.inf) -
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if not (np.array_equal(m, m.T) or np.allclose(m, m.T, rtol=0.0, atol=1e-12)):
         raise ValueError(f"{name} must be symmetric to 1e-12")
-    if m.size:
+    if m.size and (low, high) != (-math.inf, math.inf):
         check_range(name, (m.min(), m.max()), low, high)
     return m
 
