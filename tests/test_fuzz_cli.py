@@ -3,9 +3,10 @@
 hypothesis builds flags, configs and input files from valid and
 near-valid values: non-integers, bools, NaN and infinities, huge
 integers, 0-, 1- and 2-vertex graphs, empty grids, d at and past its
-bound, and model matrices that are complex, asymmetric or empty. Each ``cli.main`` call must exit 0, or exit 2 with exactly
-one ``error:`` line on stderr; the library entry points must return a
-result or raise ValueError. Sizes stay tiny, so every run is quick.
+bound, and model matrices that are complex, asymmetric or empty. Each
+``cli.main`` call must exit 0, or exit 2 with exactly one ``error:``
+line on stderr; the library entry points must return a result or raise
+ValueError. Sizes stay tiny, so every run is quick.
 """
 
 import contextlib
