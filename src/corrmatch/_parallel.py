@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .graphs import check_count
+from .graphs import check_count, check_range
 from .samplers import RngStream
 
 # role -> (first stream id, capacity); the latent block is last and open above
@@ -37,6 +37,7 @@ _BLOCKS = {
 def critical_rank(alpha: float, n_null: int) -> int:
     """1-based rank ceil((1-alpha)(n_null+1)) of the conservative critical
     value among n_null null draws; needs 0 < alpha < 1 and n_null >= 1/alpha."""
+    check_range("alpha", (alpha,), 0, 1)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"need 0 < alpha < 1, got {alpha}")
     if n_null < 1.0 / alpha:

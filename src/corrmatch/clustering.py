@@ -23,8 +23,8 @@ import numpy as np
 
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import (_check_same_size, apply_permutation, as_finite, check_count, check_counts,
-                     check_range)
+from .graphs import (_check_same_size, apply_permutation, as_adjacency, as_finite, check_count,
+                     check_counts, check_range)
 from .samplers import (
     SbmParams,
     _as_generator,
@@ -206,10 +206,8 @@ def joint_cluster(a: np.ndarray, b: np.ndarray, d: int, k: int, rng,
                   restarts: int = 5) -> tuple[np.ndarray, np.ndarray]:
     """Embed the omnibus matrix, fit one GMM on all 2n rows, and return
     the label slices for a's and b's vertices."""
-    _check_same_size(a, b)
-    n = a.shape[0]
-    z = ase(omnibus(a, b), d)
-    _, labels = fit_gmm(z, k, rng, restarts=restarts)
+    _, labels = fit_gmm(ase(omnibus(a, b), d), k, rng, restarts=restarts)
+    n = labels.shape[0] // 2
     return labels[:n], labels[n:]
 
 
@@ -306,6 +304,7 @@ def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
     restarts. Scores the clustering of graph a's vertices against the
     given labels; swap the inputs to score the other graph.
     """
+    a, b = as_adjacency(a), as_adjacency(b)
     _check_same_size(a, b)
     labels = np.asarray(labels, dtype=np.int64)
     n = a.shape[0]

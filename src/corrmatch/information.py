@@ -92,7 +92,8 @@ def sbm_entropy(params: SbmParams) -> float:
 
 def mi_small_rho_ratio(params: SbmParams, rho: float) -> float:
     """rho_sbm_mi / (rho^2 * C(n,2) / 2), the small-correlation diagnostic."""
-    if not 0.0 < rho <= 1.0:
+    check_range("rho", (rho,), 0, 1)
+    if rho == 0.0:
         raise ValueError("rho must lie in (0, 1]; the ratio is undefined at 0")
     n = params.n
     if n < 2:

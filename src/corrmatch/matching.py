@@ -113,7 +113,8 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     b; seed pairs are fixed in the output.
     ``init`` is one of "barycenter", "identity", or a full-length
     permutation (apply_permutation convention, mapping non-seeds to
-    non-seeds). ``max_iters`` may be 0, which projects the init.
+    non-seeds) of vertex ids (``as_vertex_ids``), checked even when every
+    vertex is seeded. ``max_iters`` may be 0, which projects the init.
     """
     a = as_adjacency(a)
     b = as_adjacency(b)
@@ -129,6 +130,10 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     free_b = _complement(seed_arr[:, 1], n)
     ra = np.concatenate([seed_arr[:, 0], free_a])
     rb = np.concatenate([seed_arr[:, 1], free_b])
+    # While D is exactly a permutation matrix, perm holds its columns and d
+    # is None; otherwise perm is None and d holds D. A t == 1 step lands
+    # exactly on Q: x + (1 - x) == 1 and x + (0 - x) == +0 for x in [0, 1].
+    perm, d = _initial_iterate(init, m, n, ra, rb, s)
 
     af = _gather(a, ra).astype(np.float64)
     bf = _gather(b, rb).astype(np.float64)
@@ -139,11 +144,6 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     lin = a21 @ b21.T  # gradient contribution of the seed blocks
     const = float((af[:s, :s] * bf[:s, :s]).sum())
     rows = np.arange(m)
-
-    # While D is exactly a permutation matrix, perm holds its columns and d
-    # is None; otherwise perm is None and d holds D. A t == 1 step lands
-    # exactly on Q: x + (1 - x) == 1 and x + (0 - x) == +0 for x in [0, 1].
-    perm, d = _initial_iterate(init, m, n, ra, rb, s)
 
     def permuted_product(cols: np.ndarray) -> np.ndarray:
         """A*P*B for the permutation matrix P with a 1 at (i, cols[i]): exact."""
@@ -162,7 +162,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     converged = m == 0
     for _ in range(max_iters if m > 0 else 0):
         iterations += 1
-        q, _ = solve_lap(-(2.0 * adb + 2.0 * lin))
+        q = linear_sum_assignment(-(2.0 * adb + 2.0 * lin))[1]  # built finite and square
         if perm is not None:
             arb = permuted_product(q)
             arb -= adb  # A*R*B = A*Q*B - A*D*B
@@ -201,7 +201,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
             break
     del adb
     # a permutation matrix D is the unique optimum of the assignment on -D
-    proj = perm if perm is not None else solve_lap(-d)[0]
+    proj = perm if perm is not None else linear_sum_assignment(-d)[1]
 
     # canonical full assignment: seeds identity, then projected block
     match = np.empty(n, dtype=np.int64)  # a-vertex -> b-vertex
@@ -229,26 +229,22 @@ def _permutation_matrix(cols: np.ndarray) -> np.ndarray:
 def _initial_iterate(init, m: int, n: int, ra: np.ndarray, rb: np.ndarray,
                      s: int) -> tuple[np.ndarray | None, np.ndarray | None]:
     """(perm, d): the columns of a permutation init and None, or None and
-    the dense barycenter."""
-    if m == 0:
-        return np.zeros(0, dtype=np.int64), None
+    the dense barycenter. Checks init whatever m is."""
     if isinstance(init, str):
-        if init == "barycenter":
-            return None, np.full((m, m), 1.0 / m)
-        if init == "identity":
+        if init not in ("barycenter", "identity"):
+            raise ValueError(f"unknown init {init!r}")
+        if m == 0 or init == "identity":
             return np.arange(m), None
-        raise ValueError(f"unknown init {init!r}")
-    arr = np.asarray(init, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.shape[0] != n or not is_permutation(arr):
-            raise ValueError("init permutation must be a bijection of [n]")
-        pos_b = np.full(n, -1, dtype=np.int64)
-        pos_b[rb[s:]] = np.arange(m)
-        cols = pos_b[invert_permutation(arr)[ra[s:]]]
-        if (cols < 0).any():
-            raise ValueError("init permutation must map non-seeds to non-seed targets")
-        return cols, None
-    raise ValueError(f"init must be 'barycenter', 'identity' or a permutation, got shape {arr.shape}")
+        return None, np.full((m, m), 1.0 / m)
+    arr = as_vertex_ids("init", init, n)
+    if arr.shape != (n,) or not is_permutation(arr):
+        raise ValueError("init permutation must be a bijection of [n]")
+    pos_b = np.full(n, -1, dtype=np.int64)
+    pos_b[rb[s:]] = np.arange(m)
+    cols = pos_b[invert_permutation(arr)[ra[s:]]]
+    if (cols < 0).any():
+        raise ValueError("init permutation must map non-seeds to non-seed targets")
+    return cols, None
 
 
 def faq_match(a: np.ndarray, b: np.ndarray, init="barycenter",

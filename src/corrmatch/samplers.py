@@ -193,13 +193,15 @@ def sample_dirichlet_positions(n: int, rng) -> np.ndarray:
 
 def anomaly_perturb(x: np.ndarray, m: int, w: float, rng) -> np.ndarray:
     """Mix the first m rows of x with fresh Dirichlet rows: (1-w)*x + w*D."""
+    y = as_finite("x", x).copy()
+    if y.ndim != 2:
+        raise ValueError(f"x must be an n x d matrix, got shape {y.shape}")
     check_range("w", (w,), 0, 1)
-    check_count("m", m, x.shape[0], low=0)
+    check_count("m", m, y.shape[0], low=0)
     gen = _as_generator(rng)
-    y = np.array(x, dtype=np.float64, copy=True)
     if m > 0 and w > 0:
-        d = gen.dirichlet(np.ones(x.shape[1]), size=m)
-        y[:m] = (1.0 - w) * x[:m] + w * d
+        d = gen.dirichlet(np.ones(y.shape[1]), size=m)
+        y[:m] = (1.0 - w) * y[:m] + w * d
     return y
 
 

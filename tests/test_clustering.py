@@ -349,6 +349,14 @@ class TestJointCluster:
         assert ari(labels_a, truth) >= 0.9
         assert labels_a.shape == (100,) and labels_b.shape == (100,)
 
+    def test_nested_lists_read_like_arrays(self):
+        g1, g2 = sample_rho_sbm(TWO_BLOCK_STRONG, 0.8, RngStream(12).generator())
+        from_lists = joint_cluster(g1.tolist(), g2.tolist(), 2, 2, RngStream(13))
+        for labels, expected in zip(from_lists, joint_cluster(g1, g2, 2, 2, RngStream(13))):
+            assert np.array_equal(labels, expected)
+        with pytest.raises(ValueError, match=r"^graph size mismatch: \(100, 100\) vs \(99, 99\)$"):
+            joint_cluster(g1, g2[:99, :99], 2, 2, RngStream(13))
+
     def test_single_graph_baseline_runs(self):
         gen = RngStream(14).generator()
         g1, _ = sample_rho_sbm(TWO_BLOCK_STRONG, 0.5, gen)
@@ -364,6 +372,7 @@ class TestJointCluster:
 
 _SMALL_SBM = SbmParams(BlockPartition((6, 6)), np.array([[0.6, 0.1], [0.1, 0.6]]))
 _EMPTY_12 = np.zeros((12, 12), dtype=np.int8)
+_HALF_EDGE_12 = _EMPTY_12 + np.pad([[0, 0.5], [0.5, 0]], (0, 10))  # one entry of 0.5
 _ONE_VERTEX = SbmParams(BlockPartition((1,)), np.array([[0.5]]))
 # experiment -> (entry point, tiny arguments that pass every check, its grid argument)
 _SMALL_RUNS = {
@@ -408,6 +417,12 @@ class TestClusterExperiments:
         by_variant = {r["variant"]: r for r in rows}
         assert by_variant["omni_shuffled"]["mean_ari"] == by_variant["omni_matched"]["mean_ari"]
 
+    def test_real_pair_read_from_nested_lists(self):
+        fn, kwargs, _ = _SMALL_RUNS["cluster-real"]
+        g1, g2 = sample_rho_sbm(_SMALL_SBM, 0.5, RngStream(17).generator())
+        rows = fn(**{**kwargs, "a": g1.tolist(), "b": g2.tolist()})
+        assert rows == fn(**{**kwargs, "a": g1, "b": g2})
+
     @pytest.mark.parametrize("name, bad, match", [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in _SMALL_RUNS
@@ -421,7 +436,9 @@ class TestClusterExperiments:
         for name in ("power-er", "power-omni")
         for bad, match in (({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
                            ({"alpha": 1.5}, "alpha"), ({"alpha": 0.01, "n_null": 50}, "n_null"),
-                           ({"n_null": 20.5}, "n_null must be an integer"))
+                           ({"n_null": 20.5}, "n_null must be an integer"),
+                           ({"alpha": 0.5j}, r"^alpha must be a real number, got 0.5j$"),
+                           ({"alpha": "0.1"}, r"^alpha must be a real number, got '0.1'$"))
     ] + [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name, bad, match in (
@@ -474,6 +491,11 @@ class TestClusterExperiments:
             ("cluster-real", {"a": _EMPTY_12[:1, :1], "b": _EMPTY_12[:1, :1],
                               "labels": [0], "d": 1, "k": 1}),
         )
+    ] + [
+        # the user's graphs are checked before the shuffles and the matcher read them
+        pytest.param("cluster-real", {side: _HALF_EDGE_12},
+                     "^adjacency entries must be real 0 or 1$", id=f"cluster-real-half-edge-{side}")
+        for side in ("a", "b")
     ] + [
         pytest.param(name, {"restarts": bad}, "restarts", id=f"{name}-restarts-{bad}")
         for name in ("cluster-gain", "cluster-shuffle", "cluster-real")

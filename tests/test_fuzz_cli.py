@@ -27,6 +27,7 @@ from corrmatch import (
     ase,
     er_params,
     fit_gmm,
+    joint_cluster,
     power_er_experiment,
     rho_sbm_mi,
     sample_rho_sbm,
@@ -228,13 +229,28 @@ def test_library_models(n, p, rho):
     answers(mi_and_pair)
 
 
+def inits(n):
+    """A matcher init: a named one, a permutation of [n] as a list or an
+    array, or an odd value (another string, a repeat, bools, floats,
+    ids past n, a matrix, a scalar, None)."""
+    perms = st.permutations(list(range(n)))
+    return (st.sampled_from(["barycenter", "identity", "bogus", "", None, 0, 1.5])
+            | perms | perms.map(np.array) | perms.map(lambda p: [float(v) for v in p])
+            | st.lists(numbers(0, 1, n), min_size=n, max_size=n)
+            | st.just(np.eye(n, dtype=np.int64)))
+
+
 @FUZZ
-@given(n=st.sampled_from([0, 1, 2, 4]), max_iters=caps(0, 3), tol=numbers(0.0, 1e-6),
-       d=numbers(1, 2, 4), k=numbers(1, 2), restarts=numbers(1, 2))
-def test_library_solvers(n, max_iters, tol, d, k, restarts):
+@given(data=st.data(), n=st.sampled_from([0, 1, 2, 4]), max_iters=caps(0, 3),
+       tol=numbers(0.0, 1e-6), d=numbers(1, 2, 4), k=numbers(1, 2), restarts=numbers(1, 2),
+       seeded=st.booleans())
+def test_library_solvers(data, n, max_iters, tol, d, k, restarts, seeded):
     a = graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    answers(sgm_match, a, a, max_iters=max_iters, tol=tol)
+    seeds = [(u, u) for u in range(n)] if seeded else None  # every vertex, or none
+    answers(sgm_match, a, a, seeds=seeds, init=data.draw(inits(n)), max_iters=max_iters,
+            tol=tol)
     answers(ase, a, d)
+    answers(joint_cluster, a.tolist(), a, d, k, np.random.default_rng(0), restarts=restarts)
     points = np.arange(2.0 * n).reshape(n, 2) % 3.0
     answers(fit_gmm, points, k, np.random.default_rng(0), restarts=restarts,
             max_iters=max_iters, tol=tol)

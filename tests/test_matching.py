@@ -27,7 +27,7 @@ from corrmatch import (
     trace_objective,
     write_permutation,
 )
-from corrmatch import matching
+from corrmatch import graphs, matching
 from corrmatch.graphs import BlockPartition, empty_graph, graph_from_edges
 from corrmatch.matching import MatchResult, _quadratic_step, _validate_seeds
 from corrmatch.samplers import RngStream
@@ -220,12 +220,12 @@ def test_no_projection_lap_after_a_full_step(monkeypatch):
     """One LAP per iteration, plus the final projection only when the
     last iterate is fractional."""
     laps = []
-    solve = matching.solve_lap
+    solve = matching.linear_sum_assignment
 
     def counting(cost):
         laps.append(1)
         return solve(cost)
-    monkeypatch.setattr(matching, "solve_lap", counting)
+    monkeypatch.setattr(matching, "linear_sum_assignment", counting)
     calls = _step_recorder(monkeypatch)
 
     a = random_graph(30, 0.3, np.random.default_rng(61))
@@ -240,6 +240,21 @@ def test_no_projection_lap_after_a_full_step(monkeypatch):
     res = sgm_match(a, b, seeds=seeds, max_iters=2)
     assert 0.0 < calls[-1][-1] < 1.0  # ends on a fractional iterate
     assert len(laps) == res.iterations + 1 == 3
+
+
+def test_match_does_not_recheck_the_costs_it_builds(monkeypatch):
+    # the gradients and the final projection are finite and square by
+    # construction, so no matrix goes through as_finite
+    def no_checks(name, values):
+        raise AssertionError(f"as_finite read {name}")
+
+    a, b, seeds, _ = next(_shuffled_er_pairs())
+    for mod in (matching, graphs):
+        monkeypatch.setattr(mod, "as_finite", no_checks)
+    calls = _step_recorder(monkeypatch)
+    calls.append([])
+    assert sgm_match(a, b, seeds=seeds, max_iters=2).iterations == 2
+    assert 0.0 < calls[-1][-1] < 1.0  # so the final projection ran too
 
 
 class TestSolveLap:
@@ -335,7 +350,8 @@ class TestFaqMatch:
             faq_match(a, a, init="nonsense")
         with pytest.raises(ValueError):
             faq_match(a, a, init=np.array([0, 0, 1]))
-        with pytest.raises(ValueError, match="bijection"):
+        with pytest.raises(ValueError, match=r"^init must be a sequence of integer vertex ids, "
+                                             r"without bools$"):
             faq_match(a, a, init=[0.0, 1.9, 2.0])
         with pytest.raises(ValueError, match="init"):
             faq_match(a, a, init=np.eye(3))
@@ -343,6 +359,19 @@ class TestFaqMatch:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             faq_match(graph_from_edges(3, []), graph_from_edges(4, []))
+
+    @pytest.mark.parametrize("init, seeds, match", [
+        # every vertex seeded: the init was never read
+        ("bogus", [(0, 0), (1, 1), (2, 2)], r"^unknown init 'bogus'$"),
+        ([0, 0, 0], [(0, 0), (1, 1), (2, 2)], r"^init permutation must be a bijection of \[n\]$"),
+        # read as the permutation (1, 0, 2), and cast through float64
+        ([True, False, 2], None, "^init must be a sequence of integer vertex ids, without bools$"),
+        ([0, 1, 2.0], None, "^init must be a sequence of integer vertex ids, without bools$"),
+    ])
+    def test_init_is_a_sequence_of_vertex_ids(self, init, seeds, match):
+        a = graph_from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match=match):
+            sgm_match(a, a, seeds=seeds, init=init)
 
 
 class TestSgmMatch:

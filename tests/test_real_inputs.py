@@ -22,6 +22,7 @@ from corrmatch import (
     er_params,
     fit_gmm,
     max_feasible_correlation,
+    mi_small_rho_ratio,
     omnibus,
     power_er_experiment,
     procrustes_align,
@@ -33,6 +34,7 @@ from corrmatch import (
     t1_semipar,
     t2_omni,
 )
+from corrmatch._parallel import critical_rank
 from corrmatch.graphs import as_finite, as_symmetric, check_range
 
 GOOD = 0.5 * (1.0 - np.eye(3))  # symmetric, zero diagonal, entries in [0, 1]
@@ -53,6 +55,7 @@ ROUTED = {
     "HeterogeneousPair rho": (lambda m: HeterogeneousPair(GOOD, GOOD, m), "rho"),
     "max_feasible_correlation": (lambda m: max_feasible_correlation(m, GOOD), "p"),
     "scree_elbow": (lambda m: scree_elbow(m.ravel()), "eigenvalues"),
+    "anomaly_perturb": (lambda m: anomaly_perturb(m, 1, 0.5, RngStream(0)), "x"),
 }
 NAN = GOOD.copy()
 NAN[0, 1] = NAN[1, 0] = np.nan
@@ -168,6 +171,9 @@ SCALARS = {
     "anomaly_perturb": (lambda: anomaly_perturb(np.eye(3), 1, np.complex64(0.2), RngStream(0)),
                         "w"),
     "check_range None": (lambda: check_range("v", (None,), 0), "v"),
+    "mi_small_rho_ratio complex": (lambda: mi_small_rho_ratio(er_params(5, 0.3), 0.5j), "rho"),
+    "mi_small_rho_ratio string": (lambda: mi_small_rho_ratio(er_params(5, 0.3), "0.5"), "rho"),
+    "critical_rank": (lambda: critical_rank("0.1", 30), "alpha"),
     # one vertex, so no vertex pair reads rho
     "rho_sbm_mi": (lambda: rho_sbm_mi(er_params(1, 0.3), 0.5j), "rho"),
 }
@@ -183,6 +189,29 @@ def test_non_real_scalars_rejected(call):
 @pytest.mark.parametrize("value", [0, 1, 0.5, True, np.float32(0.25), np.int8(1)])
 def test_real_scalars_accepted(value):
     check_range("v", (value,), 0, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    # the closed range first, then the open end
+    (lambda: mi_small_rho_ratio(er_params(5, 0.3), 1.5), r"rho value 1.5 is outside \[0, 1\]"),
+    (lambda: mi_small_rho_ratio(er_params(5, 0.3), 0.0),
+     r"rho must lie in \(0, 1\]; the ratio is undefined at 0"),
+    (lambda: critical_rank(1.5, 30), r"alpha value 1.5 is outside \[0, 1\]"),
+    (lambda: critical_rank(0.0, 30), "need 0 < alpha < 1, got 0.0"),
+    (lambda: critical_rank(1.0, 30), "need 0 < alpha < 1, got 1.0"),
+])
+def test_open_intervals_checked_as_real_ranges(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_anomaly_perturb_reads_nested_lists_and_matrices_only():
+    x = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
+    expected = anomaly_perturb(x, 1, 0.5, RngStream(0))
+    assert np.array_equal(x[0], [0.2, 0.3, 0.5])  # mixed in a copy
+    assert np.array_equal(anomaly_perturb(x.tolist(), 1, 0.5, RngStream(0)), expected)
+    with pytest.raises(ValueError, match=r"^x must be an n x d matrix, got shape \(3,\)$"):
+        anomaly_perturb(x[0], 1, 0.5, RngStream(0))
 
 
 def test_rho_sbm_mi_checks_rho_without_vertex_pairs():
