@@ -361,10 +361,10 @@ class TestFaqMatch:
             faq_match(graph_from_edges(3, []), graph_from_edges(4, []))
 
     @pytest.mark.parametrize("init, seeds, match", [
-        # every vertex seeded: the init was never read
+        # checked even when every vertex is seeded
         ("bogus", [(0, 0), (1, 1), (2, 2)], r"^unknown init 'bogus'$"),
         ([0, 0, 0], [(0, 0), (1, 1), (2, 2)], r"^init permutation must be a bijection of \[n\]$"),
-        # read as the permutation (1, 0, 2), and cast through float64
+        # numpy reads both as integer ids; the vertex-id rule does not
         ([True, False, 2], None, "^init must be a sequence of integer vertex ids, without bools$"),
         ([0, 1, 2.0], None, "^init must be a sequence of integer vertex ids, without bools$"),
     ])
