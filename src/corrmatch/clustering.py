@@ -23,8 +23,8 @@ import numpy as np
 
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import (_check_same_size, apply_permutation, as_adjacency, as_finite, check_count,
-                     check_counts, check_range)
+from .graphs import (_check_same_size, apply_permutation, as_adjacency, as_finite,
+                     as_vertex_ids, check_count, check_counts, check_range)
 from .samplers import (
     SbmParams,
     _as_generator,
@@ -306,7 +306,7 @@ def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
     """
     a, b = as_adjacency(a), as_adjacency(b)
     _check_same_size(a, b)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = as_vertex_ids("labels", labels)
     n = a.shape[0]
     if labels.shape[0] != n:
         raise ValueError(f"label file has {labels.shape[0]} entries for n={n} vertices")

@@ -16,7 +16,7 @@ full ``np.linalg.eigh``, see ``_leading_eigenpairs``.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .graphs import _check_same_size, as_finite, as_symmetric, check_count
 
@@ -53,9 +53,11 @@ def _leading_eigenpairs(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
         gen = np.random.default_rng(_LANCZOS_SEED)
         try:
             # a C-ordered copy: a @ x rounds differently for a Fortran-ordered a,
-            # and the embedding must depend on the values alone
-            w, v = eigsh(np.ascontiguousarray(a), k=k, which="LM", tol=0,
-                         v0=gen.uniform(-1.0, 1.0, n), rng=gen)
+            # and the embedding must depend on the values alone; a bare matvec
+            # skips scipy's matvec -> matmat wrappers on every Lanczos step
+            c = np.ascontiguousarray(a)
+            w, v = eigsh(LinearOperator(c.shape, matvec=c.dot, dtype=c.dtype), k=k,
+                         which="LM", tol=0, v0=gen.uniform(-1.0, 1.0, n), rng=gen)
         except ArpackError:  # ArpackNoConvergence included
             pass
         else:
@@ -89,6 +91,8 @@ def omnibus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one array (``np.block`` would allocate two n x 2n rows first)."""
     af, bf = as_finite("a", a), as_finite("b", b)
     _check_same_size(af, bf)
+    if af.ndim != 2 or af.shape[0] != af.shape[1]:
+        raise ValueError(f"a and b must be square matrices, got shape {af.shape}")
     n = af.shape[0]
     out = np.empty((2 * n, 2 * n))
     out[:n, :n] = af

@@ -20,6 +20,14 @@ O(m) gathers, and needs no final projection. Both ways give the same
 bits. The result is relabelled once, for trace(A P B P^T); the
 objective follows as ||A||^2 + ||B||^2 - 2 trace(A P B P^T).
 
+The graphs stay int8. The products with a permutation matrix and the
+seed-block gradient are counts of at most n < 2**24, so float32 holds
+every partial sum exactly and they run as sgemm, in any summation order;
+their gathered sums run in float64, also exactly. The products with a
+fractional iterate, (A*R)*B and (A*D)*B, stay float64 dgemms in that
+order, each widening its graph to float64 just for that product, so no
+two float64 copies of the graphs are alive at once.
+
 Seeded matching reorders both graphs so the seed pairs occupy a leading
 aligned block and optimizes only over the non-seed block; the seed
 blocks contribute the linear gradient term 2*A21*B21^T.
@@ -135,40 +143,53 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     # exactly on Q: x + (1 - x) == 1 and x + (0 - x) == +0 for x in [0, 1].
     perm, d = _initial_iterate(init, m, n, ra, rb, s)
 
-    af = _gather(a, ra).astype(np.float64)
-    bf = _gather(b, rb).astype(np.float64)
-    a21 = af[s:, :s]
-    b21 = bf[s:, :s]
-    a22 = af[s:, s:]
-    b22 = bf[s:, s:]
-    lin = a21 @ b21.T  # gradient contribution of the seed blocks
-    const = float((af[:s, :s] * bf[:s, :s]).sum())
+    ag = _gather(a, ra)  # int8, widened for one product at a time
+    bg = _gather(b, rb)
+    a22 = ag[s:, s:]
+    b22 = bg[s:, s:]
+    # gradient contribution of the seed blocks: counts of at most s < 2**24
+    lin = ag[s:, :s].astype(np.float32) @ bg[s:, :s].T.astype(np.float32)
+    const = float((ag[:s, :s] * bg[:s, :s]).sum())
     rows = np.arange(m)
 
     def permuted_product(cols: np.ndarray) -> np.ndarray:
-        """A*P*B for the permutation matrix P with a 1 at (i, cols[i]): exact."""
-        return a22[:, invert_permutation(cols)] @ b22
+        """A*P*B for the permutation matrix P with a 1 at (i, cols[i]): counts
+        of at most m < 2**24, exact in float32 in any summation order."""
+        return a22[:, invert_permutation(cols)].astype(np.float32) @ b22.astype(np.float32)
+
+    def fractional_product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A*X and (A*X)*B in float64, for a fractional X."""
+        ax = a22.astype(np.float64) @ x
+        return ax, ax @ b22.astype(np.float64)
+
+    def gathered(mat: np.ndarray, cols: np.ndarray) -> float:
+        """sum_i mat[i, cols[i]]: exact, as mat holds integer counts."""
+        return float(mat[rows, cols].sum(dtype=np.float64))
 
     def score() -> float:
         """Relaxed objective of the current iterate."""
         if perm is None:
             return const + 2.0 * float((lin * d).sum()) + float((adb * d).sum())
-        return const + 2.0 * float(lin[rows, perm].sum()) + float(adb[rows, perm].sum())
+        return const + 2.0 * gathered(lin, perm) + gathered(adb, perm)
 
     # adb scores the iterate; 2*adb + 2*lin is the next gradient
-    adb = a22 @ d @ b22 if perm is None else permuted_product(perm)
+    adb = permuted_product(perm) if perm is not None else fractional_product(d)[1]
     trace_vals = [score()]
     iterations = 0
     converged = m == 0
     for _ in range(max_iters if m > 0 else 0):
         iterations += 1
-        q = linear_sum_assignment(-(2.0 * adb + 2.0 * lin))[1]  # built finite and square
+        # -(2*adb + 2*lin) bit for bit: both are >= 0, so doubling their sum is exact
+        cost = np.add(adb, lin, dtype=np.float64)
+        cost *= -2.0
+        q = linear_sum_assignment(cost)[1]  # built finite and square
+        del cost
         if perm is not None:
             arb = permuted_product(q)
             arb -= adb  # A*R*B = A*Q*B - A*D*B
-            arb_d = float(arb[rows, perm].sum())
-            c2 = float(arb[rows, q].sum()) - arb_d
-            c1 = 2.0 * arb_d + 2.0 * (float(lin[rows, q].sum()) - float(lin[rows, perm].sum()))
+            arb_d = gathered(arb, perm)
+            c2 = gathered(arb, q) - arb_d
+            c1 = 2.0 * arb_d + 2.0 * (gathered(lin, q) - gathered(lin, perm))
             t = _quadratic_step(c2, c1)
             if t == 1.0:
                 adb += arb  # A*Q*B
@@ -177,24 +198,28 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
                 d = _permutation_matrix(perm)
                 r = _permutation_matrix(q) - d
         else:
+            adb = None  # a t == 0 step keeps the score; any other step rebuilds adb
             r = _permutation_matrix(q)
             r -= d  # R = Q - D
-            arb = a22 @ r @ b22
-            c2 = float((arb * r).sum())
-            c1 = 2.0 * float((arb * d).sum()) + 2.0 * float((lin * r).sum())
-            del arb
+            ax, arb = fractional_product(r)
+            c2 = float(np.multiply(arb, r, out=ax).sum())
+            c1 = (2.0 * float(np.multiply(arb, d, out=ax).sum())
+                  + 2.0 * float(np.multiply(lin, r, out=ax).sum()))
+            del ax, arb
             t = _quadratic_step(c2, c1)
             if t == 1.0:  # D + R is exactly Q
                 adb = permuted_product(q)
         if t == 1.0:
             perm, d = q, None
         elif t > 0.0:
-            d += t * r
-            adb = a22 @ d @ b22
+            r *= t
+            d += r  # D + t*R
+            r = adb = None
+            adb = fractional_product(d)[1]
             perm = None
         r = None
-        new_obj = score()
         prev_obj = trace_vals[-1]
+        new_obj = prev_obj if t == 0.0 else score()  # a t == 0 step keeps the iterate
         trace_vals.append(new_obj)
         if abs(new_obj - prev_obj) <= tol * max(1.0, abs(prev_obj)):
             converged = True

@@ -17,6 +17,7 @@ Y | X=1 ~ Bern(p + rho*(1-p)) and Y | X=0 ~ Bern(p*(1-rho)).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,12 +157,12 @@ def _sample_symmetric_bernoulli(prob: np.ndarray, gen: np.random.Generator) -> n
     return a + a.T
 
 
-def _correlated_pair(p: np.ndarray, given_edge: np.ndarray, given_non_edge: np.ndarray,
+def _correlated_pair(p: np.ndarray, given: Callable[[np.ndarray], np.ndarray],
                      gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """G1 with edge probabilities p, then each G2 cell with probability
-    given_edge where G1 has an edge and given_non_edge where it has none."""
+    """G1 with edge probabilities p, then G2 with each cell's probability
+    conditional on G1's cell: ``given(edge)`` for the mask of G1's edges."""
     a = _sample_symmetric_bernoulli(p, gen)
-    return a, _sample_symmetric_bernoulli(np.where(a == 1, given_edge, given_non_edge), gen)
+    return a, _sample_symmetric_bernoulli(given(a == 1), gen)
 
 
 def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -174,13 +175,22 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
     check_range("rho", (rho,), 0, 1)
     gen = _as_generator(rng)
     p = params.edge_probability_matrix()
-    return _correlated_pair(p, p + rho * (1.0 - p), p * (1.0 - rho), gen)
+
+    def given(edge: np.ndarray) -> np.ndarray:
+        """p + rho*(1-p) on edges and p*(1-rho) elsewhere, written into p."""
+        gain = np.subtract(1.0, p)
+        gain *= rho
+        np.add(p, gain, out=p, where=edge)
+        del gain
+        return np.multiply(p, 1.0 - rho, out=p, where=~edge)
+    return _correlated_pair(p, given, gen)
 
 
 def sample_correlated_heterogeneous(spec: HeterogeneousPair, rng) -> tuple[np.ndarray, np.ndarray]:
     """Heterogeneous correlated pair from the cellwise bivariate Bernoulli
     tables of ``spec``; cells are independent."""
-    return _correlated_pair(spec.p_matrix, spec.given_edge, spec.given_non_edge,
+    return _correlated_pair(spec.p_matrix,
+                            lambda edge: np.where(edge, spec.given_edge, spec.given_non_edge),
                             _as_generator(rng))
 
 

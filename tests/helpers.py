@@ -1,5 +1,7 @@
 """Graph, permutation and seed-file helpers that only the unit tests use."""
 
+import tracemalloc
+
 import numpy as np
 
 
@@ -28,3 +30,15 @@ def write_seeds(path, seeds):
     """Write a seed file: one 'u v' line per seed pair."""
     with open(path, "w") as fh:
         fh.writelines(f"{u} {v}\n" for u, v in np.asarray(seeds, dtype=np.int64).reshape(-1, 2))
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the most bytes that numpy and Python held at once
+    during the call beyond what they held before it), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -357,6 +357,11 @@ class TestJointCluster:
         with pytest.raises(ValueError, match=r"^graph size mismatch: \(100, 100\) vs \(99, 99\)$"):
             joint_cluster(g1, g2[:99, :99], 2, 2, RngStream(13))
 
+    def test_vectors_rejected(self):
+        # two length-n vectors used to broadcast into a 2n x 2n omnibus matrix
+        with pytest.raises(ValueError, match=r"^a and b must be square matrices, got shape \(3,\)$"):
+            joint_cluster(np.zeros(3), np.zeros(3), 1, 1, RngStream(13))
+
     def test_single_graph_baseline_runs(self):
         gen = RngStream(14).generator()
         g1, _ = sample_rho_sbm(TWO_BLOCK_STRONG, 0.5, gen)
@@ -496,6 +501,14 @@ class TestClusterExperiments:
         pytest.param("cluster-real", {side: _HALF_EDGE_12},
                      "^adjacency entries must be real 0 or 1$", id=f"cluster-real-half-edge-{side}")
         for side in ("a", "b")
+    ] + [
+        # labels are integers: fractional ones are not truncated into blocks
+        pytest.param("cluster-real", {"labels": labels},
+                     "^labels must be a sequence of integer vertex ids, without bools$",
+                     id=f"cluster-real-labels-{kind}")
+        for kind, labels in (("fractional", [0.7, 1.2, 1.9] * 4),
+                             ("float-array", np.linspace(0.0, 1.0, 12)),
+                             ("bool", [True, False] * 6))
     ] + [
         pytest.param(name, {"restarts": bad}, "restarts", id=f"{name}-restarts-{bad}")
         for name in ("cluster-gain", "cluster-shuffle", "cluster-real")

@@ -280,6 +280,12 @@ class TestOmnibus:
         with pytest.raises(ValueError):
             omnibus(empty_graph(3), empty_graph(4))
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2), ()])
+    def test_not_square_rejected(self, shape):
+        # vectors would broadcast into a 2n x 2n matrix
+        with pytest.raises(ValueError, match=r"^a and b must be square matrices, got shape"):
+            omnibus(np.zeros(shape), np.zeros(shape))
+
 
 class TestProcrustes:
     def test_self_alignment(self):

@@ -31,7 +31,7 @@ from corrmatch import graphs, matching
 from corrmatch.graphs import BlockPartition, empty_graph, graph_from_edges
 from corrmatch.matching import MatchResult, _quadratic_step, _validate_seeds
 from corrmatch.samplers import RngStream
-from helpers import complete_graph, random_graph, write_seeds
+from helpers import complete_graph, random_graph, traced_peak, write_seeds
 
 
 def brute_force_lap(cost):
@@ -198,7 +198,11 @@ def test_sgm_match_switches_regimes_bit_for_bit(monkeypatch):
     (t = 1) and fractional ones (0 < t < 1), both ways, match the
     oracle bit for bit."""
     calls = _step_recorder(monkeypatch)
-    for a, b, seeds, inits in _shuffled_er_pairs():
+    # a dense pair whose run stops at a fractional iterate with t == 0, which
+    # keeps the previous score
+    dense = sample_rho_sbm(er_params(20, 0.5), 0.3, RngStream(2).generator())
+    cases = [*_shuffled_er_pairs(), (*dense, identity_seeds(np.arange(2)), ("identity",))]
+    for a, b, seeds, inits in cases:
         for init in inits:
             for max_iters in (3, 100):
                 calls.append([])
@@ -214,6 +218,7 @@ def test_sgm_match_switches_regimes_bit_for_bit(monkeypatch):
              for ts in calls if ts]
     assert any("1f" in k for k in kinds)  # permutation -> fractional
     assert any("f1" in k for k in kinds)  # fractional -> permutation
+    assert any("f0" in k for k in kinds)  # fractional -> the same iterate
 
 
 def test_no_projection_lap_after_a_full_step(monkeypatch):
@@ -240,6 +245,23 @@ def test_no_projection_lap_after_a_full_step(monkeypatch):
     res = sgm_match(a, b, seeds=seeds, max_iters=2)
     assert 0.0 < calls[-1][-1] < 1.0  # ends on a fractional iterate
     assert len(laps) == res.iterations + 1 == 3
+
+
+def test_working_set(monkeypatch):
+    """The graphs stay int8 and are widened one m x m copy at a time, so a
+    seeded run with fractional steps holds under 6.5 m x m float64 arrays at
+    once (8.2 with both graphs held in float64)."""
+    n, s = 400, 20
+    m = n - s
+    gen = RngStream(62).generator()
+    a, b = sample_rho_sbm(er_params(n, 0.1), 0.6, gen)
+    b = apply_permutation(b, sample_subset_shuffle(n, np.arange(s), m, gen))
+    calls = _step_recorder(monkeypatch)
+    calls.append([])
+    res, peak = traced_peak(sgm_match, a, b, seeds=identity_seeds(np.arange(s)),
+                            init="identity", max_iters=3)
+    assert res.iterations == 3 and any(0.0 < t < 1.0 for t in calls[-1])
+    assert peak < 6.5 * 8 * m * m
 
 
 def test_match_does_not_recheck_the_costs_it_builds(monkeypatch):

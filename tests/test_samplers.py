@@ -26,6 +26,7 @@ from corrmatch import (
 )
 from corrmatch.graphs import as_adjacency
 from corrmatch.samplers import _as_generator
+from helpers import random_graph, traced_peak
 
 
 def sbm_draw(params, rng):
@@ -136,6 +137,25 @@ class TestRhoSbm:
             dens.append(int(b.sum()) // 2 / m)
         sd_mean = math.sqrt(0.3 * 0.7 / m / 50)
         assert abs(np.mean(dens) - 0.3) < 4 * sd_mean
+
+    @pytest.mark.parametrize("rho", [0.0, 0.35, 0.6, 1.0])
+    def test_pair_matches_the_conditional_formula(self, rho):
+        # G2's probabilities are written into G1's buffer; each cell keeps the
+        # formula p + rho*(1-p) given an edge and p*(1-rho) given none
+        params = SbmParams(BlockPartition((30, 50)), np.array([[0.3, 0.05], [0.05, 0.7]]))
+        p = params.edge_probability_matrix()
+        gen = RngStream(11).generator()
+        a = random_graph(80, p, gen)
+        b = random_graph(80, np.where(a == 1, p + rho * (1.0 - p), p * (1.0 - rho)), gen)
+        got = sample_rho_sbm(params, rho, RngStream(11))
+        assert np.array_equal(got[0], a) and np.array_equal(got[1], b)
+
+    def test_working_set(self):
+        # the n x n uniforms and one probability matrix, reused for G2 (the
+        # separate conditional matrices took 5.5 n x n float64 arrays)
+        n = 400
+        _, peak = traced_peak(sample_rho_sbm, er_params(n, 0.1), 0.6, RngStream(12))
+        assert peak < 3.0 * 8 * n * n
 
     def test_rho_out_of_range(self):
         for rho in (1.5, -0.1, math.nan, math.inf):
