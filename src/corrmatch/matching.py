@@ -173,7 +173,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
         return const + 2.0 * gathered(lin, perm) + gathered(adb, perm)
 
     # adb scores the iterate; 2*adb + 2*lin is the next gradient
-    adb = permuted_product(perm) if perm is not None else fractional_product(d)[1]
+    adb = fractional_product(d)[1] if perm is None else permuted_product(perm)
     trace_vals = [score()]
     iterations = 0
     converged = m == 0
@@ -214,7 +214,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
         elif t > 0.0:
             r *= t
             d += r  # D + t*R
-            r = adb = None
+            r = adb = None  # freed before the products
             adb = fractional_product(d)[1]
             perm = None
         r = None

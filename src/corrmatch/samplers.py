@@ -181,7 +181,6 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
         gain = np.subtract(1.0, p)
         gain *= rho
         np.add(p, gain, out=p, where=edge)
-        del gain
         return np.multiply(p, 1.0 - rho, out=p, where=~edge)
     return _correlated_pair(p, given, gen)
 
