@@ -204,16 +204,17 @@ def gm_objective(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> int:
 
 
 def trace_objective(a: np.ndarray, b: np.ndarray, phi: np.ndarray) -> int:
-    """trace(A P B P^T); satisfies ||A-PBP^T||_F^2 = ||A||^2+||B||^2-2*this."""
+    """trace(A P B P^T), summed in int64; ||A-PBP^T||_F^2 = ||A||^2+||B||^2-2*this."""
     _check_same_size(a, b)
     bp = apply_permutation(b, phi)
-    return int((a.astype(np.int64) * bp.astype(np.int64)).sum())
+    return int(np.einsum("ij,ij->", a, bp, dtype=np.int64, casting="unsafe"))
 
 
 def edge_disagreements(a: np.ndarray, b: np.ndarray) -> int:
     """Number of unordered vertex pairs on which a and b differ."""
     _check_same_size(a, b)
-    return int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum()) // 2
+    diff = np.subtract(a, b, dtype=np.int64, casting="unsafe")  # the one n x n int64 array
+    return int(np.abs(diff, out=diff).sum()) // 2
 
 
 def sample_edge_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -23,10 +23,12 @@ objective follows as ||A||^2 + ||B||^2 - 2 trace(A P B P^T).
 The graphs stay int8. The products with a permutation matrix and the
 seed-block gradient are counts of at most n < 2**24, so float32 holds
 every partial sum exactly and they run as sgemm, in any summation order;
-their gathered sums run in float64, also exactly. The products with a
+their gathered sums run in float64, also exactly; the seed-block gradient
+is kept in the narrowest unsigned type that holds s. The products with a
 fractional iterate, (A*R)*B and (A*D)*B, stay float64 dgemms in that
-order, each widening its graph to float64 just for that product, so no
-two float64 copies of the graphs are alive at once.
+order, each widening its graph to float64 just for that product. R is
+rebuilt, with the same bits, after the second product, so a step holds
+at most four m x m float64 arrays: D, A*R, the widened B and A*R*B.
 
 Seeded matching reorders both graphs so the seed pairs occupy a leading
 aligned block and optimizes only over the non-seed block; the seed
@@ -147,8 +149,9 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     bg = _gather(b, rb)
     a22 = ag[s:, s:]
     b22 = bg[s:, s:]
-    # gradient contribution of the seed blocks: counts of at most s < 2**24
+    # gradient contribution of the seed blocks: counts of at most s, so uint8 up to 255 seeds
     lin = ag[s:, :s].astype(np.float32) @ bg[s:, :s].T.astype(np.float32)
+    lin = lin.astype(np.min_scalar_type(s))  # every use widens it to float64
     const = float((ag[:s, :s] * bg[:s, :s]).sum())
     rows = np.arange(m)
 
@@ -157,10 +160,14 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
         of at most m < 2**24, exact in float32 in any summation order."""
         return a22[:, invert_permutation(cols)].astype(np.float32) @ b22.astype(np.float32)
 
-    def fractional_product(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A*X and (A*X)*B in float64, for a fractional X."""
-        ax = a22.astype(np.float64) @ x
-        return ax, ax @ b22.astype(np.float64)
+    def fractional_product(x: np.ndarray) -> np.ndarray:
+        """(A*X)*B in float64, for a fractional X."""
+        return (a22.astype(np.float64) @ x) @ b22.astype(np.float64)
+
+    def direction(q: np.ndarray) -> np.ndarray:
+        r = _permutation_matrix(q)  # R = Q - D in place, the same bits at each call
+        r -= d
+        return r
 
     def gathered(mat: np.ndarray, cols: np.ndarray) -> float:
         """sum_i mat[i, cols[i]]: exact, as mat holds integer counts."""
@@ -173,7 +180,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
         return const + 2.0 * gathered(lin, perm) + gathered(adb, perm)
 
     # adb scores the iterate; 2*adb + 2*lin is the next gradient
-    adb = fractional_product(d)[1] if perm is None else permuted_product(perm)
+    adb = fractional_product(d) if perm is None else permuted_product(perm)
     trace_vals = [score()]
     iterations = 0
     converged = m == 0
@@ -196,12 +203,12 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
             del arb
             if 0.0 < t < 1.0:
                 d = _permutation_matrix(perm)
-                r = _permutation_matrix(q) - d
+                r = direction(q)
         else:
             adb = None  # a t == 0 step keeps the score; any other step rebuilds adb
-            r = _permutation_matrix(q)
-            r -= d  # R = Q - D
-            ax, arb = fractional_product(r)
+            ax = a22.astype(np.float64) @ direction(q)
+            arb = ax @ b22.astype(np.float64)  # (A*R)*B, with R rebuilt after it
+            r = direction(q)
             c2 = float(np.multiply(arb, r, out=ax).sum())
             c1 = (2.0 * float(np.multiply(arb, d, out=ax).sum())
                   + 2.0 * float(np.multiply(lin, r, out=ax).sum()))
@@ -215,7 +222,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
             r *= t
             d += r  # D + t*R
             r = adb = None  # freed before the products
-            adb = fractional_product(d)[1]
+            adb = fractional_product(d)
             perm = None
         r = None
         prev_obj = trace_vals[-1]
@@ -227,6 +234,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     del adb
     # a permutation matrix D is the unique optimum of the assignment on -D
     proj = perm if perm is not None else linear_sum_assignment(-d)[1]
+    del d, lin
 
     # canonical full assignment: seeds identity, then projected block
     match = np.empty(n, dtype=np.int64)  # a-vertex -> b-vertex
@@ -288,7 +296,7 @@ def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition)
     when no block has two vertices.
     """
     _check_same_size(a, b)
-    ab = a.astype(np.int64) @ b.astype(np.int64)
+    ab = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)  # counts <= n: exact
     diag = np.diag(ab)
     full = diag[:, None] + diag[None, :] - ab - ab.T
     delta = 4 * (full - 2 * (a.astype(np.int64) * b.astype(np.int64)))

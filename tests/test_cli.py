@@ -28,7 +28,7 @@ from corrmatch import (
 from corrmatch.cli import _write_rows, build_parser, main
 from corrmatch.matching import read_permutation
 from corrmatch.samplers import RngStream
-from helpers import write_seeds
+from helpers import traced_peak, write_seeds
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,29 @@ class TestMatchCommand:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["objective"] == 0 and report["seeds"] == 0
+
+    def test_working_set(self, tmp_path, capsys):
+        """match reads the graphs as int8 and its matcher takes fractional
+        steps in four m x m float64 arrays, so a seeded run holds under 5.25
+        of them at once (6.15 with R kept through the second product and a
+        float32 seed gradient)."""
+        from corrmatch import apply_permutation, er_params, identity_seeds, sample_subset_shuffle
+        n, s = 400, 20
+        m = n - s
+        gen = RngStream(62).generator()
+        a, b = sample_rho_sbm(er_params(n, 0.1), 0.6, gen)
+        b = apply_permutation(b, sample_subset_shuffle(n, np.arange(s), m, gen))
+        pa, pb, ps = (str(tmp_path / f) for f in ("a.edg", "b.edg", "seeds.txt"))
+        write_edgelist(pa, a)
+        write_edgelist(pb, b)
+        write_seeds(ps, identity_seeds(np.arange(s)))
+        rep = str(tmp_path / "rep.json")
+        code, peak = traced_peak(main, ["match", "--a", pa, "--b", pb, "--seeds", ps,
+                                        "--out-perm", str(tmp_path / "perm.txt"),
+                                        "--report", rep])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads(Path(rep).read_text())["iterations"] > 1
+        assert peak < 5.25 * 8 * m * m
 
     def test_missing_file_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.edg")

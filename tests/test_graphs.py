@@ -31,7 +31,7 @@ from corrmatch import (
     write_permutation,
 )
 from corrmatch.graphs import upper_triangle
-from helpers import complete_graph, permutation_matrix, random_graph
+from helpers import complete_graph, permutation_matrix, random_graph, traced_peak
 
 
 PATH3 = graph_from_edges(3, [(0, 1), (1, 2)])
@@ -140,6 +140,41 @@ class TestObjectives:
             a = random_graph(10, 0.3, rng)
             b = random_graph(10, 0.3, rng)
             assert edge_disagreements(a, b) * 2 == gm_objective(a, b, identity_permutation(10))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, bool, np.float64])
+    def test_counts_equal_the_int64_formulas(self, dtype):
+        # the oracle widens both graphs to int64 and sums the full products
+        rng = np.random.default_rng(8)
+        for n in (0, 1, 2, 7, 30):
+            for p, q in ((0.0, 1.0), (0.4, 0.6), (1.0, 1.0)):
+                a = random_graph(n, p, rng).astype(dtype)
+                b = random_graph(n, q, rng).astype(dtype)
+                phi = rng.permutation(n)
+                bp = apply_permutation(b, phi).astype(np.int64)
+                got = trace_objective(a, b, phi)
+                assert type(got) is int and got == int((a.astype(np.int64) * bp).sum())
+                got = edge_disagreements(a, b)
+                want = int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum()) // 2
+                assert type(got) is int and got == want
+
+    def test_disagreements_of_integer_matrices_equal_the_int64_formula(self):
+        rng = np.random.default_rng(9)
+        for x, y in ((rng.integers(-3, 4, (9, 9)), rng.integers(-3, 4, (9, 9))),
+                     (rng.integers(0, 256, (9, 9), dtype=np.uint8),
+                      rng.integers(0, 256, (9, 9), dtype=np.uint8))):
+            want = int(np.abs(x.astype(np.int64) - y.astype(np.int64)).sum()) // 2
+            assert edge_disagreements(x, y) == want
+
+    def test_counts_hold_at_most_one_int64_graph(self):
+        """trace_objective holds no n x n int64 array (the relabelled int8 b
+        and its gathers take 2 n^2 bytes), edge_disagreements one."""
+        n = 500
+        rng = np.random.default_rng(10)
+        a, b = random_graph(n, 0.3, rng), random_graph(n, 0.3, rng)
+        _, peak = traced_peak(trace_objective, a, b, rng.permutation(n))
+        assert peak < 4 * n * n
+        _, peak = traced_peak(edge_disagreements, a, b)
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestSampleEdgeCorrelation:

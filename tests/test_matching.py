@@ -248,9 +248,11 @@ def test_no_projection_lap_after_a_full_step(monkeypatch):
 
 
 def test_working_set(monkeypatch):
-    """The graphs stay int8 and are widened one m x m copy at a time, so a
-    seeded run with fractional steps holds under 6.5 m x m float64 arrays at
-    once (8.2 with both graphs held in float64)."""
+    """The graphs stay int8 and are widened one m x m copy at a time, R is
+    dropped during the second product of a fractional step and the seed
+    gradient is uint8, so a seeded run with fractional steps holds under
+    4.75 m x m float64 arrays at once (5.8 with R kept and a float32 seed
+    gradient, 8.2 with both graphs held in float64)."""
     n, s = 400, 20
     m = n - s
     gen = RngStream(62).generator()
@@ -261,7 +263,30 @@ def test_working_set(monkeypatch):
     res, peak = traced_peak(sgm_match, a, b, seeds=identity_seeds(np.arange(s)),
                             init="identity", max_iters=3)
     assert res.iterations == 3 and any(0.0 < t < 1.0 for t in calls[-1])
-    assert peak < 6.5 * 8 * m * m
+    assert peak < 4.75 * 8 * m * m
+
+
+@pytest.mark.parametrize("n, s, p, rho", [(60, 0, 0.3, 0.6), (330, 270, 0.97, 0.0)])
+def test_narrow_seed_gradient_bit_for_bit(monkeypatch, n, s, p, rho):
+    """The seed gradient is stored in the narrowest unsigned type that holds
+    s: empty at s = 0, and uint16 past 255 seeds, where a dense pair has
+    counts above 255. Runs with fractional steps match the oracle bit for bit."""
+    gen = RngStream(63).generator()
+    a, b = sample_rho_sbm(er_params(n, p), rho, gen)
+    b = apply_permutation(b, sample_subset_shuffle(n, np.arange(s), n - s, gen))
+    seeds = identity_seeds(np.arange(s)) if s else None
+    counts = a[s:, :s].astype(np.int64) @ b[s:, :s].T.astype(np.int64)
+    assert (counts.max(initial=0) > 255) == (s > 255)
+    calls = _step_recorder(monkeypatch)
+    for init in ("barycenter", "identity"):
+        calls.append([])
+        got = sgm_match(a, b, seeds=seeds, init=init)
+        want = reference_sgm_match(a, b, seeds=seeds, init=init)
+        assert np.array_equal(got.permutation, want.permutation)
+        assert (got.objective, got.iterations, got.converged) == \
+            (want.objective, want.iterations, want.converged)
+        assert got.objective_trace == want.objective_trace
+    assert any(0.0 < t < 1.0 for ts in calls for t in ts)
 
 
 def test_match_does_not_recheck_the_costs_it_builds(monkeypatch):
@@ -514,6 +539,20 @@ class TestAlignment:
         assert np.mean(corr_matched) >= np.mean(corr_shuffled)
 
 
+def _int64_sweep(a, b, partition):
+    """transposition_sweep's formula with every product in int64, each block
+    scanned in row-major order: the oracle for its float64 product."""
+    ab = a.astype(np.int64) @ b.astype(np.int64)
+    diag = np.diag(ab)
+    delta = 4 * (diag[:, None] + diag[None, :] - ab - ab.T - 2 * (a.astype(np.int64) * b))
+    best = None
+    for blk in range(partition.num_blocks):
+        for i, j in itertools.combinations(partition.block_vertices(blk).tolist(), 2):
+            if best is None or delta[i, j] < best[1]:
+                best = (i, j), int(delta[i, j])
+    return (False, None, 0) if best is None else (best[1] < 0, *best)
+
+
 class TestTranspositionSweep:
     def test_identical_pair_without_twins(self):
         # path graph: distinct neighborhoods, all deltas positive
@@ -540,6 +579,16 @@ class TestTranspositionSweep:
             )
             assert delta == best
             assert found == (best < 0)
+
+    def test_equals_the_int64_oracle(self):
+        rng = np.random.default_rng(15)
+        for sizes in ((1,), (2,), (1, 1), (9,), (3, 4, 5), (1, 20, 2, 7)):
+            part = BlockPartition(sizes)
+            for p, q in ((0.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.2, 0.7), (0.5, 0.5)):
+                a, b = random_graph(part.n, p, rng), random_graph(part.n, q, rng)
+                got = transposition_sweep(a, b, part)
+                assert got == _int64_sweep(a, b, part)
+                assert type(got[2]) is int
 
     def test_no_eligible_pairs(self):
         g = graph_from_edges(2, [(0, 1)])
