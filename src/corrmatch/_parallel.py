@@ -64,6 +64,7 @@ class MonteCarlo:
     def __init__(self, master_seed: int, mc_reps: int, grids: dict,
                  cells: int, *, alpha: float | None = None, n_null: int = 0,
                  null_cells: int = 0, shuffles: tuple[int, ...] = (0,)):
+        check_count("master_seed", master_seed, low=0)
         check_count("mc_reps", mc_reps)
         for name, grid in grids.items():
             if len(grid) == 0:

@@ -42,6 +42,7 @@ def as_adjacency(a) -> np.ndarray:
 
 
 def empty_graph(n: int) -> np.ndarray:
+    n = check_count("n", n, low=0)
     return np.zeros((n, n), dtype=ADJ_DTYPE)
 
 
@@ -104,6 +105,7 @@ def _gather(g: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def transposition(n: int, i: int, j: int) -> np.ndarray:
     phi = identity_permutation(n)
+    i, j = as_vertex_ids("i and j", (i, j), n)
     phi[i], phi[j] = phi[j], phi[i]
     return phi
 
@@ -243,6 +245,7 @@ def transposition_delta(a: np.ndarray, b: np.ndarray, i: int, j: int) -> int:
     Computed in O(n) as 4 * sum_{k != i,j} (A[i,k]-A[j,k]) * (B[i,k]-B[j,k]).
     """
     _check_same_size(a, b)
+    i, j = as_vertex_ids("i and j", (i, j), a.shape[0])
     if i == j:
         raise ValueError("transposition needs i != j")
     ai = a[i].astype(np.int64)

@@ -75,14 +75,23 @@ def _edge_fractions(a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
     return p1, p2, m
 
 
-def pooled_z(a: np.ndarray, b: np.ndarray) -> float:
-    """|two-proportion pooled z| on edge densities; 0 when the pooled
-    density is degenerate (0 or 1)."""
+def _density_z(a: np.ndarray, b: np.ndarray, paired: bool) -> float:
+    """|p1 - p2| over the pooled two-proportion z denominator, deflated by
+    (1 - rho_hat) when ``paired``; 0 when the pooled density is 0 or 1."""
     p1, p2, m = _edge_fractions(a, b)
     p = (p1 + p2) / 2.0
     if p <= 0.0 or p >= 1.0:
         return 0.0
-    return abs(p1 - p2) / math.sqrt(2.0 * p * (1.0 - p) / m)
+    rho_hat = sample_edge_correlation(a, b) if paired else 0.0
+    if rho_hat >= 1.0:
+        return 0.0 if p1 == p2 else math.inf
+    return abs(p1 - p2) / math.sqrt(2.0 * p * (1.0 - p) * (1.0 - rho_hat) / m)
+
+
+def pooled_z(a: np.ndarray, b: np.ndarray) -> float:
+    """|two-proportion pooled z| on edge densities; 0 when the pooled
+    density is degenerate (0 or 1)."""
+    return _density_z(a, b, paired=False)
 
 
 def paired_z(a: np.ndarray, b: np.ndarray) -> float:
@@ -92,14 +101,7 @@ def paired_z(a: np.ndarray, b: np.ndarray) -> float:
     Equals pooled_z exactly when rho_hat = 0. At rho_hat = 1 the
     statistic is 0 for equal densities and +inf otherwise.
     """
-    p1, p2, m = _edge_fractions(a, b)
-    p = (p1 + p2) / 2.0
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    rho_hat = sample_edge_correlation(a, b)
-    if rho_hat >= 1.0:
-        return 0.0 if p1 == p2 else math.inf
-    return abs(p1 - p2) / math.sqrt(2.0 * p * (1.0 - p) * (1.0 - rho_hat) / m)
+    return _density_z(a, b, paired=True)
 
 
 _INVARIANTS = {
@@ -126,6 +128,7 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
     """Matchability phase transition: edge disagreements at the latent
     alignment versus after matching from it, and the edge correlation
     induced by matching versus shuffling."""
+    check_range("rho_grid", rho_grid, 0, 1)
     rho_grid = [float(rho) for rho in rho_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
     if params is None:

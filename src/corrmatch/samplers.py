@@ -225,6 +225,8 @@ def sample_uniform_permutation(n: int, rng) -> np.ndarray:
 def sample_block_permutation(partition: BlockPartition, rng) -> np.ndarray:
     """Uniform block-preserving permutation: independent uniform
     permutation within each block."""
+    if not isinstance(partition, BlockPartition):
+        raise ValueError(f"partition must be a BlockPartition, got {partition!r}")
     gen = _as_generator(rng)
     phi = identity_permutation(partition.n)
     for i in range(partition.num_blocks):

@@ -18,7 +18,6 @@ from corrmatch import (
     SbmParams,
     apply_permutation,
     brute_force_pair_mi,
-    cluster_gain_experiment,
     er_params,
     faq_match,
     three_block_params,
@@ -26,20 +25,18 @@ from corrmatch import (
     gm_objective,
     identity_permutation,
     mi_small_rho_ratio,
-    power_er_experiment,
-    power_omni_experiment,
     procrustes_align,
     rho_sbm_mi,
     sample_edge_correlation,
     sample_rho_sbm,
     sample_uniform_permutation,
-    shuffle_cluster_experiment,
     solve_lap,
     transposition,
     transposition_delta,
     transposition_sweep,
 )
 from corrmatch.cli import main as cli_main
+from pinned_runs import CRITERION_RUNS
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -158,7 +155,7 @@ def test_criterion_06_matching_induces_correlation():
 
 def test_criterion_07_paired_test_power():
     start = time.perf_counter()
-    rows = power_er_experiment(mc_reps=500, n_null=999, master_seed=1)
+    rows = CRITERION_RUNS["criterion-07"]()
     elapsed = time.perf_counter() - start
     power = {(r["s"], r["x"], r["variant"]): r["power"] for r in rows}
     matched_cells = {(s, x): power[(s, x, "matched")]
@@ -176,7 +173,7 @@ def test_criterion_07_paired_test_power():
 
 def test_criterion_08_omnibus_anomaly_power():
     start = time.perf_counter()
-    rows = power_omni_experiment(mc_reps=100, n_null=999, master_seed=108)
+    rows = CRITERION_RUNS["criterion-08"]()
     elapsed = time.perf_counter() - start
     power = {(r["x"], r["variant"]): r["power"] for r in rows}
     matched_beats = power[(75, "omni_matched")] > power[(75, "omni_shuffled")]
@@ -192,9 +189,7 @@ def test_criterion_08_omnibus_anomaly_power():
 
 
 def test_criterion_09_joint_clustering_gain():
-    params = SbmParams(BlockPartition((50, 50)), np.array([[0.1, 0.05], [0.05, 0.2]]))
-    rows = cluster_gain_experiment(params, (0.1, 0.3, 0.5), d=2, k=2,
-                                   mc_reps=200, master_seed=109)
+    rows = CRITERION_RUNS["criterion-09"]()
     by = {(r["rho"], r["variant"]): (r["mean_ari"], r["se"]) for r in rows}
     gaps = {}
     ok = True
@@ -211,10 +206,8 @@ def test_criterion_09_joint_clustering_gain():
 
 def test_criterion_10_shuffle_match_clustering():
     from scipy.stats import spearmanr
-    params = SbmParams(BlockPartition((50, 50)), np.array([[0.1, 0.05], [0.05, 0.2]]))
-    s_grid = (0, 20, 40, 60, 80)
-    rows = shuffle_cluster_experiment(params, rho=0.5, s_grid=s_grid, d=2, k=2,
-                                      mc_reps=100, master_seed=110)
+    rows = CRITERION_RUNS["criterion-10"]()
+    s_grid = sorted({r["s"] for r in rows})
     by = {(r["s"], r["variant"]): r["mean_ari"] for r in rows}
     single_mean = float(np.mean([by[(s, "single")] for s in s_grid]))
     ordering = by[(0, "omni_shuffled")] < single_mean < by[(80, "omni_matched")]

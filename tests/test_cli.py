@@ -29,6 +29,7 @@ from corrmatch.cli import _write_rows, build_parser, main
 from corrmatch.matching import read_permutation
 from corrmatch.samplers import RngStream
 from helpers import traced_peak, write_seeds
+from pinned_runs import CLI_RUNS, PINS, REAL_PAIR, SAMPLE_MATCH_RUNS, SMALL_SBM
 
 
 def run_cli(capsys, *argv):
@@ -382,94 +383,28 @@ class TestClusterRealCommand:
         assert err.count("\n") == 1 and word in err
 
 
-SBM_8_8 = {"sizes": [8, 8], "lambda": [[0.6, 0.1], [0.1, 0.6]]}
-
-# Every exp experiment (both cluster modes, one --format json) and
-# cluster-real at tiny sizes, run from the output directory so that the
-# paths echoed by cluster-real are relative.
-PINNED_RUNS = {
-    "phase-transition": ("exp", "phase-transition", "--config", "sbm.json", "--mc", "3",
-                         "--rho-grid", "0.25,1"),
-    "phase-transition-default": ("exp", "phase-transition", "--mc", "1", "--rho-grid", "1"),
-    "power-er": ("exp", "power-er", "--p", "0.5", "--q", "0.4", "--n", "12", "--rho", "0.4",
-                 "--s-grid", "0,6", "--x-grid", "0,6", "--alpha", "0.1", "--mc", "4",
-                 "--n-null", "19", "--null-p", "0.42"),
-    "power-omni": ("exp", "power-omni", "--n", "18", "--d", "3", "--anomalous", "4",
-                   "--w", "0.1", "--x-grid", "0,6", "--alpha", "0.1", "--mc", "3",
-                   "--n-null", "19"),
-    "power-omni-redraw-json": ("exp", "power-omni", "--n", "18", "--anomalous", "4",
-                               "--x-grid", "6", "--alpha", "0.1", "--mc", "3",
-                               "--n-null", "10", "--redraw-latents", "--format", "json"),
-    "cluster-gain": ("exp", "cluster", "--config", "sbm.json", "--rho-grid", "0.3,0.9",
-                     "--mc", "2"),
-    "cluster-shuffle": ("exp", "cluster", "--config", "sbm.json", "--rho", "0.6",
-                        "--seeds-grid", "0,8", "--mc", "2", "--d", "2", "--k", "2"),
-    "cluster-shuffle-json": ("exp", "cluster", "--config", "sbm.json", "--seeds-grid", "8",
-                             "--mc", "2", "--format", "json"),
-    "cluster-real": ("cluster-real", "--a", "a.edg", "--b", "b.edg", "--labels", "lab.txt",
-                     "--d", "2", "--k", "2", "--seeds-grid", "4,16", "--mc", "2"),
-    "cluster-real-scree": ("cluster-real", "--a", "a.edg", "--b", "b.edg",
-                           "--labels", "lab.txt", "--scree", "--k", "2",
-                           "--seeds-grid", "8", "--mc", "2"),
-}
-
-# SHA-256 of (table, .meta.json) at --seed 7 (numpy 2.4, scipy 1.17,
-# OpenBLAS); a change to argument handling must keep these bytes.
-PINNED_BYTES = {
-    "cluster-gain":
-        ("dff9d4c322af884e99cf76e1407bbc64fd3dd1bb1eab1a547c1274c58377eb48",
-         "c0dc57af01c0b76b32dd32b71fca7d7bb0417fca43aca2da71fff5588295d6c3"),
-    "cluster-real":
-        ("c9a258cf5c6c6341d6f26db5086fa297972c69ddb0418fef86f3b82f13017dd1",
-         "6f1db6b0588296b2039e21aa1d140ed78c5616fb81f074be4dea74432886e914"),
-    "cluster-real-scree":
-        ("d42ea39181147453211bb40bbfee0835c554d7bf34572017522cf1af36f07c3c",
-         "2060715d0dad57c1af3fa0e87b699cba92acacbdc13d9a84451c17a1c96b43dc"),
-    "cluster-shuffle":
-        ("684de82d4c9d8f429eace45d06b61d6f0971f5c36a3300883cd781af17178a1b",
-         "f5da755bebc5b120f709020e541e69297585a1a9de86d8d76a6b3e5b921c5266"),
-    "cluster-shuffle-json":
-        ("a68a353729f8f345c62b4b4abf4eb589b4289fa5a7fbcc60e271ac2f11f95503",
-         "2b8cde3f817ac48cdfa962cd478326ee2ac0f80ed5c49af2f4d5af0394589c6f"),
-    "phase-transition":
-        ("a532365adf861359651d6873584715b9d3e6af76554107edf75847455c600528",
-         "98452a455ebb1501215b854ecf967401ce6f832955665200157b87dd3d645326"),
-    "phase-transition-default":
-        ("8bbdd1f98f7401d25ec728d170a4bfa7674dba92bb272873f6d7aa2e7f130176",
-         "4cf385f27f50da32d633899ecfa2a431d1e05ac08c878226de759c48736c7c31"),
-    "power-er":
-        ("6c7262df572c2be7261ae7506e0d72b3b5c5e6b170180bf1f34a929f74eed690",
-         "1253074cb5be63679e184fcb7031eb0a8f4c10cd2425a9a85e342bdc8648d7b2"),
-    "power-omni":
-        ("0ee8ca6aaaaa34d0abcea88b377817ffe35a1c4c100cec1656102fd927c270eb",
-         "ce0e8da0341743893398db70cfd71887d5f9116b1f12333818c9e729def9debd"),
-    "power-omni-redraw-json":
-        ("d7fb8c9e8062fdb8f0c5c4ea8dbc6cb20699a79de4afe8dd8c9472c374ba9f47",
-         "8e98d0b74422fe93507e02738d3a4b3d2426663cfdf320438fdd86cff04d283e"),
-}
+SBM_8_8 = {"sizes": [8, 8], "lambda": [[0.6, 0.1], [0.1, 0.6]]}  # SMALL_SBM as a config
 
 
 @pytest.fixture
 def input_dir(tmp_path, monkeypatch):
-    """A working directory holding the model configs and a 16-vertex
-    labelled pair (a.edg, b.edg, lab.txt) that the runs below refer to."""
+    """A working directory holding sbm.json and REAL_PAIR as a 16-vertex
+    labelled pair (a.edg, b.edg, lab.txt), which CLI_RUNS refer to."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sbm.json").write_text(json.dumps(SBM_8_8))
-    params = SbmParams(BlockPartition(tuple(SBM_8_8["sizes"])), np.array(SBM_8_8["lambda"]))
-    a, b = sample_rho_sbm(params, 0.6, RngStream(11).generator())
-    write_edgelist("a.edg", a)
-    write_edgelist("b.edg", b)
-    write_labels("lab.txt", params.partition.membership)
+    write_edgelist("a.edg", REAL_PAIR[0])
+    write_edgelist("b.edg", REAL_PAIR[1])
+    write_labels("lab.txt", SMALL_SBM.partition.membership)
     return tmp_path
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+@pytest.mark.parametrize("name", sorted(CLI_RUNS))
 def test_outputs_pinned(input_dir, capsys, name):
-    code, _, err = run_cli(capsys, *PINNED_RUNS[name], "--seed", "7", "-o", "out")
+    code, _, err = run_cli(capsys, *CLI_RUNS[name], "--seed", "7", "-o", "out")
     assert code == 0, err
-    digests = tuple(hashlib.sha256((input_dir / f).read_bytes()).hexdigest()
-                    for f in ("out", "out.meta.json"))
-    assert digests == PINNED_BYTES[name]
+    digests = [hashlib.sha256((input_dir / f).read_bytes()).hexdigest()
+               for f in ("out", "out.meta.json")]
+    assert digests == PINS["outputs"][name]
 
 
 def test_outputs_independent_of_blas_threads(tmp_path):
@@ -482,18 +417,18 @@ def test_outputs_independent_of_blas_threads(tmp_path):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "corrmatch.cli", *PINNED_RUNS[name], "--seed", "7",
+        subprocess.run([sys.executable, "-m", "corrmatch.cli", *CLI_RUNS[name], "--seed", "7",
                         "-o", str(out)], env=env, check=True, timeout=300)
-        digests.append(tuple(hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
-                             for suffix in ("", ".meta.json")))
-    assert digests == [PINNED_BYTES[name]] * 2
+        digests.append([hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest()
+                        for suffix in ("", ".meta.json")])
+    assert digests == [PINS["outputs"][name]] * 2
 
 
-@pytest.mark.parametrize("name", sorted(n for n in PINNED_RUNS if PINNED_RUNS[n][0] == "exp"))
+@pytest.mark.parametrize("name", sorted(n for n in CLI_RUNS if CLI_RUNS[n][0] == "exp"))
 def test_sidecar_replays_table(input_dir, capsys, name):
     # the sidecar config plus master_seed is the library call: replaying
     # it writes the same table
-    argv = PINNED_RUNS[name]
+    argv = CLI_RUNS[name]
     fmt = "json" if "json" in argv else "csv"
     assert run_cli(capsys, *argv, "--seed", "3", "-o", "out")[0] == 0
     meta = json.loads((input_dir / "out.meta.json").read_text())
@@ -677,36 +612,16 @@ def test_parser_reads_number_grids_as_values():
                                                                        -math.inf, "-2")
 
 
-# SHA-256 of the files that `sample` and then `match` write at --seed 7
-# (numpy 2.4, scipy 1.17, OpenBLAS): the edge lists, the shuffle, and the
-# permutation and report of a seeded match and of one started from a file.
-PINNED_FILES = {
-    "a.edg": "b7b0f61b4c27edb3131f7fdcd585fd598b42021c0834853e02fa12424b0881bb",
-    "b.edg": "ff609a728f707346b2e87ff33459538eca9a6970388c462409f833ad57cde815",
-    "sigma.txt": "394b0420eeb5f36593c6df46c3ebbdeab0a098e965d1424bbfe1fd0a6341c3f3",
-    "phi.txt": "e72b8e869920812d337182c5f2cbc8e5fe27c9b8deae6d3050bfdc383128d760",
-    "report.json": "7a3c9df57e0772dba146cb97a42fcb8810a8323ada3550767bec0b5ee0a9fae6",
-    "phi_init.txt": "afb380eccb8b4f63475acc39538e3da93c3abcfcafb021f41b05c0256f6fecd8",
-    "report_init.json": "ea668ddd2e9603eb6cf0887ffcaa7d1deeb29b571fc1c98b3d0f6ddc71e2bc6c",
-}
-
-
 def test_sample_and_match_files_pinned(input_dir, capsys):
     (input_dir / "er.json").write_text(json.dumps({"n": 20, "p": 0.4, "rho": 0.6}))
     (input_dir / "protect.txt").write_text("0\n1\n2\n3\n")
     (input_dir / "seeds.txt").write_text("0 0\n1 1\n2 2\n3 3\n")
-    runs = [("sample", "--model", "rho-er", "--config", "er.json", "--shuffle", "subset",
-             "--protect-file", "protect.txt", "--subset-size", "10",
-             "--out-a", "a.edg", "--out-b", "b.edg", "--out-perm", "sigma.txt"),
-            ("match", "--a", "a.edg", "--b", "b.edg", "--seeds", "seeds.txt",
-             "--out-perm", "phi.txt", "--report", "report.json"),
-            ("match", "--a", "a.edg", "--b", "b.edg", "--init", "sigma.txt",
-             "--out-perm", "phi_init.txt", "--report", "report_init.json")]
-    for argv in runs:
+    for argv in SAMPLE_MATCH_RUNS:
         code, _, err = run_cli(capsys, *argv, "--seed", "7")
         assert code == 0, err
-    digests = {f: hashlib.sha256((input_dir / f).read_bytes()).hexdigest() for f in PINNED_FILES}
-    assert digests == PINNED_FILES
+    digests = {f: hashlib.sha256((input_dir / f).read_bytes()).hexdigest()
+               for f in PINS["files"]}
+    assert digests == PINS["files"]
 
 
 # A malformed file of each kind, read by the command that takes it: each

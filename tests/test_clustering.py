@@ -513,6 +513,19 @@ class TestClusterExperiments:
         pytest.param(name, {"restarts": bad}, "restarts", id=f"{name}-restarts-{bad}")
         for name in ("cluster-gain", "cluster-shuffle", "cluster-real")
         for bad in (0, 2.5, True)
+    ] + [
+        # correlation grids hold real numbers in [0, 1]
+        pytest.param(name, {"rho_grid": grid}, match, id=f"{name}-rho_grid-{grid}")
+        for name in ("phase-transition", "cluster-gain")
+        for grid, match in (((1j,), r"^rho_grid must be a real number, got 1j$"),
+                            ((None,), r"^rho_grid must be a real number, got None$"),
+                            ((0.5, 1.5), r"^rho_grid value 1.5 is outside \[0, 1\]$"),
+                            ((-0.1,), r"^rho_grid value -0.1 is outside \[0, 1\]$"))
+    ] + [
+        pytest.param(name, {"master_seed": bad}, match, id=f"{name}-master_seed-{bad}")
+        for name in _SMALL_RUNS
+        for bad, match in ((1.5, r"^master_seed must be an integer, got 1.5$"),
+                           (-1, r"^master_seed value -1 is outside \[0, inf\)$"))
     ])
     def test_every_experiment_rejects_zero_mc_reps(self, monkeypatch, name, bad, match):
         # every argument is checked before the first random draw

@@ -231,6 +231,19 @@ class TestTranspositionDelta:
         with pytest.raises(ValueError):
             transposition_delta(PATH3, PATH3, 1, 1)
 
+    @pytest.mark.parametrize("i, j, match", [
+        (0, 5, r"^i and j value 5 is outside \[0, 2\]$"),
+        (-1, 2, r"^i and j value -1 is outside \[0, 2\]$"),
+        (0, 1.0, r"^i and j must be a sequence of integer vertex ids, without bools$"),
+    ], ids=["outside", "negative", "float"])
+    def test_rejects_non_vertices(self, i, j, match):
+        # a transposition of vertices outside [0, 3) used to raise IndexError,
+        # or, for -1, to swap from the end
+        with pytest.raises(ValueError, match=match):
+            transposition(3, i, j)
+        with pytest.raises(ValueError, match=match):
+            transposition_delta(PATH3, PATH3, i, j)
+
 
 def _fixed_error_oracle(x, y, phi):
     """Exhaustive pair scan straight from the definitions."""
@@ -365,6 +378,14 @@ class TestValidation:
         g = np.arange(25).reshape(5, 5)
         upper_triangle(g)[:] = 0  # writes to a copy, not to g or the cached mask
         assert np.array_equal(upper_triangle(g), [1, 2, 3, 4, 7, 8, 9, 13, 14, 19])
+
+    @pytest.mark.parametrize("n, match", [(2.5, "^n must be an integer, got 2.5$"),
+                                          (True, "^n must be an integer, got True$"),
+                                          (-1, r"^n value -1 is outside \[0, inf\)$")],
+                             ids=["float", "bool", "negative"])
+    def test_empty_graph_rejects_non_count(self, n, match):
+        with pytest.raises(ValueError, match=match):
+            empty_graph(n)
 
     def test_as_adjacency_empty(self):
         assert as_adjacency(np.zeros((0, 0))).shape == (0, 0)

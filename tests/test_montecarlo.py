@@ -10,63 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrmatch import (
-    BlockPartition,
-    RngStream,
-    SbmParams,
-    cluster_gain_experiment,
-    cluster_real_experiment,
-    phase_transition_experiment,
-    power_er_experiment,
-    power_omni_experiment,
-    sample_rho_sbm,
-    shuffle_cluster_experiment,
-)
+from corrmatch import RngStream
 from corrmatch._parallel import MonteCarlo, critical_rank, critical_value
-
-SMALL_SBM = SbmParams(BlockPartition((8, 8)), np.array([[0.6, 0.1], [0.1, 0.6]]))
-REAL_PAIR = sample_rho_sbm(SMALL_SBM, 0.6, RngStream(11).generator())
-
-TINY_RUNS = {
-    "phase-transition": lambda seed: phase_transition_experiment(
-        mc_reps=3, master_seed=seed, rho_grid=(0.25, 1.0), params=SMALL_SBM),
-    "power-er": lambda seed: power_er_experiment(
-        p=0.5, q=0.4, n=12, rho=0.4, s_grid=(0, 6), x_grid=(0, 6), alpha=0.1,
-        mc_reps=8, n_null=19, master_seed=seed),
-    "power-omni": lambda seed: power_omni_experiment(
-        n=18, d=3, num_anomalous=4, mix_w=0.1, x_grid=(0, 6), alpha=0.1,
-        mc_reps=6, n_null=19, master_seed=seed),
-    "power-omni-redraw": lambda seed: power_omni_experiment(
-        n=18, d=3, num_anomalous=4, mix_w=0.1, x_grid=(6,), alpha=0.1,
-        mc_reps=6, n_null=10, master_seed=seed, redraw_latents=True),
-    "cluster-gain": lambda seed: cluster_gain_experiment(
-        SMALL_SBM, (0.3, 0.9), d=2, k=2, mc_reps=2, master_seed=seed, restarts=2),
-    "cluster-shuffle": lambda seed: shuffle_cluster_experiment(
-        SMALL_SBM, rho=0.6, s_grid=(0, 8), d=2, k=2, mc_reps=2, master_seed=seed,
-        restarts=2),
-    "cluster-real": lambda seed: cluster_real_experiment(
-        *REAL_PAIR, SMALL_SBM.partition.membership, (4, 16), d=2, k=2, mc_reps=2,
-        master_seed=seed, restarts=2),
-}
-
-# SHA-256 of render(rows) at master_seed=7 (numpy 2.4, scipy
-# 1.17, OpenBLAS); a refactor of the Monte Carlo loops must keep these.
-PINNED = {
-    "phase-transition":
-        "d923c1bf422d086e81d8d06e35c1d9f3a3581e37f1fd428ed4c68a691cfee8f6",
-    "power-er":
-        "dc664cd0813ec67215422345cf69bb7fc9ddd5d4c8f0300760909353188a4ba9",
-    "power-omni":
-        "8092afe5f4a7e182ac59fc5869a9051c2bb5ae31926673776a9533448b01d60c",
-    "power-omni-redraw":
-        "a73f2f0d2733dd1c664ebac0dfb94715dc7ebecc0e54d2d36d14ba79149c5525",
-    "cluster-gain":
-        "fb41d2dac2ddc2fbd0fed238cb1513bafcbcb08ad006ca118c555d6432233b63",
-    "cluster-shuffle":
-        "9f48caf136af7c810a09f2cf83a645424042ee70d8139de4c744391b975a2369",
-    "cluster-real":
-        "6e17ed5dd3dbafc3c9852504add76e4af3f8e59bbad31619801bee8bd7636370",
-}
+from pinned_runs import PINS, TINY_RUNS
 
 
 def render(rows) -> str:
@@ -78,8 +24,8 @@ def render(rows) -> str:
 
 @pytest.mark.parametrize("name", sorted(TINY_RUNS))
 def test_tables_pinned(name):
-    text = render(TINY_RUNS[name](7))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[name], text
+    text = render(TINY_RUNS[name]())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINS["tables"][name], text
 
 
 def test_stream_block_capacity_is_inclusive():

@@ -27,6 +27,7 @@ from corrmatch import (
 from corrmatch.graphs import as_adjacency
 from corrmatch.samplers import _as_generator
 from helpers import random_graph, traced_peak
+from pinned_runs import PINS
 
 
 def sbm_draw(params, rng):
@@ -306,8 +307,7 @@ class TestHeterogeneous:
         for i in range(20):
             for g in sample_correlated_heterogeneous(spec, RngStream(70, i)):
                 digest.update(g.tobytes())
-        assert digest.hexdigest() == (
-            "c6307683166459f09759d8a00fda814f84054cbc8cffea718c4f15b7a6649db0")
+        assert digest.hexdigest() == PINS["draws"]["heterogeneous-pair"]
 
 
 class TestLatentPositions:
@@ -363,6 +363,11 @@ class TestPermutationSamplers:
         for i in range(20):
             phi = sample_block_permutation(part, RngStream(26, i))
             assert np.array_equal(part.membership[phi], part.membership)
+
+    def test_block_permutation_needs_a_partition(self):
+        # block sizes alone used to raise AttributeError
+        with pytest.raises(ValueError, match=r"^partition must be a BlockPartition, got \(2, 2\)$"):
+            sample_block_permutation((2, 2), RngStream(26))
 
     def test_subset_shuffle_fixes_seeds(self):
         for i in range(20):

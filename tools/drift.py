@@ -5,12 +5,12 @@ call by call.
 
 Extracts each commit with ``git archive`` into a temporary directory
 and, in a fresh interpreter per commit, runs the seven pinned tiny runs
-(``TINY_RUNS`` of this tree's ``tests/test_montecarlo.py``, seed 7) and
-the experiments of acceptance criteria 07-10. Every call of each named
-function (e.g. ``clustering.fit_gmm``, ``embedding.ase``) is recorded,
-in every corrmatch module that holds it, with its output keyed by the
-SHA-256 of its input; the two commits are compared on the inputs they
-share.
+and the experiments of acceptance criteria 07-10 (``TINY_RUNS`` and
+``CRITERION_RUNS`` of this tree's ``tests/pinned_runs.py``) on that
+commit's corrmatch. Every call of each named function (e.g.
+``clustering.fit_gmm``, ``embedding.ase``) is recorded, in every
+corrmatch module that holds it, with its output keyed by the SHA-256 of
+its input; the two commits are compared on the inputs they share.
 
 For every float column of every table, and every output leaf of every
 recorded function, the report gives the number of values compared, how
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import importlib.util
+import importlib
 import io
 import itertools
 import os
@@ -98,35 +98,13 @@ def leaves(obj, path: str = "") -> dict[str, np.ndarray]:
     return out
 
 
-def _runs() -> dict:
-    """Run name -> zero-argument call returning a table (list of rows)."""
-    import corrmatch as cm
-
-    spec = importlib.util.spec_from_file_location(
-        "_drift_tiny_runs", ROOT / "tests" / "test_montecarlo.py")
-    tiny = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tiny)
-    runs = {f"tiny/{name}": (lambda run=run: run(7))
-            for name, run in sorted(tiny.TINY_RUNS.items())}
-    # the calls of tests/test_acceptance.py's criteria 07-10, looked up at
-    # call time so that a recorded entry point is the recorder
-    sbm = cm.SbmParams(cm.BlockPartition((50, 50)), np.array([[0.1, 0.05], [0.05, 0.2]]))
-    runs["criterion-07"] = lambda: cm.power_er_experiment(mc_reps=500, n_null=999,
-                                                          master_seed=1)
-    runs["criterion-08"] = lambda: cm.power_omni_experiment(mc_reps=100, n_null=999,
-                                                            master_seed=108)
-    runs["criterion-09"] = lambda: cm.cluster_gain_experiment(
-        sbm, (0.1, 0.3, 0.5), d=2, k=2, mc_reps=200, master_seed=109)
-    runs["criterion-10"] = lambda: cm.shuffle_cluster_experiment(
-        sbm, rho=0.5, s_grid=(0, 20, 40, 60, 80), d=2, k=2, mc_reps=100, master_seed=110)
-    return runs
-
-
 def record(out_path: str, names: list[str]) -> None:
     """Run every table with ``names`` recorded; pickle the tables and calls."""
     import corrmatch
+    from pinned_runs import CRITERION_RUNS, TINY_RUNS
 
-    runs = _runs()
+    runs = {**{f"tiny/{name}": run for name, run in sorted(TINY_RUNS.items())},
+            **CRITERION_RUNS}
     calls: dict[str, dict[str, dict]] = {}
     for name in names:
         module_name, attr = name.rsplit(".", 1)
@@ -140,7 +118,7 @@ def record(out_path: str, names: list[str]) -> None:
             return result
 
         for module in list(sys.modules.values()):
-            if module is not None and module.__name__.startswith(("corrmatch", "_drift")):
+            if module is not None and module.__name__.startswith("corrmatch"):
                 for held, value in list(vars(module).items()):
                     if value is original:
                         setattr(module, held, recorder)
@@ -286,7 +264,7 @@ def _record_commit(rev: str, names: list[str], checkout: Path) -> dict:
         tar.extractall(checkout, filter="data")
     out = checkout.with_suffix(".pickle")
     code = "import sys, drift; drift.record(sys.argv[1], sys.argv[2:])"
-    env = {**os.environ, "PYTHONPATH": f"{checkout / 'src'}:{ROOT / 'tools'}"}
+    env = {**os.environ, "PYTHONPATH": f"{checkout / 'src'}:{ROOT / 'tools'}:{ROOT / 'tests'}"}
     subprocess.run([sys.executable, "-c", code, str(out), *names], cwd=checkout, env=env,
                    check=True)
     with open(out, "rb") as f:
