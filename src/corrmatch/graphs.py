@@ -73,7 +73,7 @@ def upper_triangle(a: np.ndarray) -> np.ndarray:
 # -- permutations -----------------------------------------------------------
 
 def identity_permutation(n: int) -> np.ndarray:
-    return np.arange(n, dtype=np.int64)
+    return np.arange(check_count("n", n, low=0), dtype=np.int64)
 
 
 def is_permutation(phi: np.ndarray) -> bool:

@@ -237,8 +237,7 @@ class TestTranspositionDelta:
         (0, 1.0, r"^i and j must be a sequence of integer vertex ids, without bools$"),
     ], ids=["outside", "negative", "float"])
     def test_rejects_non_vertices(self, i, j, match):
-        # a transposition of vertices outside [0, 3) used to raise IndexError,
-        # or, for -1, to swap from the end
+        # unchecked, -1 would index from the end and swap vertex 2
         with pytest.raises(ValueError, match=match):
             transposition(3, i, j)
         with pytest.raises(ValueError, match=match):
@@ -383,9 +382,11 @@ class TestValidation:
                                           (True, "^n must be an integer, got True$"),
                                           (-1, r"^n value -1 is outside \[0, inf\)$")],
                              ids=["float", "bool", "negative"])
-    def test_empty_graph_rejects_non_count(self, n, match):
-        with pytest.raises(ValueError, match=match):
-            empty_graph(n)
+    def test_vertex_count_rejected(self, n, match):
+        # unchecked, n = 2.5 gave a permutation of 3 vertices
+        for make in (empty_graph, identity_permutation, lambda n: transposition(n, 0, 1)):
+            with pytest.raises(ValueError, match=match):
+                make(n)
 
     def test_as_adjacency_empty(self):
         assert as_adjacency(np.zeros((0, 0))).shape == (0, 0)

@@ -365,7 +365,6 @@ class TestPermutationSamplers:
             assert np.array_equal(part.membership[phi], part.membership)
 
     def test_block_permutation_needs_a_partition(self):
-        # block sizes alone used to raise AttributeError
         with pytest.raises(ValueError, match=r"^partition must be a BlockPartition, got \(2, 2\)$"):
             sample_block_permutation((2, 2), RngStream(26))
 
