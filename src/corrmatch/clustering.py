@@ -224,6 +224,7 @@ def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
     """Joint (omnibus) versus single-graph clustering ARI over a
     correlation grid; both variants are scored on graph 1's vertices
     against the true block labels."""
+    rho_grid = list(rho_grid)  # an iterator is read once
     check_range("rho_grid", rho_grid, 0, 1)
     rho_grid = [float(rho) for rho in rho_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))

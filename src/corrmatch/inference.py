@@ -75,23 +75,19 @@ def _edge_fractions(a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
     return p1, p2, m
 
 
-def _density_z(a: np.ndarray, b: np.ndarray, paired: bool) -> float:
-    """|p1 - p2| over the pooled two-proportion z denominator, deflated by
-    (1 - rho_hat) when ``paired``; 0 when the pooled density is 0 or 1."""
-    p1, p2, m = _edge_fractions(a, b)
+def _z(p1: float, p2: float, m: int, rho_hat: float) -> float:
+    """|p1 - p2| over the pooled two-proportion z denominator deflated by
+    (1 - rho_hat); 0 when the pooled density is degenerate (0 or 1)."""
     p = (p1 + p2) / 2.0
     if p <= 0.0 or p >= 1.0:
         return 0.0
-    rho_hat = sample_edge_correlation(a, b) if paired else 0.0
-    if rho_hat >= 1.0:
-        return 0.0 if p1 == p2 else math.inf
     return abs(p1 - p2) / math.sqrt(2.0 * p * (1.0 - p) * (1.0 - rho_hat) / m)
 
 
 def pooled_z(a: np.ndarray, b: np.ndarray) -> float:
     """|two-proportion pooled z| on edge densities; 0 when the pooled
     density is degenerate (0 or 1)."""
-    return _density_z(a, b, paired=False)
+    return _z(*_edge_fractions(a, b), 0.0)
 
 
 def paired_z(a: np.ndarray, b: np.ndarray) -> float:
@@ -101,7 +97,11 @@ def paired_z(a: np.ndarray, b: np.ndarray) -> float:
     Equals pooled_z exactly when rho_hat = 0. At rho_hat = 1 the
     statistic is 0 for equal densities and +inf otherwise.
     """
-    return _density_z(a, b, paired=True)
+    p1, p2, m = _edge_fractions(a, b)
+    rho_hat = sample_edge_correlation(a, b)  # 0 for degenerate densities
+    if rho_hat >= 1.0:
+        return 0.0 if p1 == p2 else math.inf
+    return _z(p1, p2, m, rho_hat)
 
 
 _INVARIANTS = {
@@ -128,6 +128,7 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
     """Matchability phase transition: edge disagreements at the latent
     alignment versus after matching from it, and the edge correlation
     induced by matching versus shuffling."""
+    rho_grid = list(rho_grid)  # an iterator is read once
     check_range("rho_grid", rho_grid, 0, 1)
     rho_grid = [float(rho) for rho in rho_grid]
     mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))

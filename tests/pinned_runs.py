@@ -27,7 +27,10 @@ import corrmatch as cm
 
 PINS = json.loads(Path(__file__).with_name("pins.json").read_text())
 
-SMALL_SBM = cm.SbmParams(cm.BlockPartition((8, 8)), np.array([[0.6, 0.1], [0.1, 0.6]]))
+# SMALL_SBM as the CLI reads it from sbm.json
+SMALL_SBM_CONFIG = {"sizes": [8, 8], "lambda": [[0.6, 0.1], [0.1, 0.6]]}
+SMALL_SBM = cm.SbmParams(cm.BlockPartition(tuple(SMALL_SBM_CONFIG["sizes"])),
+                         np.array(SMALL_SBM_CONFIG["lambda"]))
 REAL_PAIR = cm.sample_rho_sbm(SMALL_SBM, 0.6, cm.RngStream(11).generator())
 
 # the six experiments at tiny sizes, master_seed 7
@@ -56,6 +59,7 @@ TINY_RUNS = {
 # the experiments of acceptance criteria 07-10 (tests/test_acceptance.py)
 CRITERION_SBM = cm.SbmParams(cm.BlockPartition((50, 50)),
                              np.array([[0.1, 0.05], [0.05, 0.2]]))
+CRITERION_10_S_GRID = (0, 20, 40, 60, 80)
 CRITERION_RUNS = {
     "criterion-07": lambda: cm.power_er_experiment(mc_reps=500, n_null=999, master_seed=1),
     "criterion-08": lambda: cm.power_omni_experiment(mc_reps=100, n_null=999,
@@ -63,7 +67,7 @@ CRITERION_RUNS = {
     "criterion-09": lambda: cm.cluster_gain_experiment(
         CRITERION_SBM, (0.1, 0.3, 0.5), d=2, k=2, mc_reps=200, master_seed=109),
     "criterion-10": lambda: cm.shuffle_cluster_experiment(
-        CRITERION_SBM, rho=0.5, s_grid=(0, 20, 40, 60, 80), d=2, k=2, mc_reps=100,
+        CRITERION_SBM, rho=0.5, s_grid=CRITERION_10_S_GRID, d=2, k=2, mc_reps=100,
         master_seed=110),
 }
 

@@ -36,7 +36,7 @@ from corrmatch import (
     transposition_sweep,
 )
 from corrmatch.cli import main as cli_main
-from pinned_runs import CRITERION_RUNS
+from pinned_runs import CRITERION_10_S_GRID, CRITERION_RUNS
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -207,7 +207,8 @@ def test_criterion_09_joint_clustering_gain():
 def test_criterion_10_shuffle_match_clustering():
     from scipy.stats import spearmanr
     rows = CRITERION_RUNS["criterion-10"]()
-    s_grid = sorted({r["s"] for r in rows})
+    s_grid = CRITERION_10_S_GRID
+    assert sorted({r["s"] for r in rows}) == list(s_grid)
     by = {(r["s"], r["variant"]): r["mean_ari"] for r in rows}
     single_mean = float(np.mean([by[(s, "single")] for s in s_grid]))
     ordering = by[(0, "omni_shuffled")] < single_mean < by[(80, "omni_matched")]

@@ -29,7 +29,8 @@ from corrmatch.cli import _write_rows, build_parser, main
 from corrmatch.matching import read_permutation
 from corrmatch.samplers import RngStream
 from helpers import traced_peak, write_seeds
-from pinned_runs import CLI_RUNS, PINS, REAL_PAIR, SAMPLE_MATCH_RUNS, SMALL_SBM
+from pinned_runs import (CLI_RUNS, PINS, REAL_PAIR, SAMPLE_MATCH_RUNS, SMALL_SBM,
+                         SMALL_SBM_CONFIG)
 
 
 def run_cli(capsys, *argv):
@@ -84,7 +85,7 @@ class TestSampleCommand:
 
     def test_block_shuffle_keeps_blocks(self, tmp_path, capsys):
         cfg = tmp_path / "sbm.json"
-        cfg.write_text(json.dumps(dict(SBM_8_8, rho=1.0)))
+        cfg.write_text(json.dumps(dict(SMALL_SBM_CONFIG, rho=1.0)))
         out_a, out_b, out_p = (str(tmp_path / f) for f in ("a.edg", "b.edg", "sigma.txt"))
         code, _, err = run_cli(capsys, "sample", "--config", str(cfg), "--seed", "4",
                                "--shuffle", "block", "--out-a", out_a, "--out-b", out_b,
@@ -383,15 +384,12 @@ class TestClusterRealCommand:
         assert err.count("\n") == 1 and word in err
 
 
-SBM_8_8 = {"sizes": [8, 8], "lambda": [[0.6, 0.1], [0.1, 0.6]]}  # SMALL_SBM as a config
-
-
 @pytest.fixture
 def input_dir(tmp_path, monkeypatch):
     """A working directory holding sbm.json and REAL_PAIR as a 16-vertex
     labelled pair (a.edg, b.edg, lab.txt), which CLI_RUNS refer to."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "sbm.json").write_text(json.dumps(SBM_8_8))
+    (tmp_path / "sbm.json").write_text(json.dumps(SMALL_SBM_CONFIG))
     write_edgelist("a.edg", REAL_PAIR[0])
     write_edgelist("b.edg", REAL_PAIR[1])
     write_labels("lab.txt", SMALL_SBM.partition.membership)
@@ -569,15 +567,15 @@ for _shuffle in ("none", "uniform", "block"):
 @pytest.mark.parametrize("name", sorted(REJECTED))
 def test_rejected_input(input_dir, capsys, name):
     argv, word = REJECTED[name]
-    for file, cfg in (("rho.json", dict(SBM_8_8, rho=0.5)),
-                      ("both.json", dict(SBM_8_8, n=16, p=0.3)),
+    for file, cfg in (("rho.json", dict(SMALL_SBM_CONFIG, rho=0.5)),
+                      ("both.json", dict(SMALL_SBM_CONFIG, n=16, p=0.3)),
                       ("empty.json", {}), ("list.json", [1, 2]),
                       ("badn.json", {"n": [5], "p": 0.3}),
                       ("badrho.json", {"n": 5, "p": 0.3, "rho": [0.5]}),
                       ("er.json", {"n": 20, "p": 0.4, "rho": 0.6}),
                       ("n_float.json", {"n": 10.7, "p": 0.1, "rho": 0.5}),
                       ("n_bool.json", {"n": True, "p": 0.1, "rho": 0.5}),
-                      ("sizes_float.json", dict(SBM_8_8, sizes=[2.5, 3], rho=0.5)),
+                      ("sizes_float.json", dict(SMALL_SBM_CONFIG, sizes=[2.5, 3], rho=0.5)),
                       ("one_vertex.json", {"n": 1, "p": 0.1, "rho": 0.5}),
                       ("p_nan.json", {"n": 5, "p": float("nan"), "rho": 0.5}),
                       ("asym.json", {"sizes": [2, 2], "lambda": [[0.3, 0.1], [0.1000000001, 0.3]],

@@ -428,6 +428,12 @@ class TestClusterExperiments:
         rows = fn(**{**kwargs, "a": g1.tolist(), "b": g2.tolist()})
         assert rows == fn(**{**kwargs, "a": g1, "b": g2})
 
+    @pytest.mark.parametrize("name", ["phase-transition", "cluster-gain"])
+    def test_rho_grid_read_from_an_iterator(self, name):
+        fn, kwargs, _ = _SMALL_RUNS[name]
+        grid = (0.25, 0.5)
+        assert fn(**{**kwargs, "rho_grid": iter(grid)}) == fn(**{**kwargs, "rho_grid": grid})
+
     @pytest.mark.parametrize("name, bad, match", [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in _SMALL_RUNS
@@ -521,6 +527,11 @@ class TestClusterExperiments:
                             ((None,), r"^rho_grid must be a real number, got None$"),
                             ((0.5, 1.5), r"^rho_grid value 1.5 is outside \[0, 1\]$"),
                             ((-0.1,), r"^rho_grid value -0.1 is outside \[0, 1\]$"))
+    ] + [
+        # an iterator grid is read once: the repeat is found, not an empty grid
+        pytest.param(name, {"rho_grid": iter((0.5, 0.5))}, "^rho_grid must not repeat",
+                     id=f"{name}-rho_grid-iterator")
+        for name in ("phase-transition", "cluster-gain")
     ] + [
         pytest.param(name, {"master_seed": bad}, match, id=f"{name}-master_seed-{bad}")
         for name in _SMALL_RUNS
