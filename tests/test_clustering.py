@@ -428,12 +428,6 @@ class TestClusterExperiments:
         rows = fn(**{**kwargs, "a": g1.tolist(), "b": g2.tolist()})
         assert rows == fn(**{**kwargs, "a": g1, "b": g2})
 
-    @pytest.mark.parametrize("name", ["phase-transition", "cluster-gain"])
-    def test_rho_grid_read_from_an_iterator(self, name):
-        fn, kwargs, _ = _SMALL_RUNS[name]
-        grid = (0.25, 0.5)
-        assert fn(**{**kwargs, "rho_grid": iter(grid)}) == fn(**{**kwargs, "rho_grid": grid})
-
     @pytest.mark.parametrize("name, bad, match", [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in _SMALL_RUNS
