@@ -10,7 +10,6 @@ import numpy as np
 
 from corrmatch import (
     BlockPartition,
-    RngStream,
     SbmParams,
     brute_force_pair_mi,
     er_params,
@@ -19,6 +18,7 @@ from corrmatch import (
     sample_edge_correlation,
     sample_rho_sbm,
     sbm_entropy,
+    stream,
 )
 
 # -- sample a correlated pair and look at the edge correlation --------------
@@ -27,7 +27,7 @@ params = SbmParams(BlockPartition((60, 60)), np.array([[0.5, 0.2], [0.2, 0.5]]))
 print("rho  ->  mean sample edge correlation over 30 draws")
 for rho in (0.0, 0.3, 0.7, 1.0):
     corrs = [
-        sample_edge_correlation(*sample_rho_sbm(params, rho, RngStream(1, i)))
+        sample_edge_correlation(*sample_rho_sbm(params, rho, stream(1, i)))
         for i in range(30)
     ]
     print(f"{rho:4.2f} ->  {np.mean(corrs):6.3f}")

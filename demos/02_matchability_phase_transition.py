@@ -11,10 +11,10 @@ single swaps.
 
 from corrmatch import (
     BlockPartition,
-    RngStream,
     SbmParams,
     phase_transition_experiment,
     sample_rho_sbm,
+    stream,
     three_block_params,
     transposition_sweep,
 )
@@ -36,7 +36,7 @@ print("\nimproving within-block transposition found? (50 trials each)")
 for rho in (0.02, 0.5, 0.9):
     found = 0
     for rep in range(50):
-        a, b = sample_rho_sbm(params, rho, RngStream(8, rep))
+        a, b = sample_rho_sbm(params, rho, stream(8, rep))
         hit, pair, delta = transposition_sweep(a, b, params.partition)
         found += int(hit)
     print(f"rho={rho:<5} found in {found}/50 trials")

@@ -9,7 +9,6 @@ matching from the barycenter mostly fails at this size.
 import numpy as np
 
 from corrmatch import (
-    RngStream,
     apply_permutation,
     edge_disagreements,
     er_params,
@@ -19,10 +18,11 @@ from corrmatch import (
     sample_rho_sbm,
     sample_subset_shuffle,
     sgm_match,
+    stream,
 )
 
 n, rho = 120, 0.9
-gen = RngStream(42).generator()
+gen = stream(42, 0)
 a, b = sample_rho_sbm(er_params(n, 0.3), rho, gen)
 
 seeds = np.arange(8)

@@ -26,7 +26,6 @@ from .graphs import (
 )
 from .samplers import (
     HeterogeneousPair,
-    RngStream,
     SbmParams,
     anomaly_perturb,
     er_params,
@@ -37,6 +36,7 @@ from .samplers import (
     sample_rho_sbm,
     sample_subset_shuffle,
     sample_uniform_permutation,
+    stream,
 )
 from .information import (
     bernoulli_pair_mi,

@@ -7,7 +7,7 @@ mc_reps) from 0, null draws (null_cells, n_null) from 10**7, shuffles
 (as the experiment declares them) from 2 * 10**7, and latent positions
 (1 + mc_reps: index 0 for the shared draw, 1 + replicate for redraws)
 from 9 * 10**7. The draw at ``index`` has the stream
-``RngStream(master_seed, first + ravel_multi_index(index, shape))``,
+``stream(master_seed, first + ravel_multi_index(index, shape))``,
 built only by :meth:`MonteCarlo.generator`, which rejects an index
 outside the shape. A run whose shapes would leave their blocks, or with
 any other bad argument, is rejected before the first draw, so no two
@@ -22,8 +22,8 @@ import math
 
 import numpy as np
 
-from .graphs import check_count, check_range
-from .samplers import RngStream
+from .graphs import as_finite, check_count, check_range
+from .samplers import stream
 
 # role -> (first stream id, capacity); the latent block is last and open above
 _BLOCKS = {
@@ -48,6 +48,9 @@ def critical_rank(alpha: float, n_null: int) -> int:
 def critical_value(draws: np.ndarray, alpha: float):
     """Conservative Monte Carlo critical value: the critical_rank-th order
     statistic of the null draws, per column when draws is n_null x m."""
+    draws = as_finite("draws", draws)
+    if draws.ndim == 0:
+        raise ValueError("draws must hold one null draw per row, got a scalar")
     return np.sort(draws, axis=0)[critical_rank(alpha, draws.shape[0]) - 1]
 
 
@@ -93,7 +96,7 @@ class MonteCarlo:
             offset = int(np.ravel_multi_index(index, shape))
         except ValueError:
             raise ValueError(f"{role} stream index {index} is outside shape {shape}") from None
-        return RngStream(self.master_seed, _BLOCKS[role][0] + offset).generator()
+        return stream(self.master_seed, _BLOCKS[role][0] + offset)
 
     def replicates(self, cell: int, one_rep) -> list:
         """``one_rep(rep, gen)`` for every replicate of ``cell``, in order."""

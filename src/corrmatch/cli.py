@@ -43,13 +43,13 @@ from .inference import (
 from .information import mi_small_rho_ratio, rho_sbm_mi, sbm_entropy
 from .matching import read_permutation, read_seeds, sgm_match, write_permutation
 from .samplers import (
-    RngStream,
     SbmParams,
     er_params,
     sample_block_permutation,
     sample_rho_sbm,
     sample_subset_shuffle,
     sample_uniform_permutation,
+    stream,
 )
 
 
@@ -143,11 +143,10 @@ def _cmd_sample(args) -> int:
         raise ValueError("rho-er needs n and p in the --config file")
     params = _sbm_from_config(cfg)
     rho = cfg.get("rho", 0.0)
-    gen = RngStream(args.master_seed, 0).generator()
-    a, b = sample_rho_sbm(params, rho, gen)
+    a, b = sample_rho_sbm(params, rho, stream(args.master_seed, 0))
 
     sigma = np.arange(params.n, dtype=np.int64)  # --shuffle none
-    sgen = RngStream(args.master_seed, 1).generator()
+    sgen = stream(args.master_seed, 1)
     if args.shuffle == "uniform":
         sigma = sample_uniform_permutation(params.n, sgen)
     elif args.shuffle == "block":

@@ -30,6 +30,7 @@ from .samplers import (
     _as_generator,
     sample_rho_sbm,
     sample_subset_shuffle,
+    stream,
 )
 from .matching import identity_seeds, sgm_match
 
@@ -265,16 +266,14 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
         sigma = sample_subset_shuffle(n, seed_vertices, n - s, gen)
         b_sh = apply_permutation(b, sigma)
         cluster_seed = int(gen.integers(2 ** 62))
-        joint_a, _ = joint_cluster(a, b_sh, d, k, np.random.default_rng(cluster_seed),
-                                   restarts=restarts)
+        joint_a, _ = joint_cluster(a, b_sh, d, k, stream(cluster_seed), restarts=restarts)
         score_shuffled = ari(joint_a, truth)
-        score_single = ari(single_cluster(a, d, k, np.random.default_rng(cluster_seed),
+        score_single = ari(single_cluster(a, d, k, stream(cluster_seed),
                                           restarts=restarts), truth)
 
         res = sgm_match(a, b_sh, seeds=identity_seeds(seed_vertices))
         b_aligned = apply_permutation(b_sh, res.permutation)
-        joint_m, _ = joint_cluster(a, b_aligned, d, k, np.random.default_rng(cluster_seed),
-                                   restarts=restarts)
+        joint_m, _ = joint_cluster(a, b_aligned, d, k, stream(cluster_seed), restarts=restarts)
         return score_shuffled, score_single, ari(joint_m, truth)
 
     return mc.mean_table(experiment, "s", s_grid, ("omni_shuffled", "single", "omni_matched"),

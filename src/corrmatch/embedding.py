@@ -19,6 +19,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .graphs import _check_same_size, as_finite, as_symmetric, check_count
+from .samplers import stream
 
 # Lanczos for the k = d + 1 leading eigenpairs beats a full eigh from
 # about n = 160 while k is at most n / 25. Measured (2-core VM, OpenBLAS,
@@ -50,7 +51,7 @@ def _leading_eigenpairs(a: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     k = d + 1
     if n >= _LANCZOS_MIN_N and k * _LANCZOS_N_PER_K <= n:
-        gen = np.random.default_rng(_LANCZOS_SEED)
+        gen = stream(_LANCZOS_SEED)
         try:
             # a C-ordered copy: a @ x rounds differently for a Fortran-ordered a,
             # and the embedding must depend on the values alone; a bare matvec

@@ -265,6 +265,7 @@ def fixed_error_counts(x: np.ndarray, y: np.ndarray, phi: np.ndarray) -> tuple[i
     and non-edges of phi(y); F_O counts edges of x that phi occludes but
     phi(y) restores.
     """
+    x, y = as_adjacency(x), as_adjacency(y)
     _check_same_size(x, y)
     px = apply_permutation(x, phi)
     py = apply_permutation(y, phi)

@@ -295,7 +295,10 @@ def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition)
     then row-major order), and best_delta its value. best_pair is None
     when no block has two vertices.
     """
+    a, b = as_adjacency(a), as_adjacency(b)
     _check_same_size(a, b)
+    if not isinstance(partition, BlockPartition) or partition.n != a.shape[0]:
+        raise ValueError(f"partition must be a BlockPartition of n={a.shape[0]}, got {partition!r}")
     ab = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)  # counts <= n: exact
     diag = np.diag(ab)
     full = diag[:, None] + diag[None, :] - ab - ab.T

@@ -1,9 +1,9 @@
 """Random generation of correlated graph pairs, latent positions, and shuffles.
 
-All sampling goes through :class:`RngStream`, a (master_seed, stream_id)
-pair hashed through numpy's SeedSequence into a PCG64 generator. The
-same stream always produces bit-identical output; distinct stream ids
-give independent streams, so Monte Carlo replicates can be drawn in any
+Every generator in the package comes from :func:`stream`, a seed and a
+key hashed through numpy's SeedSequence into a PCG64 generator. The
+same stream always produces bit-identical output; distinct keys give
+independent streams, so Monte Carlo replicates can be drawn in any
 order or in parallel.
 
 A correlated pair of Bernoulli(p), Bernoulli(q) indicators with Pearson
@@ -23,32 +23,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (ADJ_DTYPE, BlockPartition, _complement, as_finite, as_symmetric,
-                     as_vertex_ids, check_count, check_range, identity_permutation)
+                     as_vertex_ids, check_count, check_counts, check_range,
+                     identity_permutation)
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Deterministic, splittable random stream.
-
-    Generator derivation is pinned to
-    ``PCG64(SeedSequence(master_seed, spawn_key=(stream_id,)))``; the
-    SeedSequence hash is stable across platforms and numpy releases.
-    """
-
-    master_seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.master_seed, spawn_key=(self.stream_id,))
-        return np.random.Generator(np.random.PCG64(ss))
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """``Generator(PCG64(SeedSequence(seed, spawn_key=key)))``, for a seed
+    and key entries that are integers of at least 0. ``stream(seed)``
+    equals ``np.random.default_rng(seed)``; the SeedSequence hash is stable
+    across platforms and numpy releases."""
+    ss = np.random.SeedSequence(check_count("seed", seed, low=0),
+                                spawn_key=tuple(check_counts("key", key)))
+    return np.random.Generator(np.random.PCG64(ss))
 
 
 def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise ValueError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy Generator, got {type(rng)!r}")
+    return rng
 
 
 @dataclass(frozen=True)

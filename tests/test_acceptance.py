@@ -14,7 +14,6 @@ import numpy as np
 
 from corrmatch import (
     BlockPartition,
-    RngStream,
     SbmParams,
     apply_permutation,
     brute_force_pair_mi,
@@ -31,11 +30,13 @@ from corrmatch import (
     sample_rho_sbm,
     sample_uniform_permutation,
     solve_lap,
+    stream,
     transposition,
     transposition_delta,
     transposition_sweep,
 )
 from corrmatch.cli import main as cli_main
+from helpers import random_graph
 from pinned_runs import CRITERION_10_S_GRID, CRITERION_RUNS
 
 
@@ -43,12 +44,6 @@ def _criterion(num: int, name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {num:02d}] {status}  {name}  {detail}")
     assert ok, f"criterion {num} failed: {name} {detail}"
-
-
-def random_graph(n, p, rng):
-    u = rng.random((n, n))
-    a = np.triu((u < p).astype(np.int8), k=1)
-    return a + a.T
 
 
 def test_criterion_01_mi_oracle_equivalence():
@@ -106,7 +101,7 @@ def test_criterion_04_matchability_upper_side():
     for rho in (0.5, 1.0):
         equal = 0
         for rep in range(50):
-            gen = RngStream(104, rep + (0 if rho == 0.5 else 1000)).generator()
+            gen = stream(104, rep + (0 if rho == 0.5 else 1000))
             a, b = sample_rho_sbm(params, rho, gen)
             res = faq_match(a, b, init="identity")
             base = gm_objective(a, b, ident)
@@ -125,11 +120,11 @@ def test_criterion_05_matchability_lower_side():
     params = three_block_params()
     found_low = found_high = 0
     for rep in range(50):
-        gen = RngStream(105, rep).generator()
+        gen = stream(105, rep)
         a, b = sample_rho_sbm(params, 0.02, gen)
         found, _, _ = transposition_sweep(a, b, params.partition)
         found_low += int(found)
-        gen = RngStream(105, 1000 + rep).generator()
+        gen = stream(105, 1000 + rep)
         a, b = sample_rho_sbm(params, 0.9, gen)
         found, _, _ = transposition_sweep(a, b, params.partition)
         found_high += int(found)
@@ -142,7 +137,7 @@ def test_criterion_06_matching_induces_correlation():
     params = three_block_params()
     matched, shuffled = [], []
     for rep in range(100):
-        gen = RngStream(106, rep).generator()
+        gen = stream(106, rep)
         a, b = sample_rho_sbm(params, 0.0, gen)
         res = faq_match(a, b, init="identity")
         matched.append(sample_edge_correlation(a, apply_permutation(b, res.permutation)))
@@ -233,7 +228,7 @@ def test_criterion_11_numerical_invariants():
     em_ok = True
     for i in range(100):
         x = np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 2.0])
-        model, _ = fit_gmm(x, 2, RngStream(111, i), restarts=1)
+        model, _ = fit_gmm(x, 2, stream(111, i), restarts=1)
         t = model.loglik_trace
         em_ok = em_ok and all(t2 >= t1 - 1e-8 for t1, t2 in zip(t, t[1:]))
 

@@ -27,7 +27,7 @@ from corrmatch import (
 )
 from corrmatch.cli import _write_rows, build_parser, main
 from corrmatch.matching import read_permutation
-from corrmatch.samplers import RngStream
+from corrmatch.samplers import stream
 from helpers import traced_peak, write_seeds
 from pinned_runs import (CLI_RUNS, PINS, REAL_PAIR, SAMPLE_MATCH_RUNS, SMALL_SBM,
                          SMALL_SBM_CONFIG)
@@ -126,7 +126,7 @@ class TestSampleCommand:
 
 class TestMatchCommand:
     def test_self_match_identity(self, tmp_path, capsys):
-        gen = RngStream(1).generator()
+        gen = stream(1, 0)
         params = SbmParams(BlockPartition((12,)), np.array([[0.5]]))
         a, _ = sample_rho_sbm(params, 1.0, gen)
         path = str(tmp_path / "g.edg")
@@ -144,7 +144,7 @@ class TestMatchCommand:
 
     def test_planted_shuffle_with_seeds(self, tmp_path, capsys):
         from corrmatch import apply_permutation, er_params, identity_seeds, sample_subset_shuffle
-        gen = RngStream(2).generator()
+        gen = stream(2, 0)
         a, b = sample_rho_sbm(er_params(40, 0.3), 1.0, gen)
         sigma = sample_subset_shuffle(40, np.arange(6), 34, gen)
         b_sh = apply_permutation(b, sigma)
@@ -179,7 +179,7 @@ class TestMatchCommand:
         from corrmatch import apply_permutation, er_params, identity_seeds, sample_subset_shuffle
         n, s = 400, 20
         m = n - s
-        gen = RngStream(62).generator()
+        gen = stream(62, 0)
         a, b = sample_rho_sbm(er_params(n, 0.1), 0.6, gen)
         b = apply_permutation(b, sample_subset_shuffle(n, np.arange(s), m, gen))
         pa, pb, ps = (str(tmp_path / f) for f in ("a.edg", "b.edg", "seeds.txt"))
@@ -314,7 +314,7 @@ class TestClusterRealCommand:
     def synthetic_inputs(self, tmp_path):
         params = SbmParams(BlockPartition((14, 14)),
                            np.array([[0.7, 0.08], [0.08, 0.7]]))
-        gen = RngStream(11).generator()
+        gen = stream(11, 0)
         a, b = sample_rho_sbm(params, 0.6, gen)
         pa, pb = str(tmp_path / "a.edg"), str(tmp_path / "b.edg")
         pl = str(tmp_path / "lab.txt")
@@ -498,6 +498,10 @@ REJECTED = {
                                  "--shuffle", "subset", "--subset-size", "-3", "--out-a", "out",
                                  "--out-b", "out_b", "--out-perm", "out_perm"),
                                 "--subset-size value -3 is outside [0, 20]"),
+    # the seed is checked where the sample's streams are derived, before any file is written
+    "sample --seed -1": (("sample", "--model", "rho-er", "--config", "er.json", "--seed", "-1",
+                          "--out-a", "out", "--out-b", "out_b"),
+                         "seed value -1 is outside [0, inf)"),
     # config counts are integers, not truncated floats or bools
     "mi n float": (("mi", "--config", "n_float.json"), "n must be an integer, got 10.7"),
     "mi n bool": (("mi", "--config", "n_bool.json"), "n must be an integer, got True"),

@@ -4,7 +4,6 @@ from scipy.special import logsumexp
 
 from corrmatch import (
     BlockPartition,
-    RngStream,
     SbmParams,
     ari,
     ase,
@@ -16,14 +15,15 @@ from corrmatch import (
     sample_rho_sbm,
     shuffle_cluster_experiment,
     single_cluster,
+    stream,
 )
+from corrmatch import _parallel
 from corrmatch.clustering import _kmeanspp_centers
 from corrmatch.inference import (
     phase_transition_experiment,
     power_er_experiment,
     power_omni_experiment,
 )
-from corrmatch.samplers import _as_generator
 
 
 TWO_BLOCK_STRONG = SbmParams(BlockPartition((50, 50)),
@@ -60,7 +60,6 @@ def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6,
     0). Also returns every restart's trace."""
     x = np.asarray(points, dtype=np.float64)
     n, d = x.shape
-    gen = _as_generator(rng)
     eps = 1e-6 * float(np.var(x, axis=0).mean())
     if eps <= 0.0:
         eps = 1e-6
@@ -68,7 +67,7 @@ def reference_fit_gmm(points, k, rng, restarts=5, max_iters=200, tol=1e-6,
     best = None
     traces = []
     for _ in range(restarts):
-        centers = _kmeanspp_centers(x, k, gen)
+        centers = _kmeanspp_centers(x, k, rng)
         hard = np.argmin(((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
         weights = np.empty(k)
         means = np.empty((k, d))
@@ -137,7 +136,7 @@ class TestFitGmm:
     def test_single_component_moments(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(200, 2)) @ np.array([[1.0, 0.3], [0.0, 0.7]])
-        model, labels = fit_gmm(x, 1, RngStream(1), restarts=1)
+        model, labels = fit_gmm(x, 1, stream(1, 0), restarts=1)
         eps = 1e-6 * x.var(axis=0).mean()
         assert np.allclose(model.means[0], x.mean(axis=0), atol=1e-9)
         expected_cov = np.cov(x.T, bias=True) + eps * np.eye(2)
@@ -150,35 +149,35 @@ class TestFitGmm:
         b = rng.normal(size=(60, 2)) + 20.0
         x = np.vstack([a, b])
         truth = np.array([0] * 60 + [1] * 60)
-        _, labels = fit_gmm(x, 2, RngStream(3))
+        _, labels = fit_gmm(x, 2, stream(3, 0))
         assert ari(labels, truth) == 1.0
 
     def test_loglik_trace_nondecreasing(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.normal(size=(80, 2)) + rng.choice([0.0, 3.0], size=(80, 1))
-            model, _ = fit_gmm(x, 2, RngStream(5), restarts=2)
+            model, _ = fit_gmm(x, 2, stream(5, 0), restarts=2)
             trace = model.loglik_trace
             assert all(t2 >= t1 - 1e-8 for t1, t2 in zip(trace, trace[1:]))
 
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(50, 3))
-        model, _ = fit_gmm(x, 3, RngStream(7))
+        model, _ = fit_gmm(x, 3, stream(7, 0))
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert (model.weights >= 0).all()
 
     def test_deterministic_given_stream(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(60, 2))
-        m1, l1 = fit_gmm(x, 2, RngStream(9), restarts=3)
-        m2, l2 = fit_gmm(x, 2, RngStream(9), restarts=3)
+        m1, l1 = fit_gmm(x, 2, stream(9, 0), restarts=3)
+        m2, l2 = fit_gmm(x, 2, stream(9, 0), restarts=3)
         assert np.array_equal(l1, l2)
         assert m1.loglik == m2.loglik
 
     def test_k_bounds(self):
         with pytest.raises(ValueError):
-            fit_gmm(np.zeros((3, 2)), 4, RngStream(10))
+            fit_gmm(np.zeros((3, 2)), 4, stream(10, 0))
 
     @pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -1},
                                         {"max_iters": 0}, {"max_iters": -3},
@@ -189,12 +188,12 @@ class TestFitGmm:
     def test_rejects_nonpositive_counts(self, kwargs):
         x = np.random.default_rng(17).normal(size=(20, 2))
         with pytest.raises(ValueError, match=next(iter(kwargs))):
-            fit_gmm(x, **{"k": 2, "rng": RngStream(18), **kwargs})
+            fit_gmm(x, **{"k": 2, "rng": stream(18, 0), **kwargs})
 
     def test_rejects_fewer_than_two_points(self):
         # np.cov of one point is NaN: the fit came back with a NaN loglik
         with pytest.raises(ValueError, match="at least 2 points"):
-            fit_gmm(np.array([[1.0, 2.0]]), 1, RngStream(21))
+            fit_gmm(np.array([[1.0, 2.0]]), 1, stream(21, 0))
 
     @pytest.mark.parametrize("x, k", [
         (np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]]), 1),  # NaN loglik
@@ -204,14 +203,14 @@ class TestFitGmm:
     ])
     def test_rejects_points_whose_squares_overflow(self, x, k):
         with pytest.raises(ValueError, match="too spread out.*rescale"):
-            fit_gmm(x, k, RngStream(22))
+            fit_gmm(x, k, stream(22, 0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_points(self, bad):
         x = np.random.default_rng(19).normal(size=(20, 2))
         x[3, 1] = bad
         with pytest.raises(ValueError, match="finite"):
-            fit_gmm(x, 2, RngStream(20))
+            fit_gmm(x, 2, stream(20, 0))
 
 
 class TestFitGmmOracle:
@@ -226,15 +225,15 @@ class TestFitGmmOracle:
         for rep in range(3):
             n = int(rng.integers(max(k, 20), 90))
             x = rng.normal(size=(n, d)) + rng.choice([0.0, 2.5, 6.0], size=(n, 1))
-            model, labels = fit_gmm(x, k, RngStream(rep), restarts=3)
+            model, labels = fit_gmm(x, k, stream(rep, 0), restarts=3)
             ref_labels, weights, means, covs, trace, _ = reference_fit_gmm(
-                x, k, RngStream(rep), restarts=3)
+                x, k, stream(rep, 0), restarts=3)
             assert np.array_equal(labels, ref_labels)
             assert model.loglik_trace == trace
             assert np.array_equal(model.means, means)
             assert np.array_equal(model.covariances, covs)
             assert np.array_equal(model.weights, weights)
-            assert_independent_oracles(x, k, RngStream(rep), 3, 200, model, labels)
+            assert_independent_oracles(x, k, stream(rep, 0), 3, 200, model, labels)
 
     @staticmethod
     def _assert_matches_oracle(x, k, seed, restarts, max_iters):
@@ -282,16 +281,16 @@ class TestFitGmmOracle:
         params = SbmParams(BlockPartition((50, 50)),
                            np.array([[0.1, 0.05], [0.05, 0.2]]))
         for rep in range(3):
-            g1, g2 = sample_rho_sbm(params, 0.5, RngStream(rep).generator())
+            g1, g2 = sample_rho_sbm(params, 0.5, stream(rep, 0))
             z = ase(omnibus(g1, g2), 2)
-            model, labels = fit_gmm(z, 2, RngStream(rep), restarts=3)
-            ref_labels, _, means, covs, trace, _ = reference_fit_gmm(z, 2, RngStream(rep),
+            model, labels = fit_gmm(z, 2, stream(rep, 0), restarts=3)
+            ref_labels, _, means, covs, trace, _ = reference_fit_gmm(z, 2, stream(rep, 0),
                                                                      restarts=3)
             assert np.array_equal(labels, ref_labels)
             assert model.loglik_trace == trace
             assert np.array_equal(model.means, means)
             assert np.array_equal(model.covariances, covs)
-            assert_independent_oracles(z, 2, RngStream(rep), 3, 200, model, labels)
+            assert_independent_oracles(z, 2, stream(rep, 0), 3, 200, model, labels)
 
     def test_logsumexp_matches_scipy(self):
         rng = np.random.default_rng(21)
@@ -342,34 +341,34 @@ class TestAri:
 
 class TestJointCluster:
     def test_strong_signal_recovers_blocks(self):
-        gen = RngStream(12).generator()
+        gen = stream(12, 0)
         g1, g2 = sample_rho_sbm(TWO_BLOCK_STRONG, 0.8, gen)
-        labels_a, labels_b = joint_cluster(g1, g2, 2, 2, RngStream(13))
+        labels_a, labels_b = joint_cluster(g1, g2, 2, 2, stream(13, 0))
         truth = TWO_BLOCK_STRONG.partition.membership
         assert ari(labels_a, truth) >= 0.9
         assert labels_a.shape == (100,) and labels_b.shape == (100,)
 
     def test_nested_lists_read_like_arrays(self):
-        g1, g2 = sample_rho_sbm(TWO_BLOCK_STRONG, 0.8, RngStream(12).generator())
-        from_lists = joint_cluster(g1.tolist(), g2.tolist(), 2, 2, RngStream(13))
-        for labels, expected in zip(from_lists, joint_cluster(g1, g2, 2, 2, RngStream(13))):
+        g1, g2 = sample_rho_sbm(TWO_BLOCK_STRONG, 0.8, stream(12, 0))
+        from_lists = joint_cluster(g1.tolist(), g2.tolist(), 2, 2, stream(13, 0))
+        for labels, expected in zip(from_lists, joint_cluster(g1, g2, 2, 2, stream(13, 0))):
             assert np.array_equal(labels, expected)
         with pytest.raises(ValueError, match=r"^graph size mismatch: \(100, 100\) vs \(99, 99\)$"):
-            joint_cluster(g1, g2[:99, :99], 2, 2, RngStream(13))
+            joint_cluster(g1, g2[:99, :99], 2, 2, stream(13, 0))
 
     def test_vectors_rejected(self):
         # two length-n vectors used to broadcast into a 2n x 2n omnibus matrix
         with pytest.raises(ValueError, match=r"^a and b must be square matrices, got shape \(3,\)$"):
-            joint_cluster(np.zeros(3), np.zeros(3), 1, 1, RngStream(13))
+            joint_cluster(np.zeros(3), np.zeros(3), 1, 1, stream(13, 0))
 
     def test_single_graph_baseline_runs(self):
-        gen = RngStream(14).generator()
+        gen = stream(14, 0)
         g1, _ = sample_rho_sbm(TWO_BLOCK_STRONG, 0.5, gen)
-        labels = single_cluster(g1, 2, 2, RngStream(15))
+        labels = single_cluster(g1, 2, 2, stream(15, 0))
         assert ari(labels, TWO_BLOCK_STRONG.partition.membership) >= 0.9
 
     def test_embedding_pipeline_dimensions(self):
-        gen = RngStream(16).generator()
+        gen = stream(16, 0)
         g1, g2 = sample_rho_sbm(TWO_BLOCK_STRONG, 0.5, gen)
         x = ase(g1, 2)
         assert x.shape == (100, 2)
@@ -424,7 +423,7 @@ class TestClusterExperiments:
 
     def test_real_pair_read_from_nested_lists(self):
         fn, kwargs, _ = _SMALL_RUNS["cluster-real"]
-        g1, g2 = sample_rho_sbm(_SMALL_SBM, 0.5, RngStream(17).generator())
+        g1, g2 = sample_rho_sbm(_SMALL_SBM, 0.5, stream(17, 0))
         rows = fn(**{**kwargs, "a": g1.tolist(), "b": g2.tolist()})
         assert rows == fn(**{**kwargs, "a": g1, "b": g2})
 
@@ -534,10 +533,10 @@ class TestClusterExperiments:
     ])
     def test_every_experiment_rejects_zero_mc_reps(self, monkeypatch, name, bad, match):
         # every argument is checked before the first random draw
-        def no_draws(self):
+        def no_draws(*args):
             raise AssertionError("drew from a random stream before rejecting the input")
 
-        monkeypatch.setattr(RngStream, "generator", no_draws)
+        monkeypatch.setattr(_parallel, "stream", no_draws)
         fn, kwargs, _ = _SMALL_RUNS[name]
         with pytest.raises(ValueError, match=match):
             fn(**{**kwargs, **bad})

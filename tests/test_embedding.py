@@ -3,13 +3,13 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from corrmatch import (
-    RngStream,
     ase,
     empty_graph,
     omnibus,
     procrustes_align,
     sample_dirichlet_positions,
     scree_elbow,
+    stream,
     t1_semipar,
     t2_omni,
 )
@@ -35,7 +35,7 @@ class TestAse:
         assert np.allclose(x, 0.0)
 
     def test_exact_rank3_recovery(self):
-        lat = sample_dirichlet_positions(40, RngStream(1))
+        lat = sample_dirichlet_positions(40, stream(1, 0))
         p = lat @ lat.T
         x = ase(p, 3)
         assert np.linalg.norm(x @ x.T - p) < 1e-9
@@ -59,7 +59,7 @@ class TestAse:
     def test_top_d_beats_other_eigen_subsets_on_psd(self):
         # Eckart-Young on the PSD cone: top-d eigenpairs dominate any
         # other subset of the same size
-        lat = sample_dirichlet_positions(15, RngStream(4))
+        lat = sample_dirichlet_positions(15, stream(4, 0))
         p = lat @ lat.T + 0.5 * np.eye(15)
         x = ase(p, 2)
         best = np.linalg.norm(x @ x.T - p)
@@ -332,7 +332,7 @@ class TestStatistics:
         assert t1_semipar(a, a, 2) < 1e-9
 
     def test_t1_not_label_invariant(self):
-        gen = RngStream(12).generator()
+        gen = stream(12, 0)
         a, _ = sample_rho_sbm(er_params(30, 0.4), 0.0, gen)
         sigma = sample_uniform_permutation(30, gen)
         a_sh = apply_permutation(a, sigma)
@@ -340,7 +340,7 @@ class TestStatistics:
         assert t1_semipar(a, a_sh, 2) > 1e-3
 
     def test_t1_positive_for_independent(self):
-        gen = RngStream(13).generator()
+        gen = stream(13, 0)
         a, b = sample_rho_sbm(er_params(100, 0.5), 0.0, gen)
         assert t1_semipar(a, b, 2) > 0.0
 

@@ -289,6 +289,14 @@ class TestFixedErrorCounts:
             phi = rng.permutation(6)
             assert fixed_error_counts(x, y, phi) == _fixed_error_oracle(x, y, phi)
 
+    def test_reads_graphs_by_the_adjacency_rule(self):
+        rng = np.random.default_rng(16)
+        x, y = random_graph(5, 0.5, rng), random_graph(5, 0.5, rng)
+        phi = rng.permutation(5)
+        assert fixed_error_counts(x.tolist(), y.tolist(), phi) == fixed_error_counts(x, y, phi)
+        with pytest.raises(ValueError, match="^adjacency entries must be real 0 or 1$"):
+            fixed_error_counts(x, 2 * y, phi)
+
 
 class TestInvariantStatistics:
     def test_complete_graph(self):

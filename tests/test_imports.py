@@ -102,6 +102,39 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout == "[]\n"
 
 
+RNG_CONSTRUCTORS = {"default_rng", "SeedSequence", "PCG64"}
+
+
+def rng_constructors(source: str, skip: str | None = None) -> set[str]:
+    """The numpy generator constructors that ``source`` names, as a name,
+    an attribute or an import, outside its top-level function ``skip``."""
+    tree = ast.parse(source)
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.FunctionDef) and node.name == skip)]
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, (ast.Attribute, ast.alias)):
+            named.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    return named & RNG_CONSTRUCTORS
+
+
+def test_guard_flags_rng_constructors():
+    source = ("from numpy.random import PCG64\nimport numpy as np\n"
+              "def stream(s):\n    return np.random.SeedSequence(s)\n"
+              "def f():\n    return np.random.default_rng(0)\n")
+    assert rng_constructors(source) == RNG_CONSTRUCTORS
+    assert rng_constructors(source, skip="stream") == {"PCG64", "default_rng"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_streams_derived_only_by_stream(path):
+    # one rule derives every generator: samplers.stream
+    skip = "stream" if path.name == "samplers.py" else None
+    assert rng_constructors(path.read_text(), skip) == set()
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_imports_exist(path):
     missing = [f"{node.module}.{alias.name}" for node in ast.walk(ast.parse(path.read_text()))

@@ -30,7 +30,7 @@ from corrmatch import (
 from corrmatch import graphs, matching
 from corrmatch.graphs import BlockPartition, empty_graph, graph_from_edges
 from corrmatch.matching import MatchResult, _quadratic_step, _validate_seeds
-from corrmatch.samplers import RngStream
+from corrmatch.samplers import stream
 from helpers import complete_graph, random_graph, traced_peak, write_seeds
 
 
@@ -182,7 +182,7 @@ def _step_recorder(monkeypatch):
 def _shuffled_er_pairs():
     """(a, b, seeds, inits): correlated ER pairs with the non-seeds of b
     shuffled, at n in {60, 120}, p = 0.1 and rho in {0.3, 0.6}."""
-    gen = RngStream(60).generator()
+    gen = stream(60, 0)
     for n in (60, 120):
         for rho in (0.3, 0.6):
             a, b = sample_rho_sbm(er_params(n, 0.1), rho, gen)
@@ -200,7 +200,7 @@ def test_sgm_match_switches_regimes_bit_for_bit(monkeypatch):
     calls = _step_recorder(monkeypatch)
     # a dense pair whose run stops at a fractional iterate with t == 0, which
     # keeps the previous score
-    dense = sample_rho_sbm(er_params(20, 0.5), 0.3, RngStream(2).generator())
+    dense = sample_rho_sbm(er_params(20, 0.5), 0.3, stream(2, 0))
     cases = [*_shuffled_er_pairs(), (*dense, identity_seeds(np.arange(2)), ("identity",))]
     for a, b, seeds, inits in cases:
         for init in inits:
@@ -255,7 +255,7 @@ def test_working_set(monkeypatch):
     gradient, 8.2 with both graphs held in float64)."""
     n, s = 400, 20
     m = n - s
-    gen = RngStream(62).generator()
+    gen = stream(62, 0)
     a, b = sample_rho_sbm(er_params(n, 0.1), 0.6, gen)
     b = apply_permutation(b, sample_subset_shuffle(n, np.arange(s), m, gen))
     calls = _step_recorder(monkeypatch)
@@ -271,7 +271,7 @@ def test_narrow_seed_gradient_bit_for_bit(monkeypatch, n, s, p, rho):
     """The seed gradient is stored in the narrowest unsigned type that holds
     s: empty at s = 0, and uint16 past 255 seeds, where a dense pair has
     counts above 255. Runs with fractional steps match the oracle bit for bit."""
-    gen = RngStream(63).generator()
+    gen = stream(63, 0)
     a, b = sample_rho_sbm(er_params(n, p), rho, gen)
     b = apply_permutation(b, sample_subset_shuffle(n, np.arange(s), n - s, gen))
     seeds = identity_seeds(np.arange(s)) if s else None
@@ -434,7 +434,7 @@ class TestSgmMatch:
         assert res.converged
 
     def test_planted_shuffle_recovered_with_seeds(self):
-        gen = RngStream(8).generator()
+        gen = stream(8, 0)
         a, b = sample_rho_sbm(er_params(80, 0.3), 1.0, gen)
         sigma = sample_subset_shuffle(80, np.arange(10), 70, gen)
         b_sh = apply_permutation(b, sigma)
@@ -452,7 +452,7 @@ class TestSgmMatch:
         assert r1.objective_trace == r2.objective_trace
 
     def test_seeds_are_fixed_points(self):
-        gen = RngStream(10).generator()
+        gen = stream(10, 0)
         a, b = sample_rho_sbm(er_params(30, 0.4), 0.8, gen)
         sigma = sample_subset_shuffle(30, [2, 11, 17], 27, gen)
         b_sh = apply_permutation(b, sigma)
@@ -473,7 +473,7 @@ class TestSgmMatch:
             sgm_match(a, a, seeds=seeds)
 
     def test_permutation_init_with_seeds(self):
-        gen = RngStream(40).generator()
+        gen = stream(40, 0)
         a, b = sample_rho_sbm(er_params(30, 0.4), 1.0, gen)
         sigma = sample_subset_shuffle(30, [0, 1, 2], 27, gen)
         b_sh = apply_permutation(b, sigma)
@@ -482,7 +482,7 @@ class TestSgmMatch:
         assert res.objective == 0
 
     def test_permutation_init_must_respect_seeds(self):
-        gen = RngStream(41).generator()
+        gen = stream(41, 0)
         a, b = sample_rho_sbm(er_params(10, 0.5), 0.5, gen)
         bad = np.roll(np.arange(10), 1)  # maps a seed target onto a non-seed
         with pytest.raises(ValueError):
@@ -529,7 +529,7 @@ class TestAlignment:
         corr_matched = []
         corr_shuffled = []
         for i in range(10):
-            gen = RngStream(13, i).generator()
+            gen = stream(13, i)
             a, b = sample_rho_sbm(er_params(60, 0.4), 0.0, gen)
             sigma = sample_uniform_permutation(60, gen)
             b_sh = apply_permutation(b, sigma)
@@ -594,6 +594,16 @@ class TestTranspositionSweep:
         g = graph_from_edges(2, [(0, 1)])
         found, pair, delta = transposition_sweep(g, g, BlockPartition((1, 1)))
         assert not found and pair is None
+
+    def test_rejects_bad_input(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2)])
+        part = BlockPartition((2, 2))
+        assert transposition_sweep(g.tolist(), g.tolist(), part) == transposition_sweep(g, g, part)
+        with pytest.raises(ValueError, match="^adjacency entries must be real 0 or 1$"):
+            transposition_sweep(g, 0.5 * g, part)
+        for bad in (BlockPartition((2, 3)), (2, 2)):
+            with pytest.raises(ValueError, match="^partition must be a BlockPartition of n=4, "):
+                transposition_sweep(g, g, bad)
 
 
 class TestMatchingFiles:

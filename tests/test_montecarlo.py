@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from corrmatch import RngStream
+from corrmatch import stream
 from corrmatch._parallel import MonteCarlo, critical_rank, critical_value
 from pinned_runs import PINS, TINY_RUNS
 
@@ -35,8 +35,10 @@ def test_stream_block_capacity_is_inclusive():
 
 
 def _same_stream(gen, stream_id, master_seed):
-    return np.array_equal(gen.integers(2 ** 62, size=4),
-                          RngStream(master_seed, stream_id).generator().integers(2 ** 62, size=4))
+    # built from numpy directly, so the rule is pinned apart from stream itself
+    ref = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(master_seed, spawn_key=(stream_id,))))
+    return np.array_equal(gen.integers(2 ** 62, size=4), ref.integers(2 ** 62, size=4))
 
 
 def test_stream_ids_are_row_major_in_each_block():
@@ -80,25 +82,34 @@ class TestCriticalValue:
         assert crit == 0.0
 
     def test_uniform_null_quantile(self):
-        crit = critical_value(RngStream(6).generator().random(999), 0.05)
+        crit = critical_value(stream(6, 0).random(999), 0.05)
         assert abs(crit - 0.95) < 0.02
 
     def test_doubling_consistency(self):
-        crit1 = critical_value(RngStream(7).generator().random(999), 0.05)
-        crit2 = critical_value(RngStream(8).generator().random(1999), 0.05)
+        crit1 = critical_value(stream(7, 0).random(999), 0.05)
+        crit2 = critical_value(stream(8, 0).random(1999), 0.05)
         assert abs(crit1 - crit2) < 0.03
 
     def test_level_control(self):
         # calibrate then test fresh draws from the same null
         alpha = 0.05
-        crit = critical_value(RngStream(9).generator().random(999), alpha)
+        crit = critical_value(stream(9, 0).random(999), alpha)
         mc = 2000
-        rate = np.mean(RngStream(10).generator().random(mc) > crit)
+        rate = np.mean(stream(10, 0).random(mc) > crit)
         assert rate <= alpha + 3 * math.sqrt(alpha / mc)
 
     def test_insufficient_draws(self):
         with pytest.raises(ValueError):
             critical_value(np.zeros(50), 0.01)
+
+    def test_reads_draws_as_finite_reals(self):
+        draws = stream(11, 0).random((40, 2))
+        assert np.array_equal(critical_value(draws.tolist(), 0.05), critical_value(draws, 0.05))
+        for bad, match in ((draws.tolist() + [[np.nan, 0.0]], "^draws entries must be finite"),
+                           (draws + 0j, "^draws must hold real numbers"),
+                           (0.5, "^draws must hold one null draw per row, got a scalar$")):
+            with pytest.raises(ValueError, match=match):
+                critical_value(bad, 0.05)
 
 
 # 10**7 null draws fill the null stream block, so no run draws more

@@ -13,7 +13,6 @@ import pytest
 from corrmatch import (
     BlockPartition,
     HeterogeneousPair,
-    RngStream,
     SbmParams,
     anomaly_perturb,
     ase,
@@ -31,6 +30,7 @@ from corrmatch import (
     scree_elbow,
     sgm_match,
     solve_lap,
+    stream,
     t1_semipar,
     t2_omni,
 )
@@ -47,7 +47,7 @@ ROUTED = {
     "t1_semipar": (lambda m: t1_semipar(GOOD, m, 1), "b"),
     "omnibus": (lambda m: omnibus(m, GOOD), "a"),
     "procrustes_align": (lambda m: procrustes_align(GOOD, m), "y"),
-    "fit_gmm": (lambda m: fit_gmm(m, 1, RngStream(0)), "points"),
+    "fit_gmm": (lambda m: fit_gmm(m, 1, stream(0, 0)), "points"),
     "solve_lap": (solve_lap, "cost"),
     "SbmParams": (lambda m: SbmParams(BlockPartition((1, 1, 1)), m), "lambda"),
     "HeterogeneousPair p": (lambda m: HeterogeneousPair(m, GOOD, 0 * GOOD), "p"),
@@ -55,7 +55,7 @@ ROUTED = {
     "HeterogeneousPair rho": (lambda m: HeterogeneousPair(GOOD, GOOD, m), "rho"),
     "max_feasible_correlation": (lambda m: max_feasible_correlation(m, GOOD), "p"),
     "scree_elbow": (lambda m: scree_elbow(m.ravel()), "eigenvalues"),
-    "anomaly_perturb": (lambda m: anomaly_perturb(m, 1, 0.5, RngStream(0)), "x"),
+    "anomaly_perturb": (lambda m: anomaly_perturb(m, 1, 0.5, stream(0, 0)), "x"),
 }
 NAN = GOOD.copy()
 NAN[0, 1] = NAN[1, 0] = np.nan
@@ -161,14 +161,14 @@ SCALARS = {
     "bernoulli_pair_mi p": (lambda: bernoulli_pair_mi(0.5 + 0j, 0.1), "p"),
     "bernoulli_pair_mi rho": (lambda: bernoulli_pair_mi(0.5, np.complex128(0.1)), "rho"),
     "binary_entropy": (lambda: binary_entropy("0.5"), "p"),
-    "sample_rho_sbm": (lambda: sample_rho_sbm(er_params(4, 0.3), 0.5 + 0j, RngStream(0)),
+    "sample_rho_sbm": (lambda: sample_rho_sbm(er_params(4, 0.3), 0.5 + 0j, stream(0, 0)),
                        "rho"),
     "power_er_experiment": (lambda: power_er_experiment(p=0.4 + 0j, n=6, s_grid=(0,),
                                                         x_grid=(0,), mc_reps=2, n_null=20),
                             "p"),
     "sgm_match": (lambda: sgm_match(G3, G3, tol=1j), "tol"),
-    "fit_gmm": (lambda: fit_gmm(np.eye(3), 1, RngStream(0), tol="0"), "tol"),
-    "anomaly_perturb": (lambda: anomaly_perturb(np.eye(3), 1, np.complex64(0.2), RngStream(0)),
+    "fit_gmm": (lambda: fit_gmm(np.eye(3), 1, stream(0, 0), tol="0"), "tol"),
+    "anomaly_perturb": (lambda: anomaly_perturb(np.eye(3), 1, np.complex64(0.2), stream(0, 0)),
                         "w"),
     "check_range None": (lambda: check_range("v", (None,), 0), "v"),
     "mi_small_rho_ratio complex": (lambda: mi_small_rho_ratio(er_params(5, 0.3), 0.5j), "rho"),
@@ -207,11 +207,11 @@ def test_open_intervals_checked_as_real_ranges(call, message):
 
 def test_anomaly_perturb_reads_nested_lists_and_matrices_only():
     x = np.array([[0.2, 0.3, 0.5], [0.1, 0.1, 0.8]])
-    expected = anomaly_perturb(x, 1, 0.5, RngStream(0))
+    expected = anomaly_perturb(x, 1, 0.5, stream(0, 0))
     assert np.array_equal(x[0], [0.2, 0.3, 0.5])  # mixed in a copy
-    assert np.array_equal(anomaly_perturb(x.tolist(), 1, 0.5, RngStream(0)), expected)
+    assert np.array_equal(anomaly_perturb(x.tolist(), 1, 0.5, stream(0, 0)), expected)
     with pytest.raises(ValueError, match=r"^x must be an n x d matrix, got shape \(3,\)$"):
-        anomaly_perturb(x[0], 1, 0.5, RngStream(0))
+        anomaly_perturb(x[0], 1, 0.5, stream(0, 0))
 
 
 def test_rho_sbm_mi_checks_rho_without_vertex_pairs():
