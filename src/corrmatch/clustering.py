@@ -268,8 +268,7 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
         cluster_seed = int(gen.integers(2 ** 62))
         joint_a, _ = joint_cluster(a, b_sh, d, k, stream(cluster_seed), restarts=restarts)
         score_shuffled = ari(joint_a, truth)
-        score_single = ari(single_cluster(a, d, k, stream(cluster_seed),
-                                          restarts=restarts), truth)
+        score_single = ari(single_cluster(a, d, k, stream(cluster_seed), restarts=restarts), truth)
 
         res = sgm_match(a, b_sh, seeds=identity_seeds(seed_vertices))
         b_aligned = apply_permutation(b_sh, res.permutation)

@@ -1,10 +1,9 @@
 """Random generation of correlated graph pairs, latent positions, and shuffles.
 
-Every generator in the package comes from :func:`stream`, a seed and a
-key hashed through numpy's SeedSequence into a PCG64 generator. The
-same stream always produces bit-identical output; distinct keys give
-independent streams, so Monte Carlo replicates can be drawn in any
-order or in parallel.
+Every generator in the package comes from :func:`stream`, which hashes
+a seed and a key into a numpy generator. The same stream always
+produces bit-identical output; distinct keys give independent streams,
+so Monte Carlo replicates can be drawn in any order or in parallel.
 
 A correlated pair of Bernoulli(p), Bernoulli(q) indicators with Pearson
 correlation rho is drawn from the bivariate table

@@ -450,9 +450,6 @@ class TestStream:
                 np.random.SeedSequence(seed, spawn_key=key)))
             assert same(stream(seed, *key), ref), key
 
-    def test_bare_seed_is_not_key_zero(self):
-        assert stream(4).integers(2 ** 62) != stream(4, 0).integers(2 ** 62)
-
     @pytest.mark.parametrize("args, match", [
         pytest.param(args, match, id=repr(args)) for args, match in (
             ((-1,), r"^seed value -1 is outside \[0, inf\)$"),
