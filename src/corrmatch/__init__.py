@@ -6,7 +6,6 @@ from .graphs import (
     apply_permutation,
     as_adjacency,
     edge_disagreements,
-    empty_graph,
     fixed_error_counts,
     gm_objective,
     graph_from_edges,
@@ -40,8 +39,6 @@ from .samplers import (
 )
 from .information import (
     bernoulli_pair_mi,
-    binary_entropy,
-    block_pair_counts,
     brute_force_pair_mi,
     mi_small_rho_ratio,
     rho_sbm_mi,

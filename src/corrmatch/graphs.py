@@ -41,17 +41,13 @@ def as_adjacency(a) -> np.ndarray:
     return m.astype(ADJ_DTYPE, copy=False)
 
 
-def empty_graph(n: int) -> np.ndarray:
-    n = check_count("n", n, low=0)
-    return np.zeros((n, n), dtype=ADJ_DTYPE)
-
-
 def graph_from_edges(n: int, edges) -> np.ndarray:
-    """Adjacency from an (m, 2) array or a sequence of (u, v) pairs."""
+    """Adjacency from an (m, 2) array or a sequence of (u, v) pairs; () gives the empty graph."""
+    n = check_count("n", n, low=0)
     u, v = as_vertex_ids("edges", edges, n).reshape(-1, 2).T
     if (u == v).any():
         raise ValueError(f"self-loop {u[u == v][0]}")
-    a = empty_graph(n)
+    a = np.zeros((n, n), dtype=ADJ_DTYPE)
     a[u, v] = 1
     a[v, u] = 1
     return a
@@ -84,8 +80,15 @@ def is_permutation(phi: np.ndarray) -> bool:
     return bool(np.array_equal(np.sort(phi), np.arange(n)))
 
 
-def invert_permutation(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=np.int64)
+def invert_permutation(phi) -> np.ndarray:
+    phi = as_vertex_ids("phi", phi)
+    if not is_permutation(phi):
+        raise ValueError("phi is not a bijection of [n]")
+    return _inverse(phi)
+
+
+def _inverse(phi: np.ndarray) -> np.ndarray:
+    """Inverse of an int64 array already known to be a permutation."""
     inv = np.empty_like(phi)
     inv[phi] = np.arange(phi.shape[0], dtype=np.int64)
     return inv
@@ -189,12 +192,10 @@ def apply_permutation(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
     Equals P_phi G P_phi^T for the permutation matrix of phi.
     """
-    phi = as_vertex_ids("phi", phi)
-    if phi.shape[0] != g.shape[0]:
-        raise ValueError(f"permutation length {phi.shape[0]} != n {g.shape[0]}")
-    if not is_permutation(phi):
-        raise ValueError("phi is not a bijection of [n]")
-    return _gather(g, invert_permutation(phi))
+    inv = invert_permutation(phi)
+    if inv.shape[0] != g.shape[0]:
+        raise ValueError(f"permutation length {inv.shape[0]} != n {g.shape[0]}")
+    return _gather(g, inv)
 
 
 # -- matching objectives ----------------------------------------------------

@@ -23,6 +23,7 @@ validate the formula and is only usable for tiny n.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -31,9 +32,8 @@ from .graphs import check_range
 from .samplers import SbmParams
 
 
-def binary_entropy(p: float) -> float:
-    """h(p) = -p log p - (1-p) log(1-p) in nats, with 0 log 0 = 0."""
-    check_range("p", (p,), 0, 1)
+def _binary_entropy(p: float) -> float:
+    """h(p) = -p log p - (1-p) log(1-p) in nats, with 0 log 0 = 0, for a checked p."""
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
@@ -46,7 +46,7 @@ def bernoulli_pair_mi(p: float, rho: float) -> float:
     if p == 0.0 or p == 1.0 or rho == 0.0:
         return 0.0
     if rho == 1.0:
-        return binary_entropy(p)
+        return _binary_entropy(p)
     q = 1.0 - p
     return _scaled_f(p, rho * q) + _scaled_f(q, rho * p) + 2.0 * p * q * _scaled_f(1.0, -rho)
 
@@ -61,22 +61,15 @@ def _scaled_f(a: float, c: float) -> float:
     return a * (a + c) * log - a * c
 
 
-def block_pair_counts(params: SbmParams) -> list[tuple[int, int, int]]:
-    """Pair multiplicities (i, j, n_ij) for i <= j; they sum to C(n, 2)."""
-    sizes = params.partition.sizes
-    k = len(sizes)
-    out = []
-    for i in range(k):
-        out.append((i, i, sizes[i] * (sizes[i] - 1) // 2))
-        for j in range(i + 1, k):
-            out.append((i, j, sizes[i] * sizes[j]))
-    return out
-
-
 def _block_sum(params: SbmParams, per_pair) -> float:
     """sum_{i<=j} n_ij * per_pair(lam_ij), in block order."""
-    return sum((nij * per_pair(float(params.lam[i, j]))
-                for i, j, nij in block_pair_counts(params) if nij), 0.0)
+    sizes = params.partition.sizes
+    terms = []
+    for i, j in itertools.combinations_with_replacement(range(len(sizes)), 2):
+        nij = sizes[i] * sizes[j] if i < j else sizes[i] * (sizes[i] - 1) // 2
+        if nij:
+            terms.append(nij * per_pair(float(params.lam[i, j])))
+    return sum(terms, 0.0)
 
 
 def rho_sbm_mi(params: SbmParams, rho: float) -> float:
@@ -87,7 +80,7 @@ def rho_sbm_mi(params: SbmParams, rho: float) -> float:
 
 def sbm_entropy(params: SbmParams) -> float:
     """H(G1) in nats under edgewise independence."""
-    return _block_sum(params, binary_entropy)
+    return _block_sum(params, _binary_entropy)
 
 
 def mi_small_rho_ratio(params: SbmParams, rho: float) -> float:

@@ -52,6 +52,7 @@ from .graphs import (
     _check_same_size,
     _complement,
     _gather,
+    _inverse,
     _read_int_lines,
     _write_int_lines,
     as_adjacency,
@@ -59,7 +60,6 @@ from .graphs import (
     as_vertex_ids,
     check_count,
     check_range,
-    invert_permutation,
     is_permutation,
     trace_objective,
 )
@@ -158,7 +158,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     def permuted_product(cols: np.ndarray) -> np.ndarray:
         """A*P*B for the permutation matrix P with a 1 at (i, cols[i]): counts
         of at most m < 2**24, exact in float32 in any summation order."""
-        return a22[:, invert_permutation(cols)].astype(np.float32) @ b22.astype(np.float32)
+        return a22[:, _inverse(cols)].astype(np.float32) @ b22.astype(np.float32)
 
     def fractional_product(x: np.ndarray) -> np.ndarray:
         """(A*X)*B in float64, for a fractional X."""
@@ -240,7 +240,7 @@ def sgm_match(a: np.ndarray, b: np.ndarray, seeds=None, init="barycenter",
     match = np.empty(n, dtype=np.int64)  # a-vertex -> b-vertex
     match[ra[:s]] = rb[:s]
     match[free_a] = rb[s + proj]
-    phi = invert_permutation(match)
+    phi = _inverse(match)
     trace_value = trace_objective(a, b, phi)
     return MatchResult(
         permutation=phi,
@@ -274,7 +274,7 @@ def _initial_iterate(init, m: int, n: int, ra: np.ndarray, rb: np.ndarray,
         raise ValueError("init permutation must be a bijection of [n]")
     pos_b = np.full(n, -1, dtype=np.int64)
     pos_b[rb[s:]] = np.arange(m)
-    cols = pos_b[invert_permutation(arr)[ra[s:]]]
+    cols = pos_b[_inverse(arr)[ra[s:]]]
     if (cols < 0).any():
         raise ValueError("init permutation must map non-seeds to non-seed targets")
     return cols, None

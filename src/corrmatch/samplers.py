@@ -114,10 +114,6 @@ class HeterogeneousPair:
                         ("given_edge", given_edge), ("given_non_edge", given_non_edge)):
             object.__setattr__(self, name, m)
 
-    @property
-    def n(self) -> int:
-        return self.p_matrix.shape[0]
-
 
 def max_feasible_correlation(p, q):
     """Largest correlation admitting a valid bivariate Bernoulli(p, q) table.

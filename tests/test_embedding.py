@@ -4,7 +4,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from corrmatch import (
     ase,
-    empty_graph,
+    graph_from_edges,
     omnibus,
     procrustes_align,
     sample_dirichlet_positions,
@@ -31,7 +31,7 @@ class TestAse:
         assert np.allclose(x, np.sqrt(3) / 2, atol=1e-12)
 
     def test_empty_graph_zero(self):
-        x = ase(empty_graph(5), 3)
+        x = ase(graph_from_edges(5, ()), 3)
         assert np.allclose(x, 0.0)
 
     def test_exact_rank3_recovery(self):
@@ -72,12 +72,12 @@ class TestAse:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            ase(empty_graph(3), 4)
+            ase(graph_from_edges(3, ()), 4)
         with pytest.raises(ValueError):
             ase(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
         for bad in (0, 2.5, True):
             with pytest.raises(ValueError, match="d value 0 is outside|d must be an integer"):
-                ase(empty_graph(3), bad)
+                ase(graph_from_edges(3, ()), bad)
 
     def test_symmetry_tolerance(self):
         rng = np.random.default_rng(19)
@@ -264,7 +264,7 @@ class TestOmnibus:
         assert np.array_equal(o[6:, 6:], a)
 
     def test_empty_pair(self):
-        assert np.allclose(omnibus(empty_graph(4), empty_graph(4)), 0.0)
+        assert np.allclose(omnibus(graph_from_edges(4, ()), graph_from_edges(4, ())), 0.0)
 
     def test_offdiag_blocks_are_averages(self):
         rng = np.random.default_rng(6)
@@ -278,7 +278,7 @@ class TestOmnibus:
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            omnibus(empty_graph(3), empty_graph(4))
+            omnibus(graph_from_edges(3, ()), graph_from_edges(4, ()))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2), ()])
     def test_not_square_rejected(self, shape):

@@ -9,7 +9,6 @@ from corrmatch import (
     apply_permutation,
     as_adjacency,
     edge_disagreements,
-    empty_graph,
     fixed_error_counts,
     gm_objective,
     graph_from_edges,
@@ -78,6 +77,16 @@ class TestApplyPermutation:
         with pytest.raises(ValueError, match=match):
             apply_permutation(PATH3, np.array(phi))
 
+    @pytest.mark.parametrize("phi, match", [([0, 0, 1], r"^phi is not a bijection of \[n\]$"),
+                                            ([0, 0, 5], r"^phi is not a bijection of \[n\]$"),
+                                            ([[0, 1], [1, 0]], r"^phi is not a bijection of \[n\]$"),
+                                            ([0.0, 1.0, 2.0], "^phi must be a sequence of integer")],
+                             ids=["repeat", "out-of-range", "2-D", "float"])
+    def test_inverse_rejects_bad_permutation(self, phi, match):
+        # unchecked, [0, 0, 1] gave uninitialised memory and [0, 0, 5] an IndexError
+        with pytest.raises(ValueError, match=match):
+            invert_permutation(phi)
+
 
 @pytest.mark.parametrize("edges, match", [([(0.5, 2)], "edges must be a sequence"),
                                           ([(True, 2)], "edges must be a sequence"),
@@ -117,7 +126,7 @@ class TestObjectives:
         assert trace_objective(g, g, identity_permutation(4)) == 6
 
     def test_trace_empty(self):
-        assert trace_objective(empty_graph(5), complete_graph(5), identity_permutation(5)) == 0
+        assert trace_objective(graph_from_edges(5, ()), complete_graph(5), identity_permutation(5)) == 0
 
     def test_frobenius_trace_identity(self):
         rng = np.random.default_rng(6)
@@ -131,7 +140,7 @@ class TestObjectives:
 
     def test_edge_disagreements(self):
         assert edge_disagreements(PATH3, PATH3) == 0
-        assert edge_disagreements(complete_graph(3), empty_graph(3)) == 3
+        assert edge_disagreements(complete_graph(3), graph_from_edges(3, ())) == 3
         assert edge_disagreements(PATH3, CHERRY3) == 2
 
     def test_disagreements_equal_half_objective(self):
@@ -194,10 +203,10 @@ class TestSampleEdgeCorrelation:
     @pytest.mark.parametrize("n", [0, 1])
     def test_needs_two_vertices(self, n):
         with pytest.raises(ValueError, match="n >= 2"):
-            sample_edge_correlation(empty_graph(n), empty_graph(n))
+            sample_edge_correlation(graph_from_edges(n, ()), graph_from_edges(n, ()))
 
     def test_zero_variance_convention(self):
-        assert sample_edge_correlation(empty_graph(4), PATH3.copy() if False else graph_from_edges(4, [(0, 1)])) == 0.0
+        assert sample_edge_correlation(graph_from_edges(4, ()), graph_from_edges(4, [(0, 1)])) == 0.0
         assert sample_edge_correlation(complete_graph(4), graph_from_edges(4, [(0, 1)])) == 0.0
 
 
@@ -270,7 +279,7 @@ class TestFixedErrorCounts:
         rng = np.random.default_rng(11)
         y = random_graph(5, 0.6, rng)
         phi = rng.permutation(5)
-        fa, fo = fixed_error_counts(empty_graph(5), y, phi)
+        fa, fo = fixed_error_counts(graph_from_edges(5, ()), y, phi)
         assert fa == 0 and fo == 0
 
     def test_small_case_against_oracle(self):
@@ -327,7 +336,7 @@ class TestInvariantStatistics:
         g = random_graph(12, 0.5, rng)
         assert isinstance(triangle_count(g), int)
 
-    @pytest.mark.parametrize("g", [empty_graph(0), empty_graph(1), complete_graph(2),
+    @pytest.mark.parametrize("g", [graph_from_edges(0, ()), graph_from_edges(1, ()), complete_graph(2),
                                    complete_graph(3), PATH3, complete_graph(200)]
                              + [random_graph(n, 0.5, np.random.default_rng(n))
                                 for n in (4, 9, 30, 61)])
@@ -392,7 +401,7 @@ class TestValidation:
                              ids=["float", "bool", "negative"])
     def test_vertex_count_rejected(self, n, match):
         # unchecked, n = 2.5 gave a permutation of 3 vertices
-        for make in (empty_graph, identity_permutation, lambda n: transposition(n, 0, 1)):
+        for make in (lambda n: graph_from_edges(n, ()), identity_permutation, lambda n: transposition(n, 0, 1)):
             with pytest.raises(ValueError, match=match):
                 make(n)
 
@@ -453,7 +462,7 @@ class TestFileFormats:
     def test_writers_bytes(self, tmp_path):
         path = tmp_path / "out.txt"
         for write, value, text in ((write_edgelist, PATH3, "# n=3\n0 1\n1 2\n"),
-                                   (write_edgelist, empty_graph(2), "# n=2\n"),
+                                   (write_edgelist, graph_from_edges(2, ()), "# n=2\n"),
                                    (write_labels, [3, 1], "3\n1\n"),
                                    (write_permutation, np.array([1, 0]), "1\n0\n")):
             write(path, value)

@@ -3,7 +3,8 @@ demo uses each name it imports; ``__init__.py`` only re-exports, and
 ``from __future__`` imports are directives, so both are exempt. Every
 name a demo imports from corrmatch exists, since the suite does not run
 the demos. Every name the package re-exports has a use outside the unit
-tests, and importing it leaves scipy.stats unloaded. perfbench's tracer
+tests and outside the module that defines it, and importing the package
+leaves scipy.stats unloaded. perfbench's tracer
 binds every function it wraps."""
 
 import ast
@@ -25,8 +26,14 @@ CHECKED = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # criteria and the benchmark.
 USERS = (sorted(SRC.glob("*.py")) + DEMOS + [TESTS / "test_acceptance.py"]
          + sorted((TESTS.parent / "perfbench").glob("*.py")))
-# Computes the paper's fixed addition/occlusion counts; an oracle tests it.
-UNUSED_EXPORTS_KEPT = {"fixed_error_counts"}
+# Exports that nothing outside their own module and the unit tests uses, and why each stays.
+UNUSED_EXPORTS_KEPT = {
+    "fixed_error_counts": "the paper's fixed addition/occlusion counts; an oracle tests it",
+    "bernoulli_pair_mi": "the paper's per-pair closed form, which rho_sbm_mi sums",
+    "graph_from_edges": "the graph constructor; graph_from_edges(n, ()) is the empty graph",
+    "GmmModel": "the return type of fit_gmm",
+    "MatchResult": "the return type of sgm_match and faq_match",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -84,12 +91,15 @@ def test_guard_skips_a_name_inside_its_own_definition():
 
 
 def test_every_export_used_outside_unit_tests():
+    # a use inside the module that defines the name does not count
     tree = ast.parse((SRC / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    used = set().union(*(used_names(path.read_text()) for path in USERS))
-    assert UNUSED_EXPORTS_KEPT <= exported
-    assert sorted(exported - used) == sorted(UNUSED_EXPORTS_KEPT)
+    home = {alias.asname or alias.name: SRC / f"{node.module}.py" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    uses = {path: used_names(path.read_text()) for path in USERS}
+    unused = [name for name in home
+              if not any(name in used for path, used in uses.items() if path != home[name])]
+    assert UNUSED_EXPORTS_KEPT.keys() <= home.keys()
+    assert sorted(unused) == sorted(UNUSED_EXPORTS_KEPT)
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from corrmatch import (
     apply_permutation,
-    empty_graph,
     invariant_stat,
     paired_z,
     phase_transition_experiment,
@@ -44,14 +43,14 @@ class TestPooledZ:
         assert pooled_z(a, b) == pooled_z(b, a)
 
     def test_degenerate_density(self):
-        assert pooled_z(empty_graph(4), empty_graph(4)) == 0.0
+        assert pooled_z(graph_from_edges(4, ()), graph_from_edges(4, ())) == 0.0
         assert pooled_z(complete_graph(4), complete_graph(4)) == 0.0
 
     @pytest.mark.parametrize("stat", [pooled_z, paired_z])
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_vertices_rejected(self, stat, n):
         with pytest.raises(ValueError, match="n >= 2"):
-            stat(empty_graph(n), empty_graph(n))
+            stat(graph_from_edges(n, ()), graph_from_edges(n, ()))
 
 
 # The pooled test's critical value is ndtri(1 - alpha/2); scipy.stats is the oracle.
@@ -114,14 +113,14 @@ class TestInvariantStat:
 
     def test_k4_vs_empty(self):
         k4 = complete_graph(4)
-        e4 = empty_graph(4)
+        e4 = graph_from_edges(4, ())
         assert invariant_stat(k4, e4, "max_degree") == 3.0
         assert invariant_stat(k4, e4, "triangles") == 4.0
         assert invariant_stat(k4, e4, "spectral") == pytest.approx(3.0, abs=1e-9)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            invariant_stat(empty_graph(2), empty_graph(2), "girth")
+            invariant_stat(graph_from_edges(2, ()), graph_from_edges(2, ()), "girth")
 
 
 class TestPhaseTransitionExperiment:

@@ -28,7 +28,7 @@ from corrmatch import (
     write_permutation,
 )
 from corrmatch import graphs, matching
-from corrmatch.graphs import BlockPartition, empty_graph, graph_from_edges
+from corrmatch.graphs import BlockPartition, graph_from_edges
 from corrmatch.matching import MatchResult, _quadratic_step, _validate_seeds
 from corrmatch.samplers import stream
 from helpers import complete_graph, random_graph, traced_peak, write_seeds
@@ -121,7 +121,8 @@ def _oracle_cases():
     pairs, the three kinds of init and early, late and capped stops."""
     rng = np.random.default_rng(30)
     for n in (1, 2, 5, 13, 40):
-        pairs = ((empty_graph(n), empty_graph(n)), (complete_graph(n), complete_graph(n)),
+        pairs = ((graph_from_edges(n, ()), graph_from_edges(n, ())),
+                 (complete_graph(n), complete_graph(n)),
                  (complete_graph(n), random_graph(n, 0.5, rng)),
                  sample_rho_sbm(er_params(n, 0.4), 0.8, rng),
                  (random_graph(n, 0.3, rng), random_graph(n, 0.3, rng)))

@@ -17,7 +17,6 @@ from corrmatch import (
     anomaly_perturb,
     ase,
     bernoulli_pair_mi,
-    binary_entropy,
     er_params,
     fit_gmm,
     max_feasible_correlation,
@@ -133,7 +132,8 @@ def test_lambda_asymmetry_of_1e_10_rejected():
 
 def test_empty_models_accepted():
     assert SbmParams(BlockPartition(()), np.zeros((0, 0))).n == 0
-    assert HeterogeneousPair(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0))).n == 0
+    assert HeterogeneousPair(np.zeros((0, 0)), np.zeros((0, 0)),
+                             np.zeros((0, 0))).p_matrix.shape == (0, 0)
 
 
 class TestHeterogeneousRho:
@@ -160,7 +160,6 @@ G3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=np.int8)
 SCALARS = {
     "bernoulli_pair_mi p": (lambda: bernoulli_pair_mi(0.5 + 0j, 0.1), "p"),
     "bernoulli_pair_mi rho": (lambda: bernoulli_pair_mi(0.5, np.complex128(0.1)), "rho"),
-    "binary_entropy": (lambda: binary_entropy("0.5"), "p"),
     "sample_rho_sbm": (lambda: sample_rho_sbm(er_params(4, 0.3), 0.5 + 0j, stream(0, 0)),
                        "rho"),
     "power_er_experiment": (lambda: power_er_experiment(p=0.4 + 0j, n=6, s_grid=(0,),
