@@ -401,7 +401,8 @@ class TestValidation:
                              ids=["float", "bool", "negative"])
     def test_vertex_count_rejected(self, n, match):
         # unchecked, n = 2.5 gave a permutation of 3 vertices
-        for make in (lambda n: graph_from_edges(n, ()), identity_permutation, lambda n: transposition(n, 0, 1)):
+        for make in (lambda n: graph_from_edges(n, ()), lambda n: graph_from_edges(n, [(0, 1)]),
+                     identity_permutation, lambda n: transposition(n, 0, 1)):
             with pytest.raises(ValueError, match=match):
                 make(n)
 
