@@ -5,9 +5,9 @@ power-omni | cluster}, cluster-real. Every command is deterministic
 given --seed; experiment outputs are fixed-schema CSV (or JSON with
 --format json) plus a .meta.json sidecar echoing the configuration.
 Config files are JSON objects; for sample and mi, explicit flags
-override config fields. Each exp experiment has its own parser whose
-flag dests are the keyword arguments of the library function it calls;
-its --config supplies the model only.
+override config fields. Each exp experiment has its own parser, which
+carries the library function it calls as `run` and whose flag dests
+are that function's keyword arguments; its --config supplies the model only.
 """
 
 from __future__ import annotations
@@ -210,27 +210,23 @@ def _cmd_mi(args) -> int:
 
 
 # Parsed values of an exp experiment that are not arguments of its library call.
-_EXP_CLI_ONLY = ("command", "experiment", "func", "format", "output")
+_EXP_CLI_ONLY = ("command", "experiment", "func", "run", "format", "output")
 
 
 def _cmd_exp(args) -> int:
     kwargs = {k: v for k, v in vars(args).items() if k not in _EXP_CLI_ONLY}
-    table = args.experiment
-    if table == "cluster":
+    run = args.run
+    if args.experiment == "cluster":
         # --seeds-grid selects the shuffle table; each mode drops the other's flags
         shuffle = args.s_grid is not None
         if not shuffle and args.rho is not None:
             raise ValueError("exp cluster reads --rho only with --seeds-grid")
-        table = "cluster-shuffle" if shuffle else "cluster-gain"
         for unused in (("rho_grid",) if shuffle else ("rho", "s_grid")):
             del kwargs[unused]
-        if shuffle and args.rho is None:
-            kwargs["rho"] = 0.5  # the shuffle table's default
-    run = {"phase-transition": phase_transition_experiment,
-           "power-er": power_er_experiment,
-           "power-omni": power_omni_experiment,
-           "cluster-gain": cluster_gain_experiment,
-           "cluster-shuffle": shuffle_cluster_experiment}[table]
+        if shuffle:
+            run = shuffle_cluster_experiment
+            if args.rho is None:
+                kwargs["rho"] = 0.5  # the shuffle table's default
     rows = run(**kwargs)
 
     config = {k: v for k, v in kwargs.items() if k != "master_seed"}
@@ -330,20 +326,20 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("exp", help="run an experiment and write its table")
     experiments = pe.add_subparsers(dest="experiment", required=True)
 
-    def experiment(name: str, mc_reps: int) -> argparse.ArgumentParser:
+    def experiment(name: str, run, mc_reps: int) -> argparse.ArgumentParser:
         px = experiments.add_parser(name, parents=[common, table])
         px.add_argument("--mc", dest="mc_reps", type=int, default=mc_reps,
                         help="Monte Carlo replicates")
-        px.set_defaults(func=_cmd_exp)
+        px.set_defaults(func=_cmd_exp, run=run)
         return px
 
     model_help = "JSON model file: exactly sizes/lambda or n/p"
-    pt = experiment("phase-transition", 200)
+    pt = experiment("phase-transition", phase_transition_experiment, 200)
     pt.add_argument("--config", dest="params", metavar="FILE", type=_exp_model,
                     default=three_block_params(), help=model_help)
     pt.add_argument("--rho-grid", type=floats, default=PHASE_RHO_GRID)
 
-    pp = experiment("power-er", 500)
+    pp = experiment("power-er", power_er_experiment, 500)
     pp.add_argument("--p", type=float, default=0.4)
     pp.add_argument("--q", type=float, default=0.375)
     pp.add_argument("--n", type=int, default=50)
@@ -354,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--n-null", type=int, default=999)
     pp.add_argument("--null-p", dest="null_edge_p", type=float, default=None)
 
-    po = experiment("power-omni", 100)
+    po = experiment("power-omni", power_omni_experiment, 100)
     po.add_argument("--n", type=int, default=100)
     po.add_argument("--d", type=int, default=3)
     po.add_argument("--anomalous", dest="num_anomalous", type=int, default=20)
@@ -364,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--n-null", type=int, default=999)
     po.add_argument("--redraw-latents", action="store_true")
 
-    pc = experiment("cluster", 200)
+    pc = experiment("cluster", cluster_gain_experiment, 200)  # --seeds-grid: the shuffle table
     pc.add_argument("--config", dest="params", metavar="FILE", type=_exp_model, help=model_help,
                     default=SbmParams(BlockPartition((50, 50)),
                                       np.array([[0.1, 0.05], [0.05, 0.2]])))

@@ -23,16 +23,10 @@ import numpy as np
 
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import (_check_same_size, apply_permutation, as_adjacency, as_finite,
-                     as_vertex_ids, check_count, check_counts, check_range)
-from .samplers import (
-    SbmParams,
-    _as_generator,
-    sample_rho_sbm,
-    sample_subset_shuffle,
-    stream,
-)
-from .matching import identity_seeds, sgm_match
+from .graphs import (_check_same_size, as_adjacency, as_finite, as_vertex_ids, check_count,
+                     check_counts, check_range)
+from .samplers import SbmParams, _as_generator, sample_rho_sbm, stream
+from .matching import _shuffle_and_match
 
 
 @dataclass(frozen=True)
@@ -263,15 +257,11 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:
         a, b = draw_pair(gen)
         seed_vertices = np.sort(gen.choice(n, size=s, replace=False))
-        sigma = sample_subset_shuffle(n, seed_vertices, n - s, gen)
-        b_sh = apply_permutation(b, sigma)
+        b_sh, b_aligned = _shuffle_and_match(a, b, seed_vertices, n - s, gen)
         cluster_seed = int(gen.integers(2 ** 62))
         joint_a, _ = joint_cluster(a, b_sh, d, k, stream(cluster_seed), restarts=restarts)
         score_shuffled = ari(joint_a, truth)
         score_single = ari(single_cluster(a, d, k, stream(cluster_seed), restarts=restarts), truth)
-
-        res = sgm_match(a, b_sh, seeds=identity_seeds(seed_vertices))
-        b_aligned = apply_permutation(b_sh, res.permutation)
         joint_m, _ = joint_cluster(a, b_aligned, d, k, stream(cluster_seed), restarts=restarts)
         return score_shuffled, score_single, ari(joint_m, truth)
 

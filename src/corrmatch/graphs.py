@@ -44,7 +44,7 @@ def as_adjacency(a) -> np.ndarray:
 def graph_from_edges(n: int, edges) -> np.ndarray:
     """Adjacency from an (m, 2) array or a sequence of (u, v) pairs; () gives the empty graph."""
     n = check_count("n", n, low=0)
-    u, v = as_vertex_ids("edges", edges, n).reshape(-1, 2).T
+    u, v = as_vertex_pairs("edges", edges, n).T
     if (u == v).any():
         raise ValueError(f"self-loop {u[u == v][0]}")
     a = np.zeros((n, n), dtype=ADJ_DTYPE)
@@ -175,6 +175,14 @@ def as_vertex_ids(name: str, values, n: int | None = None) -> np.ndarray:
     if n is not None and arr.size:
         check_range(name, (arr.min(), arr.max()), 0, n - 1)
     return arr.astype(np.int64, copy=False)
+
+
+def as_vertex_pairs(name: str, values, n: int) -> np.ndarray:
+    """``values`` as an (m, 2) array of ``as_vertex_ids`` in [0, n); empty input gives m = 0."""
+    arr = as_vertex_ids(name, values, n)
+    if arr.size and (arr.ndim != 2 or arr.shape[1] != 2):
+        raise ValueError(f"{name} must be an array of (u, v) pairs")
+    return arr.reshape(-1, 2)
 
 
 def check_counts(name: str, values, high: float = math.inf) -> list[int]:

@@ -37,7 +37,7 @@ from .graphs import (
     spectral_norm,
     triangle_count,
 )
-from .matching import faq_match, identity_seeds, sgm_match
+from .matching import _shuffle_and_match, faq_match, identity_seeds, sgm_match
 from .samplers import (
     BlockPartition,
     HeterogeneousPair,
@@ -48,7 +48,6 @@ from .samplers import (
     sample_correlated_heterogeneous,
     sample_dirichlet_positions,
     sample_rho_sbm,
-    sample_subset_shuffle,
     sample_uniform_permutation,
     _sample_symmetric_bernoulli,
 )
@@ -194,9 +193,6 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
 
     rows = []
     for s_idx, s in enumerate(s_grid):
-        seeds_arr = np.arange(s)
-        seeds = identity_seeds(seeds_arr)
-
         # one pair draw per replicate, shared across the x grid, so cells
         # that cannot shuffle anything agree exactly and the x-axis
         # comparison is paired
@@ -204,12 +200,9 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
             a, b = sample_correlated_heterogeneous(alt_spec, gen)
             out = np.empty((len(x_grid), 3))
             for x_idx, x in enumerate(x_grid):
-                sgen = mc.generator("shuffle", s_idx, x_idx, rep)
-                sigma = sample_subset_shuffle(n, seeds_arr, min(n - s, x), sgen)
-                b_sh = apply_permutation(b, sigma)
-                res = sgm_match(a, b_sh, seeds=seeds)
-                out[x_idx] = (paired_z(a, b_sh), pooled_z(a, b_sh),
-                              paired_z(a, apply_permutation(b_sh, res.permutation)))
+                b_sh, b_m = _shuffle_and_match(a, b, np.arange(s), min(n - s, x),
+                                               mc.generator("shuffle", s_idx, x_idx, rep))
+                out[x_idx] = paired_z(a, b_sh), pooled_z(a, b_sh), paired_z(a, b_m)
             return out
 
         rows += mc.power_table({"experiment": "power-er", "s": s}, "x", x_grid,
@@ -267,11 +260,8 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
             return t2_omni(a, g, d)
 
         unseeded = np.sort(gen.choice(n, size=x, replace=False))
-        seeds = _complement(unseeded, n)
-        b_sh = apply_permutation(b, sample_subset_shuffle(n, seeds, x, gen))
-        t_shuffled = t2(b_sh)
-        res = sgm_match(a, b_sh, seeds=identity_seeds(seeds))
-        return t_shuffled, t2(apply_permutation(b_sh, res.permutation))
+        b_sh, b_m = _shuffle_and_match(a, b, _complement(unseeded, n), x, gen)
+        return t2(b_sh), t2(b_m)
 
     # omnibus nulls: anomaly-free pair is an exact copy, then shuffled; a
     # graph equal to the copy scores 0 through t2_omni's identical-pair rule
@@ -279,7 +269,7 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
         a = _sample_symmetric_bernoulli(alt_spec.p_matrix, gen)
         return omni_stats(a, a, x, gen)
 
-    inv_kinds = ("max_degree", "triangles", "spectral")
+    inv_kinds = tuple(_INVARIANTS)
 
     def invariant_null(gen: np.random.Generator) -> tuple[float, float, float]:
         a = _sample_symmetric_bernoulli(alt_spec.p_matrix, gen)

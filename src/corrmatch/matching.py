@@ -55,14 +55,17 @@ from .graphs import (
     _inverse,
     _read_int_lines,
     _write_int_lines,
+    apply_permutation,
     as_adjacency,
     as_finite,
     as_vertex_ids,
+    as_vertex_pairs,
     check_count,
     check_range,
     is_permutation,
     trace_objective,
 )
+from .samplers import sample_subset_shuffle
 
 
 def solve_lap(cost) -> tuple[np.ndarray, float]:
@@ -93,11 +96,7 @@ class MatchResult:
 
 
 def _validate_seeds(seeds, n: int) -> np.ndarray:
-    arr = as_vertex_ids("seeds", () if seeds is None else seeds, n)
-    if arr.size == 0:
-        return arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError("seeds must be an array of (u, v) pairs")
+    arr = as_vertex_pairs("seeds", () if seeds is None else seeds, n)
     if len(set(arr[:, 0].tolist())) != arr.shape[0] or len(set(arr[:, 1].tolist())) != arr.shape[0]:
         raise ValueError("conflicting seeds: correspondence must be injective on both sides")
     return arr
@@ -284,6 +283,17 @@ def faq_match(a: np.ndarray, b: np.ndarray, init="barycenter",
               max_iters: int = 100, tol: float = 1e-6) -> MatchResult:
     """Unseeded Frank-Wolfe graph matching (seed set empty)."""
     return sgm_match(a, b, seeds=None, init=init, max_iters=max_iters, tol=tol)
+
+
+def _shuffle_and_match(a: np.ndarray, b: np.ndarray, seeds: np.ndarray, k: int,
+                       rng) -> tuple[np.ndarray, np.ndarray]:
+    """(b_shuffled, b_realigned): b with k random vertices outside ``seeds``
+    shuffled (``sample_subset_shuffle``), and that graph realigned to a by
+    seeded matching on the identity pairs of ``seeds``. Matching draws
+    nothing from ``rng``."""
+    b_sh = apply_permutation(b, sample_subset_shuffle(b.shape[0], seeds, k, rng))
+    res = sgm_match(a, b_sh, seeds=identity_seeds(seeds))
+    return b_sh, apply_permutation(b_sh, res.permutation)
 
 
 def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition):

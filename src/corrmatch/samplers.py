@@ -94,15 +94,13 @@ class HeterogeneousPair:
         for name, m in (("p", p), ("q", q)):
             if np.any(np.diag(m) != 0):
                 raise ValueError(f"{name} must have zero diagonal")
-        over = r > max_feasible_correlation(p, q) + 1e-12
-        if over.any():
-            i, j = np.argwhere(over)[0]
+        p11 = p * q + r * np.sqrt(p * (1 - p) * q * (1 - q))  # <= min(p, q) if rho <= the bound
+        bad = ((r > max_feasible_correlation(p, q) + 1e-12) | (p11 < -1e-12)
+               | (1 - p - q + p11 < -1e-12))
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
             raise ValueError(f"rho={r[i, j]} infeasible for marginals ({p[i, j]}, {q[i, j]}) "
                              f"at cell ({i}, {j})")
-        p11 = p * q + r * np.sqrt(p * (1 - p) * q * (1 - q))
-        if (np.any(p11 > np.minimum(p, q) + 1e-12) or np.any(p11 < -1e-12)
-                or np.any(1 - p - q + p11 < -1e-12)):
-            raise ValueError("infeasible correlation entry: joint table not a distribution")
         # Y | X=1 ~ Bern(p11/p), Y | X=0 ~ Bern((q - p11)/(1 - p)). The draw
         # u < x with u in [0, 1) reads any x >= 1 as 1 and any x <= 0 as 0, so
         # rounding past [0, 1] needs no clip; the NaN and inf entries arise only

@@ -92,10 +92,20 @@ class TestApplyPermutation:
                                           ([(True, 2)], "edges must be a sequence"),
                                           (np.array([[0.0, 2.0]]), "edges must be a sequence"),
                                           ([(-1, 0)], r"edges value -1 is outside \[0, 2\]"),
-                                          ([(0, 3)], r"edges value 3 is outside \[0, 2\]")])
+                                          ([(0, 3)], r"edges value 3 is outside \[0, 2\]"),
+                                          # reshaped unchecked, the triple raised numpy's reshape
+                                          # error and the flat and 3-D inputs read as the edge (0, 1)
+                                          ([(0, 1, 2)], r"^edges must be an array of \(u, v\) pairs$"),
+                                          ([0, 1], r"^edges must be an array of \(u, v\) pairs$"),
+                                          ([[(0, 1)]], r"^edges must be an array of \(u, v\) pairs$")])
 def test_graph_from_edges_rejects_non_vertices(edges, match):
     with pytest.raises(ValueError, match=match):
         graph_from_edges(3, edges)
+
+
+@pytest.mark.parametrize("edges", [(), []])
+def test_graph_from_edges_empty_input_is_empty_graph(edges):
+    assert np.array_equal(graph_from_edges(3, edges), np.zeros((3, 3), dtype=np.int8))
 
 
 class TestObjectives:

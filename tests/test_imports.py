@@ -1,5 +1,5 @@
-"""Import guards. Every module of the package, every test file and every
-demo uses each name it imports; ``__init__.py`` only re-exports, and
+"""Import guards. Every module of the package, every test file, every
+demo and every tool uses each name it imports; ``__init__.py`` only re-exports, and
 ``from __future__`` imports are directives, so both are exempt. Every
 name a demo imports from corrmatch exists, since the suite does not run
 the demos. Every name the package re-exports has a use outside the unit
@@ -21,7 +21,7 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "corrmatch"
 DEMOS = sorted((TESTS.parent / "demos").glob("*.py"))
 CHECKED = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-           + sorted(TESTS.glob("*.py")) + DEMOS)
+           + sorted(TESTS.glob("*.py")) + DEMOS + sorted((TESTS.parent / "tools").glob("*.py")))
 # Code that is not a unit test: the package, the demos, the acceptance
 # criteria and the benchmark.
 USERS = (sorted(SRC.glob("*.py")) + DEMOS + [TESTS / "test_acceptance.py"]

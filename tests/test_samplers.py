@@ -276,7 +276,7 @@ class TestHeterogeneous:
          "rho entries must be finite"),
         # rho below the bound but so negative that P(0,0) < 0
         (0.9 * (1 - np.eye(3)), 0.9 * (1 - np.eye(3)), -0.99 * (1 - np.eye(3)),
-         "joint table not a distribution"),
+         r"^rho=-0.99 infeasible for marginals \(0.9, 0.9\) at cell \(0, 1\)$"),
     ])
     def test_spec_rejected_when_built(self, p, q, rho, match):
         with pytest.raises(ValueError, match=match):
