@@ -1,10 +1,10 @@
 """Import guards. Every module of the package, every test file, every
-demo and every tool uses each name it imports; ``__init__.py`` only re-exports, and
-``from __future__`` imports are directives, so both are exempt. Every
-name a demo imports from corrmatch exists, since the suite does not run
-the demos. Every name the package re-exports has a use outside the unit
-tests and outside the module that defines it, and importing the package
-leaves scipy.stats unloaded. perfbench's tracer
+demo and every tool uses each name it imports; ``__init__.py`` only
+re-exports, and ``from __future__`` imports are directives, so both are
+exempt. Every name a demo imports from corrmatch exists, since the suite
+does not run the demos. Every name the package re-exports has a use
+outside the unit tests and outside the module that defines it, and
+importing the package leaves scipy.stats unloaded. perfbench's tracer
 binds every function it wraps."""
 
 import ast
