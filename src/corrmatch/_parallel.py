@@ -57,23 +57,16 @@ def critical_value(draws: np.ndarray, alpha: float):
 class MonteCarlo:
     """The checked sizes, stream ids, loops and tables of one Monte Carlo run.
 
-    ``grids`` maps argument names to grids that must be non-empty and
-    must not repeat a value.
     ``cells`` replicate cells and ``null_cells`` null cells use the
     replicate and null blocks; ``shuffles`` is the shape of the shuffle
     block. ``alpha`` is the level of the null calibration.
     """
 
-    def __init__(self, master_seed: int, mc_reps: int, grids: dict,
-                 cells: int, *, alpha: float | None = None, n_null: int = 0,
+    def __init__(self, master_seed: int, mc_reps: int, cells: int, *,
+                 alpha: float | None = None, n_null: int = 0,
                  null_cells: int = 0, shuffles: tuple[int, ...] = (0,)):
         check_count("master_seed", master_seed, low=0)
         check_count("mc_reps", mc_reps)
-        for name, grid in grids.items():
-            if len(grid) == 0:
-                raise ValueError(f"{name} must not be empty")
-            if len(set(grid)) != len(grid):
-                raise ValueError(f"{name} must not repeat a value, got {list(grid)}")
         if alpha is not None:
             check_count("n_null", n_null)
             critical_rank(alpha, n_null)

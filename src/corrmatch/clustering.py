@@ -24,8 +24,8 @@ import numpy as np
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
 from .graphs import (_check_same_size, as_adjacency, as_finite, as_vertex_ids, check_count,
-                     check_counts, check_range)
-from .samplers import SbmParams, _as_generator, sample_rho_sbm, stream
+                     check_grid, check_range)
+from .samplers import SbmParams, _as_generator, _as_instance, sample_rho_sbm, stream
 from .matching import _shuffle_and_match
 
 
@@ -166,10 +166,12 @@ def ari(labels_a, labels_b) -> float:
     """Hubert-Arabie Adjusted Rand Index between two labelings.
 
     1 for identical partitions up to renaming; the degenerate 0/0 case
-    (both partitions trivial) returns 1 by convention.
+    (both partitions trivial) returns 1 by convention. Each labeling is 1-D.
     """
-    a = np.asarray(labels_a).ravel()
-    b = np.asarray(labels_b).ravel()
+    a, b = np.asarray(labels_a), np.asarray(labels_b)
+    for name, labels in (("labels_a", a), ("labels_b", b)):
+        if labels.ndim != 1:
+            raise ValueError(f"{name} must be a 1-D labeling, got shape {labels.shape}")
     if a.shape != b.shape:
         raise ValueError("label vectors must have equal length")
     n = a.shape[0]
@@ -219,12 +221,12 @@ def cluster_gain_experiment(params: SbmParams, rho_grid, d: int, k: int,
     """Joint (omnibus) versus single-graph clustering ARI over a
     correlation grid; both variants are scored on graph 1's vertices
     against the true block labels."""
-    rho_grid = list(rho_grid)  # an iterator is read once
-    check_range("rho_grid", rho_grid, 0, 1)
-    rho_grid = [float(rho) for rho in rho_grid]
-    mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
+    rho_grid = check_grid("rho_grid", rho_grid, 1, real=True)
+    mc = MonteCarlo(master_seed, mc_reps, len(rho_grid))
+    params = _as_instance("params", params, SbmParams)
     check_count("n", params.n, low=2)  # fit_gmm needs two points
     check_count("d", d, params.n)
+    check_count("k", k, params.n)  # single_cluster fits the n rows of graph 1
     check_count("restarts", restarts)
     truth = params.partition.membership
 
@@ -248,10 +250,11 @@ def _shuffle_table(experiment: str, draw_pair, truth: np.ndarray, s_grid, d: int
     seed, so variants with identical inputs (e.g. everything seeded,
     nothing shuffled) produce identical scores.
     """
-    mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid}, len(s_grid))
     n = check_count("n", truth.shape[0], low=2)  # fit_gmm needs two points
-    s_grid = check_counts("s_grid", s_grid, n)
+    s_grid = check_grid("s_grid", s_grid, n)
+    mc = MonteCarlo(master_seed, mc_reps, len(s_grid))
     check_count("d", d, n)
+    check_count("k", k, n)  # single_cluster fits the n rows of graph 1
     check_count("restarts", restarts)
 
     def one_rep(s: int, gen: np.random.Generator) -> tuple[float, float, float]:
@@ -279,9 +282,10 @@ def shuffle_cluster_experiment(params: SbmParams, rho: float, s_grid,
     the shuffled pair, ii) G1 alone, iii) joint clustering after seeded
     matching realigns G2.
     """
+    truth = _as_instance("params", params, SbmParams).partition.membership
+    check_range("rho", (rho,), 0, 1)
     return _shuffle_table("cluster-shuffle", lambda gen: sample_rho_sbm(params, rho, gen),
-                          params.partition.membership, s_grid, d, k, mc_reps, master_seed,
-                          restarts)
+                          truth, s_grid, d, k, mc_reps, master_seed, restarts)
 
 
 def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
@@ -298,7 +302,7 @@ def cluster_real_experiment(a: np.ndarray, b: np.ndarray, labels: np.ndarray,
     _check_same_size(a, b)
     labels = as_vertex_ids("labels", labels)
     n = a.shape[0]
-    if labels.shape[0] != n:
-        raise ValueError(f"label file has {labels.shape[0]} entries for n={n} vertices")
+    if labels.shape != (n,):
+        raise ValueError(f"labels must hold one label per vertex, n={n}, got shape {labels.shape}")
     return _shuffle_table("cluster-real", lambda gen: (a, b), labels, s_grid, d, k,
                           mc_reps, master_seed, restarts)

@@ -185,9 +185,19 @@ def as_vertex_pairs(name: str, values, n: int) -> np.ndarray:
     return arr.reshape(-1, 2)
 
 
-def check_counts(name: str, values, high: float = math.inf) -> list[int]:
-    """``values`` as a list of ints, each checked by check_count with low 0."""
-    return [check_count(name, v, high, low=0) for v in values]
+def check_grid(name: str, values, high: float = math.inf, *, real: bool = False) -> list:
+    """The grid ``values`` read once into a list of floats (``real``) or counts in [0, high]."""
+    if not np.iterable(values):
+        raise ValueError(f"{name} must be a sequence, got {values!r}")
+    values = list(values)
+    if real:
+        check_range(name, values, 0, high)
+    values = [float(v) if real else check_count(name, v, high, low=0) for v in values]
+    if not values:
+        raise ValueError(f"{name} must not be empty")
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must not repeat a value, got {values}")
+    return values
 
 
 def _check_same_size(a: np.ndarray, b: np.ndarray) -> None:
@@ -322,6 +332,8 @@ class BlockPartition:
     membership: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
+        if not np.iterable(self.sizes):
+            raise ValueError(f"sizes must be a sequence, got {self.sizes!r}")
         # numpy counts vertices in int64
         sizes = tuple(check_count("block size", s, np.iinfo(np.int64).max) for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)

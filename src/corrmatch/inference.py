@@ -29,7 +29,7 @@ from .graphs import (
     _complement,
     apply_permutation,
     check_count,
-    check_counts,
+    check_grid,
     check_range,
     edge_disagreements,
     max_degree,
@@ -49,6 +49,7 @@ from .samplers import (
     sample_dirichlet_positions,
     sample_rho_sbm,
     sample_uniform_permutation,
+    _as_instance,
     _sample_symmetric_bernoulli,
 )
 
@@ -127,12 +128,9 @@ def phase_transition_experiment(mc_reps: int = 200, master_seed: int = 0,
     """Matchability phase transition: edge disagreements at the latent
     alignment versus after matching from it, and the edge correlation
     induced by matching versus shuffling."""
-    rho_grid = list(rho_grid)  # an iterator is read once
-    check_range("rho_grid", rho_grid, 0, 1)
-    rho_grid = [float(rho) for rho in rho_grid]
-    mc = MonteCarlo(master_seed, mc_reps, {"rho_grid": rho_grid}, len(rho_grid))
-    if params is None:
-        params = three_block_params()
+    rho_grid = check_grid("rho_grid", rho_grid, 1, real=True)
+    mc = MonteCarlo(master_seed, mc_reps, len(rho_grid))
+    params = three_block_params() if params is None else _as_instance("params", params, SbmParams)
 
     def one_rep(rho: float, gen: np.random.Generator) -> tuple[float, float, float, float]:
         a, b = sample_rho_sbm(params, rho, gen)
@@ -163,15 +161,15 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
     the leading s vertices, without loss of generality under the
     exchangeable null and alternative.
     """
-    mc = MonteCarlo(master_seed, mc_reps, {"s_grid": s_grid, "x_grid": x_grid},
-                    len(s_grid), alpha=alpha, n_null=n_null, null_cells=len(s_grid) + 1,
-                    shuffles=(len(s_grid), len(x_grid), mc_reps))
     n = check_count("n", n, low=2)
-    s_grid = check_counts("s_grid", s_grid, n)
-    x_grid = check_counts("x_grid", x_grid)  # x > n - s shuffles all n - s unseeded vertices
-    for name, value in (("p", p), ("q", q), ("rho", rho), ("null_edge_p", null_edge_p)):
-        if value is not None:
-            check_range(name, (value,), 0, 1)  # NaN fails every comparison
+    s_grid = check_grid("s_grid", s_grid, n)
+    x_grid = check_grid("x_grid", x_grid)  # x > n - s shuffles all n - s unseeded vertices
+    mc = MonteCarlo(master_seed, mc_reps, len(s_grid), alpha=alpha, n_null=n_null,
+                    null_cells=len(s_grid) + 1, shuffles=(len(s_grid), len(x_grid), mc_reps))
+    for name, value in (("p", p), ("q", q), ("rho", rho)):
+        check_range(name, (value,), 0, 1)  # NaN fails every comparison
+    if null_edge_p is not None:
+        check_range("null_edge_p", (null_edge_p,), 0, 1)
     p0 = (p + q) / 2.0 if null_edge_p is None else float(null_edge_p)
     null_params = er_params(n, p0)
     off = 1.0 - np.eye(n)
@@ -230,10 +228,12 @@ def power_omni_experiment(n: int = 100, d: int = 3, num_anomalous: int = 20,
     independent-pair null; their power is computed once per replicate
     and is constant across the x grid by construction.
     """
-    mc = MonteCarlo(master_seed, mc_reps, {"x_grid": x_grid}, 1, alpha=alpha,
-                    n_null=n_null, null_cells=len(x_grid) + 1, shuffles=(mc_reps, len(x_grid)))
-    x_grid = check_counts("x_grid", x_grid, n)
+    n = check_count("n", n)
+    x_grid = check_grid("x_grid", x_grid, n)
+    mc = MonteCarlo(master_seed, mc_reps, 1, alpha=alpha, n_null=n_null,
+                    null_cells=len(x_grid) + 1, shuffles=(mc_reps, len(x_grid)))
     check_count("num_anomalous", num_anomalous, n, low=0)
+    check_range("mix_w", (mix_w,), 0, 1)
     check_count("d", d, 2 * n)  # the omnibus matrix is 2n x 2n
     lat_gen = mc.generator("latent", 0)
     x_latent = sample_dirichlet_positions(n, lat_gen)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .graphs import check_range
-from .samplers import SbmParams
+from .samplers import SbmParams, _as_instance
 
 
 def _binary_entropy(p: float) -> float:
@@ -63,7 +63,7 @@ def _scaled_f(a: float, c: float) -> float:
 
 def _block_sum(params: SbmParams, per_pair) -> float:
     """sum_{i<=j} n_ij * per_pair(lam_ij), in block order."""
-    sizes = params.partition.sizes
+    sizes = _as_instance("params", params, SbmParams).partition.sizes
     terms = []
     for i, j in itertools.combinations_with_replacement(range(len(sizes)), 2):
         nij = sizes[i] * sizes[j] if i < j else sizes[i] * (sizes[i] - 1) // 2
@@ -88,7 +88,7 @@ def mi_small_rho_ratio(params: SbmParams, rho: float) -> float:
     check_range("rho", (rho,), 0, 1)
     if rho == 0.0:
         raise ValueError("rho must lie in (0, 1]; the ratio is undefined at 0")
-    n = params.n
+    n = _as_instance("params", params, SbmParams).n
     if n < 2:
         raise ValueError(f"the ratio needs n >= 2 vertices, got n={n}")
     denom = rho * rho * (n * (n - 1) / 2.0) / 2.0
@@ -113,7 +113,7 @@ def brute_force_pair_mi(params: SbmParams, rho: float) -> float:
     only; requires m <= 12.
     """
     check_range("rho", (rho,), 0, 1)
-    n = params.n
+    n = _as_instance("params", params, SbmParams).n
     m = n * (n - 1) // 2
     if m > 12:
         raise ValueError(f"brute force needs C(n,2) <= 12, got {m}")

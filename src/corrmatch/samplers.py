@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import (ADJ_DTYPE, BlockPartition, _complement, as_finite, as_symmetric,
-                     as_vertex_ids, check_count, check_counts, check_range,
+                     as_vertex_ids, check_count, check_range,
                      identity_permutation)
 
 
@@ -32,7 +32,7 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     equals ``np.random.default_rng(seed)``; the SeedSequence hash is stable
     across platforms and numpy releases."""
     ss = np.random.SeedSequence(check_count("seed", seed, low=0),
-                                spawn_key=tuple(check_counts("key", key)))
+                                spawn_key=tuple(check_count("key", k, low=0) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
 
 
@@ -40,6 +40,13 @@ def _as_generator(rng) -> np.random.Generator:
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy Generator, got {type(rng)!r}")
     return rng
+
+
+def _as_instance(name: str, value, cls: type):
+    """``value`` if it is a ``cls`` (a model such as an SbmParams), else a ValueError."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class SbmParams:
     lam: np.ndarray
 
     def __post_init__(self):
-        k = self.partition.num_blocks
+        k = _as_instance("partition", self.partition, BlockPartition).num_blocks
         if np.shape(self.lam) != (k, k):
             raise ValueError(f"lambda must be {k}x{k}, got {np.shape(self.lam)}")
         object.__setattr__(self, "lam", as_symmetric("lambda", self.lam, 0, 1))
@@ -159,7 +166,7 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
     """
     check_range("rho", (rho,), 0, 1)
     gen = _as_generator(rng)
-    p = params.edge_probability_matrix()
+    p = _as_instance("params", params, SbmParams).edge_probability_matrix()
 
     def given(edge: np.ndarray) -> np.ndarray:
         """p + rho*(1-p) on edges and p*(1-rho) elsewhere, written into p."""
@@ -173,7 +180,7 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
 def sample_correlated_heterogeneous(spec: HeterogeneousPair, rng) -> tuple[np.ndarray, np.ndarray]:
     """Heterogeneous correlated pair from the cellwise bivariate Bernoulli
     tables of ``spec``; cells are independent."""
-    return _correlated_pair(spec.p_matrix,
+    return _correlated_pair(_as_instance("spec", spec, HeterogeneousPair).p_matrix,
                             lambda edge: np.where(edge, spec.given_edge, spec.given_non_edge),
                             _as_generator(rng))
 
@@ -210,8 +217,7 @@ def sample_uniform_permutation(n: int, rng) -> np.ndarray:
 def sample_block_permutation(partition: BlockPartition, rng) -> np.ndarray:
     """Uniform block-preserving permutation: independent uniform
     permutation within each block."""
-    if not isinstance(partition, BlockPartition):
-        raise ValueError(f"partition must be a BlockPartition, got {partition!r}")
+    partition = _as_instance("partition", partition, BlockPartition)
     gen = _as_generator(rng)
     phi = identity_permutation(partition.n)
     for i in range(partition.num_blocks):

@@ -371,7 +371,8 @@ class TestClusterRealCommand:
         assert "label" in err
 
     @pytest.mark.parametrize("extra, word", [
-        (("--mc", "0"), "mc_reps"),
+        # the default seeds grid reaches 80, past this 28-vertex pair's n
+        (("--mc", "0", "--seeds-grid", "0"), "mc_reps"),
         (("--seeds-grid", "0,29"), "s_grid"),
         (("--seeds-grid", ","), "s_grid"),
     ])

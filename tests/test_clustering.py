@@ -338,6 +338,19 @@ class TestAri:
         with pytest.raises(ValueError):
             ari(np.zeros(3), np.zeros(4))
 
+    @pytest.mark.parametrize("labels_a, labels_b, match", [
+        (None, None, r"^labels_a must be a 1-D labeling, got shape \(\)$"),
+        (1, 2, r"^labels_a must be a 1-D labeling, got shape \(\)$"),
+        ([0, 1, 1], 2, r"^labels_b must be a 1-D labeling, got shape \(\)$"),
+        # a 2-D labeling is not flattened into the other's order
+        ([[0, 1], [1, 0]], [0, 1, 1, 0], r"^labels_a must be a 1-D labeling, got shape \(2, 2\)$"),
+        ([0, 1, 1, 0], [[0], [1], [1], [0]],
+         r"^labels_b must be a 1-D labeling, got shape \(4, 1\)$"),
+    ])
+    def test_labeling_not_1d_rejected(self, labels_a, labels_b, match):
+        with pytest.raises(ValueError, match=match):
+            ari(labels_a, labels_b)
+
 
 class TestJointCluster:
     def test_strong_signal_recovers_blocks(self):
@@ -378,24 +391,26 @@ _SMALL_SBM = SbmParams(BlockPartition((6, 6)), np.array([[0.6, 0.1], [0.1, 0.6]]
 _EMPTY_12 = np.zeros((12, 12), dtype=np.int8)
 _HALF_EDGE_12 = _EMPTY_12 + np.pad([[0, 0.5], [0.5, 0]], (0, 10))  # one entry of 0.5
 _ONE_VERTEX = SbmParams(BlockPartition((1,)), np.array([[0.5]]))
-# experiment -> (entry point, tiny arguments that pass every check, its grid argument)
+# experiment -> (entry point, tiny arguments that pass every check, its grid arguments)
 _SMALL_RUNS = {
     "phase-transition": (phase_transition_experiment,
-                         dict(mc_reps=2, params=_SMALL_SBM), "rho_grid"),
+                         dict(mc_reps=2, params=_SMALL_SBM, rho_grid=(0.25, 0.5)), ("rho_grid",)),
     "power-er": (power_er_experiment,
-                 dict(n=12, s_grid=(0, 6), x_grid=(0, 6), mc_reps=2, n_null=20), "s_grid"),
+                 dict(n=12, s_grid=(0, 6), x_grid=(0, 6), mc_reps=2, n_null=20),
+                 ("s_grid", "x_grid")),
     "power-omni": (power_omni_experiment,
-                   dict(n=12, num_anomalous=4, x_grid=(0, 6), mc_reps=2, n_null=20), "x_grid"),
+                   dict(n=12, num_anomalous=4, x_grid=(0, 6), mc_reps=2, n_null=20), ("x_grid",)),
     "cluster-gain": (cluster_gain_experiment,
                      dict(params=_SMALL_SBM, rho_grid=(0.5,), d=2, k=2, mc_reps=2,
-                          master_seed=0), "rho_grid"),
+                          master_seed=0), ("rho_grid",)),
     "cluster-shuffle": (shuffle_cluster_experiment,
                         dict(params=_SMALL_SBM, rho=0.5, s_grid=(0,), d=2, k=2, mc_reps=2,
-                             master_seed=0), "s_grid"),
+                             master_seed=0), ("s_grid",)),
     "cluster-real": (cluster_real_experiment,
                      dict(a=_EMPTY_12, b=_EMPTY_12, labels=_SMALL_SBM.partition.membership,
-                          s_grid=(0,), d=2, k=2, mc_reps=2, master_seed=0), "s_grid"),
+                          s_grid=(0,), d=2, k=2, mc_reps=2, master_seed=0), ("s_grid",)),
 }
+_GRID_ARGS = [(name, grid) for name in _SMALL_RUNS for grid in _SMALL_RUNS[name][2]]
 
 
 class TestClusterExperiments:
@@ -421,6 +436,26 @@ class TestClusterExperiments:
         by_variant = {r["variant"]: r for r in rows}
         assert by_variant["omni_shuffled"]["mean_ari"] == by_variant["omni_matched"]["mean_ari"]
 
+    @pytest.mark.parametrize("name, grid", _GRID_ARGS)
+    def test_grid_read_once_from_any_iterable(self, name, grid):
+        # every grid goes through one reader, so an iterator or a generator
+        # gives the tuple's table
+        fn, kwargs, _ = _SMALL_RUNS[name]
+        rows = fn(**kwargs)
+        assert fn(**{**kwargs, grid: iter(kwargs[grid])}) == rows
+        assert fn(**{**kwargs, grid: (v for v in kwargs[grid])}) == rows
+
+    @pytest.mark.parametrize("name, grid", _GRID_ARGS)
+    @pytest.mark.parametrize("bad", [5, None, 0.5])
+    def test_scalar_grid_rejected(self, monkeypatch, name, grid, bad):
+        def no_draws(*args):
+            raise AssertionError("drew from a random stream before rejecting the input")
+
+        monkeypatch.setattr(_parallel, "stream", no_draws)
+        fn, kwargs, _ = _SMALL_RUNS[name]
+        with pytest.raises(ValueError, match=f"^{grid} must be a sequence, got {bad}$"):
+            fn(**{**kwargs, grid: bad})
+
     def test_real_pair_read_from_nested_lists(self):
         fn, kwargs, _ = _SMALL_RUNS["cluster-real"]
         g1, g2 = sample_rho_sbm(_SMALL_SBM, 0.5, stream(17, 0))
@@ -433,8 +468,8 @@ class TestClusterExperiments:
         for bad, match in (({"mc_reps": 0}, "mc_reps"), ({"mc_reps": -2}, "mc_reps"),
                            ({"mc_reps": 2.5}, "mc_reps must be an integer"),
                            ({"mc_reps": True}, "mc_reps must be an integer"),
-                           ({_SMALL_RUNS[name][2]: ()}, "must not be empty"),
-                           ({_SMALL_RUNS[name][2]: (0, 0)}, "must not repeat"))
+                           ({_SMALL_RUNS[name][2][0]: ()}, "must not be empty"),
+                           ({_SMALL_RUNS[name][2][0]: (0, 0)}, "must not repeat"))
     ] + [
         pytest.param(name, bad, match, id=f"{name}-{bad}")
         for name in ("power-er", "power-omni")
@@ -456,13 +491,22 @@ class TestClusterExperiments:
             ("power-er", {"n": 1, "s_grid": (0,), "x_grid": (0,)}, "n value 1 is outside"),
             ("power-er", {"n": 12.0}, "n must be an integer, got 12.0"),
             ("power-omni", {"x_grid": (0, 13)}, "x_grid"),
+            ("power-omni", {"n": "12"}, "^n must be an integer, got '12'$"),
             ("power-omni", {"x_grid": (-1,)}, "x_grid"),
             ("power-omni", {"num_anomalous": 13}, "num_anomalous"),
             ("power-omni", {"num_anomalous": -1}, "num_anomalous"),
+            ("power-omni", {"mix_w": 1.5}, r"^mix_w value 1.5 is outside \[0, 1\]$"),
             ("cluster-shuffle", {"s_grid": (0, 13)}, "s_grid"),
             ("cluster-shuffle", {"s_grid": (-1,)}, "s_grid"),
             ("cluster-real", {"s_grid": (13,)}, "s_grid"),
             ("cluster-real", {"s_grid": (-2,)}, "s_grid"),
+            # each of the model's numbers is checked, null_edge_p only when given
+            ("power-er", {"p": None}, "^p must be a real number, got None$"),
+            ("power-er", {"q": None}, "^q must be a real number, got None$"),
+            ("power-er", {"rho": None}, "^rho must be a real number, got None$"),
+            ("power-er", {"null_edge_p": 1.5}, r"^null_edge_p value 1.5 is outside \[0, 1\]$"),
+            ("cluster-shuffle", {"rho": None}, "^rho must be a real number, got None$"),
+            ("cluster-shuffle", {"rho": 1.5}, r"^rho value 1.5 is outside \[0, 1\]$"),
             # count grids hold integers: no cast to a count no one asked for
             ("power-er", {"s_grid": (0, 2.5)}, "s_grid must be an integer, got 2.5"),
             ("power-er", {"x_grid": (0, 6.9)}, "x_grid must be an integer, got 6.9"),
@@ -476,7 +520,7 @@ class TestClusterExperiments:
             ("power-er", {"n_null": 5_000_000}, "null block"),
             ("power-er", {"mc_reps": 10 ** 6, "s_grid": (0,), "x_grid": range(71)},
              "shuffle block"),
-            ("power-omni", {"mc_reps": 10 ** 6, "x_grid": range(71)}, "shuffle block"),
+            ("power-omni", {"mc_reps": 6 * 10 ** 6, "x_grid": range(13)}, "shuffle block"),
             ("cluster-gain", {"mc_reps": 10 ** 7 + 1}, "replicate block"),
         )
     ] + [
@@ -509,6 +553,18 @@ class TestClusterExperiments:
                              ("float-array", np.linspace(0.0, 1.0, 12)),
                              ("bool", [True, False] * 6))
     ] + [
+        # one label per vertex: a column of labels is not flattened
+        pytest.param("cluster-real", {"labels": _SMALL_SBM.partition.membership.reshape(-1, 1)},
+                     r"^labels must hold one label per vertex, n=12, got shape \(12, 1\)$",
+                     id="cluster-real-labels-column")
+    ] + [
+        # 12 vertices: single_cluster fits at most 12 components to graph 1
+        pytest.param(name, {"k": bad}, match, id=f"{name}-k-{bad}")
+        for name in ("cluster-gain", "cluster-shuffle", "cluster-real")
+        for bad, match in ((0, r"^k value 0 is outside \[1, 12\]$"),
+                           (13, r"^k value 13 is outside \[1, 12\]$"),
+                           (2.5, "^k must be an integer, got 2.5$"))
+    ] + [
         pytest.param(name, {"restarts": bad}, "restarts", id=f"{name}-restarts-{bad}")
         for name in ("cluster-gain", "cluster-shuffle", "cluster-real")
         for bad in (0, 2.5, True)
@@ -525,6 +581,12 @@ class TestClusterExperiments:
         pytest.param(name, {"rho_grid": iter((0.5, 0.5))}, "^rho_grid must not repeat",
                      id=f"{name}-rho_grid-iterator")
         for name in ("phase-transition", "cluster-gain")
+    ] + [
+        # a model that is not an SbmParams is named, not read at its first attribute
+        pytest.param(name, {"params": bad}, f"^params must be a SbmParams, got {bad!r}$",
+                     id=f"{name}-params-{bad}")
+        for name in ("phase-transition", "cluster-gain", "cluster-shuffle")
+        for bad in ("sbm", 5)
     ] + [
         pytest.param(name, {"master_seed": bad}, match, id=f"{name}-master_seed-{bad}")
         for name in _SMALL_RUNS

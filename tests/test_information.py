@@ -202,6 +202,18 @@ class TestSmallRhoRatio:
             mi_small_rho_ratio(er_params(1, 0.5), 0.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda params: rho_sbm_mi(params, 0.5),
+    sbm_entropy,
+    lambda params: mi_small_rho_ratio(params, 0.5),
+    lambda params: brute_force_pair_mi(params, 0.5),
+], ids=["rho_sbm_mi", "sbm_entropy", "mi_small_rho_ratio", "brute_force_pair_mi"])
+@pytest.mark.parametrize("params", [None, "er", (3,)])
+def test_model_that_is_not_one_rejected(call, params):
+    with pytest.raises(ValueError, match="^params must be a SbmParams, got "):
+        call(params)
+
+
 class TestDataProcessingBound:
     def test_mi_below_entropy(self):
         rng = np.random.default_rng(7)

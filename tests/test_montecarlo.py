@@ -29,9 +29,9 @@ def test_tables_pinned(name):
 
 
 def test_stream_block_capacity_is_inclusive():
-    MonteCarlo(0, 10_000_000, {}, 1)
+    MonteCarlo(0, 10_000_000, 1)
     with pytest.raises(ValueError, match="replicate block"):
-        MonteCarlo(0, 10_000_001, {}, 1)
+        MonteCarlo(0, 10_000_001, 1)
 
 
 def _same_stream(gen, stream_id, master_seed):
@@ -42,7 +42,7 @@ def _same_stream(gen, stream_id, master_seed):
 
 
 def test_stream_ids_are_row_major_in_each_block():
-    mc = MonteCarlo(5, 4, {}, 3, alpha=0.1, n_null=10, null_cells=2, shuffles=(2, 3, 4))
+    mc = MonteCarlo(5, 4, 3, alpha=0.1, n_null=10, null_cells=2, shuffles=(2, 3, 4))
     for role, index, stream_id in (("replicate", (2, 3), 2 * 4 + 3),
                                    ("null", (1, 9), 10 ** 7 + 1 * 10 + 9),
                                    ("shuffle", (1, 2, 3), 2 * 10 ** 7 + (1 * 3 + 2) * 4 + 3),
@@ -58,13 +58,13 @@ def test_stream_ids_are_row_major_in_each_block():
     ("shuffle", (0, -1)), ("shuffle", (0,)), ("shuffle", (0, 0, 0)),
 ])
 def test_stream_index_outside_its_shape_rejected(role, index):
-    mc = MonteCarlo(0, 4, {}, 1, shuffles=(2, 3))
+    mc = MonteCarlo(0, 4, 1, shuffles=(2, 3))
     with pytest.raises(ValueError, match=f"{role} stream index"):
         mc.generator(role, *index)
 
 
 def test_power_table_rows():
-    mc = MonteCarlo(9, 4, {}, 1)
+    mc = MonteCarlo(9, 4, 1)
     stats = np.array([[[0.5, 3.0], [1.0, 3.0]]] * 3 + [[[2.0, 0.0], [0.0, 3.0]]])
     rows = mc.power_table({"experiment": "e", "s": 1}, "x", (10, 20), ("u", "v"), stats,
                           (1.0, 2.5))  # strictly above: 1.0 > 1.0 does not reject

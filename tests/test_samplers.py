@@ -49,6 +49,29 @@ def test_sbm_params_rejected(sizes, lam, match):
         SbmParams(BlockPartition(sizes), np.array(lam))
 
 
+def test_sbm_params_rejects_a_partition_that_is_not_one():
+    with pytest.raises(ValueError, match=r"^partition must be a BlockPartition, got \(2, 2\)$"):
+        SbmParams((2, 2), np.eye(2))
+
+
+@pytest.mark.parametrize("sizes", [5, None, np.int64(3)])
+def test_block_partition_rejects_a_scalar(sizes):
+    with pytest.raises(ValueError, match="^sizes must be a sequence, got "):
+        BlockPartition(sizes)
+
+
+@pytest.mark.parametrize("params", [None, "er", (2, 2)])
+def test_sample_rho_sbm_rejects_a_model_that_is_not_one(params):
+    with pytest.raises(ValueError, match="^params must be a SbmParams, got "):
+        sample_rho_sbm(params, 0.5, stream(0))
+
+
+@pytest.mark.parametrize("spec", [None, "spec", er_params(4, 0.5)])
+def test_sample_correlated_heterogeneous_rejects_a_model_that_is_not_one(spec):
+    with pytest.raises(ValueError, match="^spec must be a HeterogeneousPair, got "):
+        sample_correlated_heterogeneous(spec, stream(0))
+
+
 @pytest.mark.parametrize("n", [10.7, True])
 def test_er_params_rejects_non_integer_n(n):
     with pytest.raises(ValueError, match="n must be an integer"):
