@@ -23,9 +23,9 @@ import numpy as np
 
 from ._parallel import MonteCarlo
 from .embedding import ase, omnibus
-from .graphs import (_check_same_size, as_adjacency, as_finite, as_vertex_ids, check_count,
-                     check_grid, check_range)
-from .samplers import SbmParams, _as_generator, _as_instance, sample_rho_sbm, stream
+from .graphs import (_as_instance, _check_same_size, as_adjacency, as_matrix, as_vertex_ids,
+                     check_count, check_grid, check_range)
+from .samplers import SbmParams, sample_rho_sbm, stream
 from .matching import _shuffle_and_match
 
 
@@ -73,12 +73,9 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     fit run on its own would. The E-step normalises over components with
     the max-shifted log-sum-exp, log(sum(exp(l - max l))) + max l.
     """
-    x = as_finite("points", points)
-    if x.ndim != 2:
-        raise ValueError("points must be an n x d matrix")
+    x = as_matrix("points", points)
     n, d = x.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 points to fit a covariance, got n={n}")
+    check_count("n", n, low=2)  # a covariance needs two points
     check_count("k", k, n)
     check_count("restarts", restarts)
     check_count("max_iters", max_iters)
@@ -89,7 +86,7 @@ def fit_gmm(points: np.ndarray, k: int, rng, restarts: int = 5,
     if not math.isfinite(spread):
         raise ValueError("points are too spread out: their squared distances overflow "
                          "float64; rescale them")
-    gen = _as_generator(rng)
+    gen = _as_instance("rng", rng, np.random.Generator)
     eps = 1e-6 * float(np.var(x, axis=0).mean())
     if eps <= 0.0:
         eps = 1e-6
@@ -172,8 +169,7 @@ def ari(labels_a, labels_b) -> float:
     for name, labels in (("labels_a", a), ("labels_b", b)):
         if labels.ndim != 1:
             raise ValueError(f"{name} must be a 1-D labeling, got shape {labels.shape}")
-    if a.shape != b.shape:
-        raise ValueError("label vectors must have equal length")
+    _check_same_size(a, b)
     n = a.shape[0]
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-from .graphs import _check_same_size, as_finite, as_symmetric, check_count
+from .graphs import _check_same_size, as_finite, as_matrix, as_symmetric, check_count
 from .samplers import stream
 
 # Lanczos for the k = d + 1 leading eigenpairs beats a full eigh from
@@ -109,9 +109,8 @@ def procrustes_align(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     minimizer is not unique; the returned W is the one induced by the
     SVD, not a canonical representative.
     """
-    x, y = as_finite("x", x), as_finite("y", y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    x, y = as_matrix("x", x), as_matrix("y", y)
+    _check_same_size(x, y)
     u, _, vt = np.linalg.svd(x.T @ y)
     w = u @ vt
     return w, float(np.linalg.norm(x @ w - y))
@@ -150,7 +149,7 @@ def scree_elbow(eigenvalues) -> int:
     go to the smallest i. Returns the number of values to keep (1-based).
     """
     vals = np.abs(as_finite("eigenvalues", eigenvalues))
-    if vals.size == 0:
-        raise ValueError("empty eigenvalue list")
+    if vals.ndim != 1 or vals.size == 0:
+        raise ValueError(f"eigenvalues must be a non-empty 1-D sequence, got shape {vals.shape}")
     gaps = (vals[:-1] - vals[1:])[:max(1, vals.size // 2)]
     return int(np.argmax(gaps)) + 1 if gaps.size else 1

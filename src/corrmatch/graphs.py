@@ -115,12 +115,15 @@ def transposition(n: int, i: int, j: int) -> np.ndarray:
 
 def check_range(name: str, values, low: float, high: float = math.inf) -> None:
     """Reject the first of ``values`` that is not a real number (a complex
-    number or a string), or is outside [low, high], NaN, or +inf."""
+    number, a string or an array; a 0-d array passes), or is outside
+    [low, high], NaN, or +inf."""
     for v in values:
-        try:
-            inside = low <= v <= high and v != math.inf  # math.isinf overflows on 10**400
-        except TypeError:
-            inside = None
+        inside = None
+        if not (isinstance(v, np.ndarray) and v.ndim):  # an array compares elementwise
+            try:
+                inside = low <= v <= high and v != math.inf  # math.isinf overflows on 10**400
+            except TypeError:
+                pass
         if inside is None or isinstance(v, np.complexfloating):  # numpy orders complex numbers
             raise ValueError(f"{name} must be a real number, got {v!r}")
         if not inside:
@@ -138,6 +141,14 @@ def as_finite(name: str, values) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite, got a NaN or infinite entry")
     return arr
+
+
+def as_matrix(name: str, m) -> np.ndarray:
+    """``m`` as a finite float64 (``as_finite``) n x d matrix."""
+    m = as_finite(name, m)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be an n x d matrix, got shape {m.shape}")
+    return m
 
 
 def as_symmetric(name: str, m, low: float = -math.inf, high: float = math.inf) -> np.ndarray:
@@ -201,8 +212,17 @@ def check_grid(name: str, values, high: float = math.inf, *, real: bool = False)
 
 
 def _check_same_size(a: np.ndarray, b: np.ndarray) -> None:
+    """Two graphs, embeddings or labelings of the same shape."""
     if a.shape != b.shape:
-        raise ValueError(f"graph size mismatch: {a.shape} vs {b.shape}")
+        raise ValueError(f"size mismatch: {a.shape} vs {b.shape}")
+
+
+def _as_instance(name: str, value, cls: type):
+    """``value`` if it is a ``cls`` (a model such as an SbmParams, or a
+    numpy Generator), else a ValueError."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
 
 
 def apply_permutation(g: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -245,8 +265,7 @@ def sample_edge_correlation(a: np.ndarray, b: np.ndarray) -> float:
     complete), so Monte Carlo aggregation stays total.
     """
     _check_same_size(a, b)
-    if a.shape[0] < 2:
-        raise ValueError("need n >= 2")
+    check_count("n", a.shape[0], low=2)
     x = upper_triangle(a).astype(np.float64)
     y = upper_triangle(b).astype(np.float64)
     x -= x.mean()
@@ -445,7 +464,10 @@ def read_edgelist(path) -> np.ndarray:
 
 
 def write_labels(path, labels) -> None:
-    """Write one integer label per line."""
+    """Write one integer label per line; ``labels`` is a 1-D ``as_vertex_ids`` input."""
+    labels = as_vertex_ids("labels", labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be a 1-D labeling, got shape {labels.shape}")
     _write_int_lines(path, labels, 1)
 
 

@@ -25,6 +25,7 @@ from scipy.special import ndtri
 from ._parallel import MonteCarlo
 from .embedding import t2_omni
 from .graphs import (
+    _as_instance,
     _check_same_size,
     _complement,
     apply_permutation,
@@ -37,7 +38,7 @@ from .graphs import (
     spectral_norm,
     triangle_count,
 )
-from .matching import _shuffle_and_match, faq_match, identity_seeds, sgm_match
+from .matching import _shuffle_and_match, faq_match
 from .samplers import (
     BlockPartition,
     HeterogeneousPair,
@@ -49,7 +50,6 @@ from .samplers import (
     sample_dirichlet_positions,
     sample_rho_sbm,
     sample_uniform_permutation,
-    _as_instance,
     _sample_symmetric_bernoulli,
 )
 
@@ -66,9 +66,7 @@ def three_block_params() -> SbmParams:
 
 def _edge_fractions(a: np.ndarray, b: np.ndarray) -> tuple[float, float, int]:
     _check_same_size(a, b)
-    n = a.shape[0]
-    if n < 2:
-        raise ValueError(f"edge densities need n >= 2 vertices, got n={n}")
+    n = check_count("n", a.shape[0], low=2)
     m = n * (n - 1) // 2
     p1 = int(a.sum()) // 2 / m
     p2 = int(b.sum()) // 2 / m
@@ -179,14 +177,13 @@ def power_er_experiment(p: float = 0.4, q: float = 0.375, n: int = 50, rho: floa
         a, b = sample_rho_sbm(null_params, rho, gen)
         return paired_z(a, b)
 
-    def matched_null(seeds: np.ndarray, gen: np.random.Generator) -> float:
+    def matched_null(s: int, gen: np.random.Generator) -> float:
         a, b = sample_rho_sbm(null_params, rho, gen)
-        res = sgm_match(a, b, seeds=seeds)
-        return paired_z(a, apply_permutation(b, res.permutation))
+        return paired_z(a, _shuffle_and_match(a, b, np.arange(s), 0, gen)[1])
 
     crit_paired = mc.null_critical(0, paired_null)
     crit_pooled = float(ndtri(1.0 - alpha / 2.0))
-    crit_matched = [mc.null_critical(s_idx + 1, partial(matched_null, identity_seeds(np.arange(s))))
+    crit_matched = [mc.null_critical(s_idx + 1, partial(matched_null, s))
                     for s_idx, s in enumerate(s_grid)]
 
     rows = []

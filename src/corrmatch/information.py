@@ -28,8 +28,8 @@ import math
 
 import numpy as np
 
-from .graphs import check_range
-from .samplers import SbmParams, _as_instance
+from .graphs import _as_instance, check_count, check_range
+from .samplers import SbmParams
 
 
 def _binary_entropy(p: float) -> float:
@@ -88,9 +88,7 @@ def mi_small_rho_ratio(params: SbmParams, rho: float) -> float:
     check_range("rho", (rho,), 0, 1)
     if rho == 0.0:
         raise ValueError("rho must lie in (0, 1]; the ratio is undefined at 0")
-    n = _as_instance("params", params, SbmParams).n
-    if n < 2:
-        raise ValueError(f"the ratio needs n >= 2 vertices, got n={n}")
+    n = check_count("n", _as_instance("params", params, SbmParams).n, low=2)
     denom = rho * rho * (n * (n - 1) / 2.0) / 2.0
     return rho_sbm_mi(params, rho) / denom
 

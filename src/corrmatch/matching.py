@@ -49,6 +49,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .graphs import (
     BlockPartition,
+    _as_instance,
     _check_same_size,
     _complement,
     _gather,
@@ -62,6 +63,7 @@ from .graphs import (
     as_vertex_pairs,
     check_count,
     check_range,
+    invert_permutation,
     is_permutation,
     trace_objective,
 )
@@ -307,7 +309,7 @@ def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition)
     """
     a, b = as_adjacency(a), as_adjacency(b)
     _check_same_size(a, b)
-    if not isinstance(partition, BlockPartition) or partition.n != a.shape[0]:
+    if _as_instance("partition", partition, BlockPartition).n != a.shape[0]:
         raise ValueError(f"partition must be a BlockPartition of n={a.shape[0]}, got {partition!r}")
     ab = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)  # counts <= n: exact
     diag = np.diag(ab)
@@ -336,6 +338,7 @@ def transposition_sweep(a: np.ndarray, b: np.ndarray, partition: BlockPartition)
 
 def write_permutation(path, phi: np.ndarray) -> None:
     """Write a permutation file: line i holds phi(i), 0-based."""
+    invert_permutation(phi)  # the permutation check: write only what read_permutation reads
     _write_int_lines(path, phi, 1)
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (ADJ_DTYPE, BlockPartition, _complement, as_finite, as_symmetric,
-                     as_vertex_ids, check_count, check_range,
+from .graphs import (ADJ_DTYPE, BlockPartition, _as_instance, _complement, as_finite,
+                     as_matrix, as_symmetric, as_vertex_ids, check_count, check_range,
                      identity_permutation)
 
 
@@ -34,19 +34,6 @@ def stream(seed: int, *key: int) -> np.random.Generator:
     ss = np.random.SeedSequence(check_count("seed", seed, low=0),
                                 spawn_key=tuple(check_count("key", k, low=0) for k in key))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be a numpy Generator, got {type(rng)!r}")
-    return rng
-
-
-def _as_instance(name: str, value, cls: type):
-    """``value`` if it is a ``cls`` (a model such as an SbmParams), else a ValueError."""
-    if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -165,7 +152,7 @@ def sample_rho_sbm(params: SbmParams, rho: float, rng) -> tuple[np.ndarray, np.n
     (lam*(1-rho)). Cells are independent across vertex pairs.
     """
     check_range("rho", (rho,), 0, 1)
-    gen = _as_generator(rng)
+    gen = _as_instance("rng", rng, np.random.Generator)
     p = _as_instance("params", params, SbmParams).edge_probability_matrix()
 
     def given(edge: np.ndarray) -> np.ndarray:
@@ -182,24 +169,22 @@ def sample_correlated_heterogeneous(spec: HeterogeneousPair, rng) -> tuple[np.nd
     tables of ``spec``; cells are independent."""
     return _correlated_pair(_as_instance("spec", spec, HeterogeneousPair).p_matrix,
                             lambda edge: np.where(edge, spec.given_edge, spec.given_non_edge),
-                            _as_generator(rng))
+                            _as_instance("rng", rng, np.random.Generator))
 
 
 def sample_dirichlet_positions(n: int, rng) -> np.ndarray:
     """n latent positions drawn i.i.d. Dirichlet(1, 1, 1) on the 2-simplex."""
     check_count("n", n)
-    gen = _as_generator(rng)
+    gen = _as_instance("rng", rng, np.random.Generator)
     return gen.dirichlet(np.ones(3), size=n)
 
 
 def anomaly_perturb(x: np.ndarray, m: int, w: float, rng) -> np.ndarray:
     """Mix the first m rows of x with fresh Dirichlet rows: (1-w)*x + w*D."""
-    y = as_finite("x", x).copy()
-    if y.ndim != 2:
-        raise ValueError(f"x must be an n x d matrix, got shape {y.shape}")
+    y = as_matrix("x", x).copy()
     check_range("w", (w,), 0, 1)
     check_count("m", m, y.shape[0], low=0)
-    gen = _as_generator(rng)
+    gen = _as_instance("rng", rng, np.random.Generator)
     if m > 0 and w > 0:
         d = gen.dirichlet(np.ones(y.shape[1]), size=m)
         y[:m] = (1.0 - w) * y[:m] + w * d
@@ -210,7 +195,7 @@ def anomaly_perturb(x: np.ndarray, m: int, w: float, rng) -> np.ndarray:
 
 def sample_uniform_permutation(n: int, rng) -> np.ndarray:
     check_count("n", n, low=0)
-    gen = _as_generator(rng)
+    gen = _as_instance("rng", rng, np.random.Generator)
     return gen.permutation(n).astype(np.int64)
 
 
@@ -218,7 +203,7 @@ def sample_block_permutation(partition: BlockPartition, rng) -> np.ndarray:
     """Uniform block-preserving permutation: independent uniform
     permutation within each block."""
     partition = _as_instance("partition", partition, BlockPartition)
-    gen = _as_generator(rng)
+    gen = _as_instance("rng", rng, np.random.Generator)
     phi = identity_permutation(partition.n)
     for i in range(partition.num_blocks):
         verts = partition.block_vertices(i)
@@ -233,7 +218,7 @@ def sample_subset_shuffle(n: int, seed_set, k: int, rng) -> np.ndarray:
     itself fix points, *at most* k vertices move.
     """
     check_count("n", n, low=0)
-    gen = _as_generator(rng)
+    gen = _as_instance("rng", rng, np.random.Generator)
     free = _complement(as_vertex_ids("seed_set", seed_set, n), n)
     check_count("k", k, free.shape[0], low=0)  # at most the non-seed vertices
     phi = identity_permutation(n)

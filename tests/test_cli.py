@@ -511,7 +511,7 @@ REJECTED = {
     "sample sizes float": (("sample", "--config", "sizes_float.json", "--out-a", "out",
                             "--out-b", "out_b"), "block size must be an integer, got 2.5"),
     # the small-correlation ratio needs a vertex pair; so does power-er
-    "mi one vertex": (("mi", "--config", "one_vertex.json"), "n >= 2"),
+    "mi one vertex": (("mi", "--config", "one_vertex.json"), "n value 1 is outside [2, inf)"),
     "power-er --n 1": (("exp", "power-er", "--n", "1", "--s-grid", "0", "--x-grid", "0",
                         "--mc", "2", "--n-null", "20", "-o", "out"), "n value 1 is outside"),
     # NaN != NaN: finiteness is checked before symmetry

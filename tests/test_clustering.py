@@ -192,7 +192,7 @@ class TestFitGmm:
 
     def test_rejects_fewer_than_two_points(self):
         # np.cov of one point is NaN: the fit came back with a NaN loglik
-        with pytest.raises(ValueError, match="at least 2 points"):
+        with pytest.raises(ValueError, match=r"^n value 1 is outside \[2, inf\)$"):
             fit_gmm(np.array([[1.0, 2.0]]), 1, stream(21, 0))
 
     @pytest.mark.parametrize("x, k", [
@@ -366,7 +366,7 @@ class TestJointCluster:
         from_lists = joint_cluster(g1.tolist(), g2.tolist(), 2, 2, stream(13, 0))
         for labels, expected in zip(from_lists, joint_cluster(g1, g2, 2, 2, stream(13, 0))):
             assert np.array_equal(labels, expected)
-        with pytest.raises(ValueError, match=r"^graph size mismatch: \(100, 100\) vs \(99, 99\)$"):
+        with pytest.raises(ValueError, match=r"^size mismatch: \(100, 100\) vs \(99, 99\)$"):
             joint_cluster(g1, g2[:99, :99], 2, 2, stream(13, 0))
 
     def test_vectors_rejected(self):

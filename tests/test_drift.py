@@ -101,6 +101,21 @@ def test_call_decisions_labels_and_stops():
     assert last == "drift: 2 changed values, 2 unshared inputs, 2 changed decisions"
 
 
+def test_generator_leaves_compared_by_state():
+    # a returned generator is recorded by its state, which is equal or not
+    leaf = drift.leaves(np.random.default_rng(4))
+    assert leaf["out"].dtype.kind == "U"
+    base = {"samplers.stream": {"k1": leaf}}
+    same = {"samplers.stream": {"k1": drift.leaves(np.random.default_rng(4))}}
+    moved = {"samplers.stream": {"k1": drift.leaves(np.random.default_rng(5))}}
+    assert drift.report(_recording({}, base), _recording({}, same)).splitlines()[-1] == "drift: none"
+    sums, counts, decisions = drift.compare_calls(base, moved)
+    assert (sums, counts) == ({}, {"samplers.stream": (1, 1, 1)})
+    assert decisions == ["samplers.stream input k1 out: 1 of 1 values changed"]
+    last = drift.report(_recording({}, base), _recording({}, moved)).splitlines()[-1]
+    assert last == "drift: 0 changed values, 0 unshared inputs, 1 changed decisions"
+
+
 @dataclass(frozen=True)
 class _Model:
     weights: np.ndarray

@@ -321,8 +321,18 @@ class TestProcrustes:
             assert np.linalg.norm(w.T @ w - np.eye(3)) < 1e-9
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^size mismatch: \(3, 2\) vs \(4, 2\)$"):
             procrustes_align(np.zeros((3, 2)), np.zeros((4, 2)))
+
+    @pytest.mark.parametrize("x, y, message", [
+        # a stack of matrices was aligned pairwise, a vector met numpy's svd
+        (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), r"^x must be an n x d matrix, got shape \(2, 2, 2\)$"),
+        (np.ones(2), np.ones(2), r"^x must be an n x d matrix, got shape \(2,\)$"),
+        (np.eye(2), np.ones(2), r"^y must be an n x d matrix, got shape \(2,\)$"),
+    ], ids=["3-d", "1-d", "y 1-d"])
+    def test_not_two_matrices_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            procrustes_align(x, y)
 
 
 class TestStatistics:
@@ -416,3 +426,11 @@ class TestScreeElbow:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             scree_elbow([])
+
+    @pytest.mark.parametrize("values, shape", [(3.0, r"\(\)"), ([[3, 2], [1, 0]], r"\(2, 2\)")],
+                             ids=["scalar", "matrix"])
+    def test_not_a_sequence_rejected(self, values, shape):
+        # a scalar raised IndexError; a matrix's elbow came from the gaps between its rows
+        with pytest.raises(ValueError,
+                           match=rf"^eigenvalues must be a non-empty 1-D sequence, got shape {shape}$"):
+            scree_elbow(values)

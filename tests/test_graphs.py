@@ -212,7 +212,7 @@ class TestSampleEdgeCorrelation:
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_needs_two_vertices(self, n):
-        with pytest.raises(ValueError, match="n >= 2"):
+        with pytest.raises(ValueError, match=rf"^n value {n} is outside \[2, inf\)$"):
             sample_edge_correlation(graph_from_edges(n, ()), graph_from_edges(n, ()))
 
     def test_zero_variance_convention(self):
@@ -478,6 +478,18 @@ class TestFileFormats:
                                    (write_permutation, np.array([1, 0]), "1\n0\n")):
             write(path, value)
             assert path.read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("write, value, message", [
+        (write_labels, [0.5, 1.7], "^labels must be a sequence of integer vertex ids, without bools$"),
+        (write_labels, [True, False], "^labels must be a sequence of integer vertex ids, without bools$"),
+        (write_labels, [[1, 2], [3, 4]], r"^labels must be a 1-D labeling, got shape \(2, 2\)$"),
+        (write_permutation, [0, 0, 5], r"^phi is not a bijection of \[n\]$"),
+    ], ids=["labels fractional", "labels bool", "labels matrix", "permutation repeat"])
+    def test_writers_reject_what_readers_reject(self, tmp_path, write, value, message):
+        path = tmp_path / "out.txt"
+        with pytest.raises(ValueError, match=message):
+            write(path, value)
+        assert not path.exists()
 
 
 # reader -> (lines of a well-formed file, shape of an empty file)

@@ -198,7 +198,7 @@ class TestSmallRhoRatio:
 
     def test_one_vertex_rejected(self):
         # C(1, 2) = 0 vertex pairs: the ratio has no denominator
-        with pytest.raises(ValueError, match="n >= 2"):
+        with pytest.raises(ValueError, match=r"^n value 1 is outside \[2, inf\)$"):
             mi_small_rho_ratio(er_params(1, 0.5), 0.5)
 
 

@@ -602,9 +602,10 @@ class TestTranspositionSweep:
         assert transposition_sweep(g.tolist(), g.tolist(), part) == transposition_sweep(g, g, part)
         with pytest.raises(ValueError, match="^adjacency entries must be real 0 or 1$"):
             transposition_sweep(g, 0.5 * g, part)
-        for bad in (BlockPartition((2, 3)), (2, 2)):
-            with pytest.raises(ValueError, match="^partition must be a BlockPartition of n=4, "):
-                transposition_sweep(g, g, bad)
+        with pytest.raises(ValueError, match=r"^partition must be a BlockPartition of n=4, "):
+            transposition_sweep(g, g, BlockPartition((2, 3)))
+        with pytest.raises(ValueError, match=r"^partition must be a BlockPartition, got \(2, 2\)$"):
+            transposition_sweep(g, g, (2, 2))
 
 
 class TestMatchingFiles:

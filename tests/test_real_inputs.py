@@ -175,6 +175,16 @@ SCALARS = {
     "critical_rank": (lambda: critical_rank("0.1", 30), "alpha"),
     # one vertex, so no vertex pair reads rho
     "rho_sbm_mi": (lambda: rho_sbm_mi(er_params(1, 0.3), 0.5j), "rho"),
+    # an array is not a scalar, even with one element
+    "sample_rho_sbm 1-element array": (
+        lambda: sample_rho_sbm(er_params(4, 0.3), np.array([0.5]), stream(0, 0)), "rho"),
+    "rho_sbm_mi 1-element array": (lambda: rho_sbm_mi(er_params(4, 0.3), np.array([0.5])), "rho"),
+    "bernoulli_pair_mi 2-element array": (
+        lambda: bernoulli_pair_mi(0.5, np.array([0.5, 0.5])), "rho"),
+    "power_er_experiment 1-element array": (
+        lambda: power_er_experiment(p=np.array([0.5]), n=6, s_grid=(0,), x_grid=(0,), mc_reps=2,
+                                    n_null=20), "p"),
+    "check_range 2-element array": (lambda: check_range("v", (np.array([0.5, 0.5]),), 0), "v"),
 }
 
 
@@ -185,7 +195,7 @@ def test_non_real_scalars_rejected(call):
         fn()
 
 
-@pytest.mark.parametrize("value", [0, 1, 0.5, True, np.float32(0.25), np.int8(1)])
+@pytest.mark.parametrize("value", [0, 1, 0.5, True, np.float32(0.25), np.int8(1), np.array(0.5)])
 def test_real_scalars_accepted(value):
     check_range("v", (value,), 0, 1)
 

@@ -25,7 +25,6 @@ from corrmatch import (
     stream,
 )
 from corrmatch.graphs import as_adjacency
-from corrmatch.samplers import _as_generator
 from helpers import random_graph, traced_peak
 from pinned_runs import PINS
 
@@ -456,8 +455,8 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("rng", [7, None, np.random.RandomState(0), np.random.SeedSequence(0)])
     def test_rng_not_a_generator(self, rng):
-        with pytest.raises(ValueError, match="^rng must be a numpy Generator"):
-            _as_generator(rng)
+        with pytest.raises(ValueError, match="^rng must be a Generator, got "):
+            sample_uniform_permutation(3, rng)
 
 
 class TestStream:

@@ -17,10 +17,11 @@ recorded function, the report gives the number of values compared, how
 many are exactly equal, and the largest absolute and relative change
 (relative to the largest magnitude in the base column or leaf). Then it
 lists every changed decision: a changed rejection count, a flipped
-label or other integer output, an output whose length changed (an EM
-trace that stopped at another iteration), a sign change of an ARI gap
-between two variants, and a table whose rows differ. The criterion runs
-take a few minutes per commit.
+label or other integer output, a returned generator whose state
+changed, an output whose length changed (an EM trace that stopped at
+another iteration), a sign change of an ARI gap between two variants,
+and a table whose rows differ. The criterion runs take a few minutes
+per commit.
 """
 
 from __future__ import annotations
@@ -80,10 +81,15 @@ def input_key(args: tuple, kwargs: dict) -> str:
 
 def leaves(obj, path: str = "") -> dict[str, np.ndarray]:
     """An output as named arrays: dataclass fields, dict keys and tuple
-    positions become dotted paths; a sequence of numbers is one array."""
+    positions become dotted paths; a sequence of numbers is one array,
+    and a generator the SHA-256 of its bit-generator state."""
     def at(name) -> str:
         return f"{path}.{name}" if path else str(name)
 
+    if isinstance(obj, np.random.Generator):
+        h = hashlib.sha256()
+        _digest(obj, h)
+        return {path or "out": np.array(h.hexdigest())}
     if dataclasses.is_dataclass(obj):
         items = ((f.name, getattr(obj, f.name)) for f in dataclasses.fields(obj))
     elif isinstance(obj, dict):
@@ -219,7 +225,8 @@ def compare_calls(base: dict, head: dict):
                     got = "missing" if vh is None else vh.shape
                     decisions.append(f"{where}: shape {vb.shape} -> {got}")
                     continue
-                summaries.setdefault((func, leaf), Summary()).add(vb, vh)
+                if vb.dtype.kind in "biufc":  # a state digest is compared equal or not
+                    summaries.setdefault((func, leaf), Summary()).add(vb, vh)
                 if vb.dtype.kind not in "fc" and (flipped := int((vb != vh).sum())):
                     decisions.append(f"{where}: {flipped} of {vb.size} values changed")
     return summaries, counts, decisions
