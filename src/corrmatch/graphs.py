@@ -115,11 +115,12 @@ def transposition(n: int, i: int, j: int) -> np.ndarray:
 
 def check_range(name: str, values, low: float, high: float = math.inf) -> None:
     """Reject the first of ``values`` that is not a real number (a complex
-    number, a string or an array; a 0-d array passes), or is outside
+    number, a string or an array; a real 0-d array passes), or is outside
     [low, high], NaN, or +inf."""
     for v in values:
         inside = None
-        if not (isinstance(v, np.ndarray) and v.ndim):  # an array compares elementwise
+        # an array compares elementwise; a 0-d complex one is no real number, like a complex scalar
+        if not (isinstance(v, np.ndarray) and (v.ndim or v.dtype.kind == "c")):
             try:
                 inside = low <= v <= high and v != math.inf  # math.isinf overflows on 10**400
             except TypeError:

@@ -185,6 +185,8 @@ SCALARS = {
         lambda: power_er_experiment(p=np.array([0.5]), n=6, s_grid=(0,), x_grid=(0,), mc_reps=2,
                                     n_null=20), "p"),
     "check_range 2-element array": (lambda: check_range("v", (np.array([0.5, 0.5]),), 0), "v"),
+    "sample_rho_sbm 0-d complex array": (
+        lambda: sample_rho_sbm(er_params(4, 0.3), np.array(0.5 + 0j), stream(0, 0)), "rho"),
 }
 
 
