@@ -54,8 +54,6 @@ from .samplers import (
 
 
 def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v).lower()
     if isinstance(v, float):
         return f"{v:.10g}"
     return str(v)
@@ -209,12 +207,12 @@ def _cmd_mi(args) -> int:
     return 0
 
 
-# Parsed values of an exp experiment that are not arguments of its library call.
-_EXP_CLI_ONLY = ("command", "experiment", "func", "run", "format", "output")
+# Parsed values that only steer the CLI; an exp or cluster-real sidecar echoes the rest.
+_CLI_ONLY = ("command", "experiment", "func", "run", "format", "output")
 
 
 def _cmd_exp(args) -> int:
-    kwargs = {k: v for k, v in vars(args).items() if k not in _EXP_CLI_ONLY}
+    kwargs = {k: v for k, v in vars(args).items() if k not in _CLI_ONLY}
     run = args.run
     if args.experiment == "cluster":
         # --seeds-grid selects the shuffle table; each mode drops the other's flags
@@ -243,20 +241,14 @@ def _cmd_cluster_real(args) -> int:
     a = read_edgelist(args.a)
     b = read_edgelist(args.b)
     labels = read_labels(args.labels)
+    config = {k: v for k, v in vars(args).items() if k not in _CLI_ONLY + ("master_seed",)}
     if args.scree:
         check_count("n", a.shape[0], low=2)  # as cluster_real_experiment would, before the scree
-        evals = np.linalg.eigvalsh(omnibus(a, b))
-        ranked = evals[np.argsort(-np.abs(evals), kind="stable")]
-        d = scree_elbow(ranked)
-    else:
-        d = args.d
-    rows = cluster_real_experiment(a, b, labels, args.s_grid, d=d, k=args.k,
+        config["d"] = scree_elbow(np.linalg.eigvalsh(omnibus(a, b)))
+    rows = cluster_real_experiment(a, b, labels, args.s_grid, d=config["d"], k=args.k,
                                    mc_reps=args.mc_reps, master_seed=args.master_seed)
     _write_rows(args.output, rows, args.format)
-    _write_sidecar(args.output, "cluster-real", {
-        "a": args.a, "b": args.b, "labels": args.labels, "d": int(d),
-        "scree": bool(args.scree), "k": args.k, "s_grid": list(args.s_grid),
-        "mc_reps": args.mc_reps}, args.master_seed)
+    _write_sidecar(args.output, "cluster-real", config, args.master_seed)
     return 0
 
 

@@ -143,13 +143,13 @@ def t2_omni(a: np.ndarray, b: np.ndarray, d: int) -> float:
 
 
 def scree_elbow(eigenvalues) -> int:
-    """Max-gap elbow: argmax_i (|l_i| - |l_{i+1}|) over the leading half.
-
-    ``eigenvalues`` must already be sorted by |value| descending. Ties
-    go to the smallest i. Returns the number of values to keep (1-based).
+    """Max-gap elbow: argmax_i (|l_i| - |l_{i+1}|) over the leading half,
+    with ``eigenvalues`` in any order ranked by |value| descending. Ties go
+    to the smallest i. Returns the number of values to keep (1-based).
     """
     vals = np.abs(as_finite("eigenvalues", eigenvalues))
     if vals.ndim != 1 or vals.size == 0:
         raise ValueError(f"eigenvalues must be a non-empty 1-D sequence, got shape {vals.shape}")
+    vals = np.sort(vals)[::-1]  # equal magnitudes give equal gaps, so ties need no order
     gaps = (vals[:-1] - vals[1:])[:max(1, vals.size // 2)]
     return int(np.argmax(gaps)) + 1 if gaps.size else 1

@@ -176,7 +176,8 @@ def check_count(name: str, value, high: float = math.inf, *, low: int = 1) -> in
 def as_vertex_ids(name: str, values, n: int | None = None) -> np.ndarray:
     """``values`` as int64 ids, in [0, n) if n is given, rejecting scalars,
     bools and non-integers like check_count: an array by its dtype, other
-    input item by item too, as numpy reads [True, 2] as integers."""
+    input item by item too, as numpy reads [True, 2] as integers. Unsigned
+    ids past int64's range are rejected, not wrapped to negative ones."""
     bools = False
     if not isinstance(values, np.ndarray) and np.iterable(values):
         values = list(values)
@@ -184,8 +185,9 @@ def as_vertex_ids(name: str, values, n: int | None = None) -> np.ndarray:
     arr = np.asarray(values)
     if bools or arr.ndim == 0 or arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"{name} must be a sequence of integer vertex ids, without bools")
-    if n is not None and arr.size:
-        check_range(name, (arr.min(), arr.max()), 0, n - 1)
+    if arr.size and (n is not None or arr.dtype.kind == "u"):
+        check_range(name, (arr.min(), arr.max()), 0,
+                    np.iinfo(np.int64).max if n is None else n - 1)
     return arr.astype(np.int64, copy=False)
 
 

@@ -67,8 +67,7 @@ def _block_sum(params: SbmParams, per_pair) -> float:
     terms = []
     for i, j in itertools.combinations_with_replacement(range(len(sizes)), 2):
         nij = sizes[i] * sizes[j] if i < j else sizes[i] * (sizes[i] - 1) // 2
-        if nij:
-            terms.append(nij * per_pair(float(params.lam[i, j])))
+        terms.append(nij * per_pair(float(params.lam[i, j])))
     return sum(terms, 0.0)
 
 

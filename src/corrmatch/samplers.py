@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (ADJ_DTYPE, BlockPartition, _as_instance, _complement, as_finite,
-                     as_matrix, as_symmetric, as_vertex_ids, check_count, check_range,
-                     identity_permutation)
+from .graphs import (ADJ_DTYPE, BlockPartition, _as_instance, _check_same_size, _complement,
+                     as_finite, as_matrix, as_symmetric, as_vertex_ids, check_count,
+                     check_range, identity_permutation)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -83,8 +83,8 @@ class HeterogeneousPair:
         p = as_symmetric("p", self.p_matrix, 0, 1)
         q = as_symmetric("q", self.q_matrix, 0, 1)
         r = as_symmetric("rho", self.rho_matrix, -1, 1)
-        if not p.shape == q.shape == r.shape:
-            raise ValueError("p, q, rho must be square matrices of equal shape")
+        _check_same_size(p, q)
+        _check_same_size(p, r)
         for name, m in (("p", p), ("q", q)):
             if np.any(np.diag(m) != 0):
                 raise ValueError(f"{name} must have zero diagonal")

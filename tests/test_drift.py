@@ -108,12 +108,17 @@ def test_generator_leaves_compared_by_state():
     base = {"samplers.stream": {"k1": leaf}}
     same = {"samplers.stream": {"k1": drift.leaves(np.random.default_rng(4))}}
     moved = {"samplers.stream": {"k1": drift.leaves(np.random.default_rng(5))}}
-    assert drift.report(_recording({}, base), _recording({}, same)).splitlines()[-1] == "drift: none"
+    lines = drift.report(_recording({}, base), _recording({}, same)).splitlines()
+    assert lines[-1] == "drift: none"
+    # the leaf's line gives the values compared and equal, without the max columns
+    assert f"{'  out':44} {1:7d} {1:7d}" in lines
     sums, counts, decisions = drift.compare_calls(base, moved)
-    assert (sums, counts) == ({}, {"samplers.stream": (1, 1, 1)})
+    assert sums == {("samplers.stream", "out"): drift.Summary(1, 0, None, None)}
+    assert counts == {"samplers.stream": (1, 1, 1)}
     assert decisions == ["samplers.stream input k1 out: 1 of 1 values changed"]
-    last = drift.report(_recording({}, base), _recording({}, moved)).splitlines()[-1]
-    assert last == "drift: 0 changed values, 0 unshared inputs, 1 changed decisions"
+    lines = drift.report(_recording({}, base), _recording({}, moved)).splitlines()
+    assert f"{'  out':44} {1:7d} {0:7d}" in lines
+    assert lines[-1] == "drift: 0 changed values, 0 unshared inputs, 1 changed decisions"
 
 
 @dataclass(frozen=True)

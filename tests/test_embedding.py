@@ -422,6 +422,12 @@ class TestScreeElbow:
         w = np.linalg.eigvalsh(p)
         ranked = np.abs(w)[np.argsort(-np.abs(w))]
         assert scree_elbow(ranked) == 3
+        assert scree_elbow(w) == 3  # eigvalsh's ascending order; unranked, the elbow read 1
+
+    @pytest.mark.parametrize("values", [[0.5, 1, 9, 10], [1, 0.5, -9, 10], [-9, 0.5, 10, -1]])
+    def test_any_order_gives_the_ranked_elbow(self, values):
+        # unranked, [0.5, 1, 9, 10] gave 1: its gaps were read as 0.5 and 8
+        assert scree_elbow(values) == scree_elbow([10, 9, 1, 0.5]) == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

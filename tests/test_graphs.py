@@ -13,6 +13,7 @@ from corrmatch import (
     gm_objective,
     graph_from_edges,
     identity_permutation,
+    identity_seeds,
     invert_permutation,
     max_degree,
     read_edgelist,
@@ -29,7 +30,7 @@ from corrmatch import (
     write_labels,
     write_permutation,
 )
-from corrmatch.graphs import upper_triangle
+from corrmatch.graphs import as_vertex_ids, upper_triangle
 from helpers import complete_graph, permutation_matrix, random_graph, traced_peak
 
 
@@ -97,10 +98,23 @@ class TestApplyPermutation:
                                           # error and the flat and 3-D inputs read as the edge (0, 1)
                                           ([(0, 1, 2)], r"^edges must be an array of \(u, v\) pairs$"),
                                           ([0, 1], r"^edges must be an array of \(u, v\) pairs$"),
-                                          ([[(0, 1)]], r"^edges must be an array of \(u, v\) pairs$")])
+                                          ([[(0, 1)]], r"^edges must be an array of \(u, v\) pairs$"),
+                                          ([(1, 1)], r"^self-loop 1$")])
 def test_graph_from_edges_rejects_non_vertices(edges, match):
     with pytest.raises(ValueError, match=match):
         graph_from_edges(3, edges)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda ids: as_vertex_ids("x", ids), "x"),
+    (identity_seeds, "vertices"),
+], ids=["as_vertex_ids", "identity_seeds"])
+def test_unsigned_ids_past_int64_rejected_without_n(call, name):
+    # unchecked, 2**63 was cast to the id -2**63
+    message = rf"^{name} value 9223372036854775808 is outside \[0, 9223372036854775807\]$"
+    with pytest.raises(ValueError, match=message):
+        call(np.array([2 ** 63], dtype=np.uint64))
+    assert call(np.array([2 ** 63 - 1], dtype=np.uint64)).max() == 2 ** 63 - 1
 
 
 @pytest.mark.parametrize("edges", [(), []])
@@ -483,8 +497,12 @@ class TestFileFormats:
         (write_labels, [0.5, 1.7], "^labels must be a sequence of integer vertex ids, without bools$"),
         (write_labels, [True, False], "^labels must be a sequence of integer vertex ids, without bools$"),
         (write_labels, [[1, 2], [3, 4]], r"^labels must be a 1-D labeling, got shape \(2, 2\)$"),
+        # unchecked, 2**64 - 1 was written as -1, which read_labels reads back
+        (write_labels, np.array([0, 2 ** 64 - 1], dtype=np.uint64),
+         r"^labels value 18446744073709551615 is outside \[0, 9223372036854775807\]$"),
         (write_permutation, [0, 0, 5], r"^phi is not a bijection of \[n\]$"),
-    ], ids=["labels fractional", "labels bool", "labels matrix", "permutation repeat"])
+    ], ids=["labels fractional", "labels bool", "labels matrix", "labels past int64",
+            "permutation repeat"])
     def test_writers_reject_what_readers_reject(self, tmp_path, write, value, message):
         path = tmp_path / "out.txt"
         with pytest.raises(ValueError, match=message):

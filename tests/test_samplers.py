@@ -281,7 +281,8 @@ class TestHeterogeneous:
 
     @pytest.mark.parametrize("p, q, rho, match", [
         (np.full((2, 3), 0.5), np.full((2, 3), 0.5), np.zeros((2, 3)), "square"),
-        (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(2)), np.zeros((3, 3)), "equal shape"),
+        (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(2)), np.zeros((3, 3)),
+         r"^size mismatch: \(3, 3\) vs \(2, 2\)$"),
         (np.triu(np.full((3, 3), 0.5), 1), 0.5 * (1 - np.eye(3)), np.zeros((3, 3)),
          "p must be symmetric to 1e-12"),
         (0.5 * (1 - np.eye(3)), 1.5 * (1 - np.eye(3)), np.zeros((3, 3)),
@@ -299,6 +300,8 @@ class TestHeterogeneous:
         # rho below the bound but so negative that P(0,0) < 0
         (0.9 * (1 - np.eye(3)), 0.9 * (1 - np.eye(3)), -0.99 * (1 - np.eye(3)),
          r"^rho=-0.99 infeasible for marginals \(0.9, 0.9\) at cell \(0, 1\)$"),
+        (0.5 * (1 - np.eye(3)), 0.5 * (1 - np.eye(3)), np.zeros((4, 4)),
+         r"^size mismatch: \(3, 3\) vs \(4, 4\)$"),
     ])
     def test_spec_rejected_when_built(self, p, q, rho, match):
         with pytest.raises(ValueError, match=match):

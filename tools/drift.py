@@ -141,15 +141,21 @@ def record(out_path: str, names: list[str]) -> None:
 
 @dataclasses.dataclass
 class Summary:
-    """Values compared, how many exactly equal, largest changes."""
+    """Values compared, how many exactly equal, largest changes (None for
+    non-numeric values, such as a generator's state, compared equal or not)."""
     values: int = 0
     equal: int = 0
-    max_abs: float = 0.0
-    max_rel: float = 0.0
+    max_abs: float | None = 0.0
+    max_rel: float | None = 0.0
 
     def add(self, base, head) -> None:
-        base = np.asarray(base, dtype=np.float64)
-        head = np.asarray(head, dtype=np.float64)
+        base, head = np.asarray(base), np.asarray(head)
+        if base.dtype.kind not in "biufc":
+            self.values += base.size
+            self.equal += int((base == head).sum())
+            self.max_abs = self.max_rel = None
+            return
+        base, head = base.astype(np.float64), head.astype(np.float64)
         same = (base == head) | (np.isnan(base) & np.isnan(head))
         self.values += base.size
         self.equal += int(same.sum())
@@ -225,8 +231,7 @@ def compare_calls(base: dict, head: dict):
                     got = "missing" if vh is None else vh.shape
                     decisions.append(f"{where}: shape {vb.shape} -> {got}")
                     continue
-                if vb.dtype.kind in "biufc":  # a state digest is compared equal or not
-                    summaries.setdefault((func, leaf), Summary()).add(vb, vh)
+                summaries.setdefault((func, leaf), Summary()).add(vb, vh)
                 if vb.dtype.kind not in "fc" and (flipped := int((vb != vh).sum())):
                     decisions.append(f"{where}: {flipped} of {vb.size} values changed")
     return summaries, counts, decisions
@@ -240,7 +245,8 @@ def report(base: dict, head: dict) -> str:
     header = f"{'':44} {'values':>7} {'equal':>7} {'max abs':>10} {'max rel':>10}"
 
     def line(name: str, s: Summary) -> str:
-        return f"{name:44} {s.values:7d} {s.equal:7d} {s.max_abs:10.3g} {s.max_rel:10.3g}"
+        text = f"{name:44} {s.values:7d} {s.equal:7d}"
+        return text if s.max_abs is None else f"{text} {s.max_abs:10.3g} {s.max_rel:10.3g}"
 
     out = ["tables", header]
     out += [line(f"{run} {col}", s) for (run, col), s in sorted(table_sums.items())]
@@ -250,7 +256,9 @@ def report(base: dict, head: dict) -> str:
         out += [line(f"  {leaf}", s) for (f, leaf), s in sorted(call_sums.items()) if f == func]
     out += ["", f"changed decisions: {len(decisions) or 'none'}"]
     out += [f"  {d}" for d in decisions]
-    changed = sum(s.values - s.equal for s in [*table_sums.values(), *call_sums.values()])
+    # a changed state is counted among the changed decisions instead
+    changed = sum(s.values - s.equal for s in [*table_sums.values(), *call_sums.values()]
+                  if s.max_abs is not None)
     unshared = sum(b + h - 2 * s for b, h, s in counts.values())
     zero = not (changed or unshared or decisions)
     out.append("drift: none" if zero else
